@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Grid
+from .grid import Grid, fft_workers
 from .state import AdmissibilityError, ConstantState
 from .fields import StateField
 
@@ -56,7 +55,7 @@ class RunManifest:
             "code_version": _code_version(),
             "seed": seed,
             "rng": "philox4x64",
-            "threads": int(os.environ.get("ABI_THREADS", "1") or 1),
+            "threads": fft_workers(),
             "started": _now(),
             "finished": None,
             "outputs": [],

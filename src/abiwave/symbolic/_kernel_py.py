@@ -1,14 +1,21 @@
-"""Pure-Python kernel for sparse exact-integer polynomial arithmetic.
+"""Kernel for sparse exact-integer polynomial arithmetic.
 
 A polynomial in the eighteen layout variables is a dict mapping a
 packed monomial key to a nonzero Python integer.  Exponents occupy
 seven bits per variable inside one arbitrary-precision integer key, so
-monomial multiplication is a single integer addition; the degree guard
-in :func:`mul` keeps every per-variable exponent below 128, which makes
-the packed addition carry-free.
+monomial multiplication is a single integer addition.  That addition is
+carry-free while every total degree stays at most ``MAX_EXP``.  The
+bound is checked once where it is decided, not in the inner loops:
 
-A Cython twin of this module (:mod:`abiwave.symbolic._kernel`) exposes
-the same functions; :mod:`abiwave.symbolic.poly` selects one at import.
+* :func:`mul` and :func:`pack` check their own inputs;
+* :func:`mul_add_into` trusts its caller:
+  :func:`abiwave.symbolic.tensors.build_interaction_tensor` checks the
+  factor degrees once per tensor;
+* :func:`stage1_substitute` and :func:`stage2_rewrite` trust
+  :func:`abiwave.symbolic.ideal.reduce_terms`, which checks each entry
+  once (stage one keeps the total degree, stage two never raises it).
+
+This is the only polynomial kernel; every symbolic module uses it.
 """
 from __future__ import annotations
 
@@ -44,8 +51,12 @@ def unpack(key: int) -> tuple:
     return tuple((key >> (BITS * i)) & MASK for i in range(NVARS))
 
 
-def degree(terms: dict) -> int:
-    """Total degree (0 for the zero polynomial)."""
+def degree(terms) -> int:
+    """Total degree (0 for the zero polynomial).
+
+    Takes a term dict or any iterable of packed keys, so the largest
+    degree over many polynomials costs one call.
+    """
     best = 0
     for key in terms:
         d = 0
@@ -89,11 +100,13 @@ def mul(p: dict, q: dict) -> dict:
 
 
 def mul_add_into(acc: dict, c: int, p: dict, q: dict, r: dict) -> None:
-    """acc += c * p * q * r for small factors (tensor contraction core)."""
+    """acc += c * p * q * r for small factors (tensor contraction core).
+
+    Precondition: degree(p) + degree(q) + degree(r) <= MAX_EXP.  It is
+    not checked here; the caller checks it once for all its factors.
+    """
     if c == 0 or not p or not q or not r:
         return
-    if degree(p) + degree(q) + degree(r) > MAX_EXP:
-        raise OverflowError("product degree exceeds packing capacity")
     for k1, v1 in p.items():
         for k2, v2 in q.items():
             k12 = k1 + k2
@@ -112,10 +125,9 @@ def stage1_substitute(p: dict, s: int) -> dict:
 
     Each monomial X7^a X8^b X9^c X16^d X17^e X18^f picks up the factor
     s^(a+b+c+e+f) and moves those exponents onto X4, X5, X6, X13, X14,
-    X15 respectively.
+    X15 respectively.  Precondition: degree(p) <= MAX_EXP, checked by
+    the caller.
     """
-    if degree(p) > MAX_EXP:
-        raise OverflowError("degree exceeds packing capacity")
     out: dict = {}
     for key, v in p.items():
         sign_pow = 0
@@ -161,9 +173,8 @@ def stage2_rewrite(p: dict) -> dict:
 
     X3^(2m+r) -> (1 - X1^2 - X2^2)^m X3^r and likewise for X6, X12,
     X15; afterwards those variables appear with exponent zero or one.
+    Precondition: degree(p) <= MAX_EXP, checked by the caller.
     """
-    if degree(p) > MAX_EXP:
-        raise OverflowError("degree exceeds packing capacity")
     cur = p
     for var, pa, pb in _STAGE2:
         out: dict = {}

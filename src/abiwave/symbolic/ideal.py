@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import IntPolynomial, NVARS, get_kernels
-
-_kernel, _kernel_py = get_kernels()
+from . import _kernel_py
+from .poly import IntPolynomial
 
 
 def build_ideal_generators(eps2: int, eps3: int) -> list[IntPolynomial]:
@@ -50,8 +49,14 @@ def build_ideal_generators(eps2: int, eps3: int) -> list[IntPolynomial]:
 
 
 def reduce_terms(terms: dict, s: int) -> dict:
-    """Normal form of a bare term-dict modulo the orientation-s ideal."""
-    return _kernel.stage2_rewrite(_kernel.stage1_substitute(terms, s))
+    """Normal form of a bare term-dict modulo the orientation-s ideal.
+
+    The packing bound is checked here, once: stage one keeps the total
+    degree and stage two never raises it.
+    """
+    if _kernel_py.degree(terms) > _kernel_py.MAX_EXP:
+        raise OverflowError("degree exceeds packing capacity")
+    return _kernel_py.stage2_rewrite(_kernel_py.stage1_substitute(terms, s))
 
 
 def reduce_poly(p: IntPolynomial, s: int) -> IntPolynomial:
@@ -94,12 +99,9 @@ def extract_cofactors(p: IntPolynomial, eps2: int, eps3: int):
     cur = dict(p.terms)
 
     # stage 1: for each substituted variable, p = sum_e X^e p_e and
-    # X^e - (s X')^e = (X - s X') * sum_{m<e} X^m (s X')^{e-1-m}
-    stage1 = (
-        (6, 3, 6, True), (7, 4, 7, True), (8, 5, 8, True),
-        (15, 12, 9, False), (16, 13, 10, True), (17, 14, 11, True),
-    )
-    for src, dst, gi, signed in stage1:
+    # X^e - (s X')^e = (X - s X') * sum_{m<e} X^m (s X')^{e-1-m};
+    # the n-th substitution is generator P_{7+n}
+    for gi, (src, dst, signed) in enumerate(_kernel_py._STAGE1, start=6):
         split = _split_variable(cur, src)
         new: dict = {}
         q_terms: dict = {}
@@ -124,9 +126,10 @@ def extract_cofactors(p: IntPolynomial, eps2: int, eps3: int):
         cof[gi] = cof[gi] + IntPolynomial(q_terms)
         cur = new
 
-    # stage 2: X_v^{2m+r} = (1 - A^2 - B^2)^m X_v^r + P * telescope
-    stage2 = ((2, 0, 1, 0), (5, 3, 4, 1), (11, 9, 10, 3), (14, 12, 13, 4))
-    for var, pa, pb, gi in stage2:
+    # stage 2: X_v^{2m+r} = (1 - A^2 - B^2)^m X_v^r + P * telescope,
+    # where P is the unit-sum generator of the triple holding X_v
+    for var, pa, pb in _kernel_py._STAGE2:
+        gi = var // 3
         split = _split_variable(cur, var)
         new: dict = {}
         q_terms: dict = {}

@@ -10,28 +10,13 @@ Variable layout (one-based names X1..X18, zero-based indices):
 Coefficients are exact Python integers; a power-of-two scale
 denominator and an imaginary-unit power ride along as metadata (the
 projected tensors carry one factor of i and halves from the wave-branch
-projectors).  The monomial workhorse functions live in a kernel module
-selected at import: a compiled Cython twin when available, else the
-pure-Python fallback.  Set ABIWAVE_PURE_POLY=1 to force the fallback.
+projectors).  The monomial workhorse functions live in
+:mod:`abiwave.symbolic._kernel_py`, the only kernel; its module
+docstring says where the packing bound is checked.
 """
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 from . import _kernel_py
-
-if os.environ.get("ABIWAVE_PURE_POLY", ""):
-    _kernel = _kernel_py
-    KERNEL_BACKEND = "pure-python (forced)"
-else:
-    try:
-        from . import _kernel  # compiled
-        KERNEL_BACKEND = "compiled"
-    except ImportError:
-        _kernel = _kernel_py
-        KERNEL_BACKEND = "pure-python"
 
 NVARS = _kernel_py.NVARS
 pack = _kernel_py.pack
@@ -39,13 +24,14 @@ unpack = _kernel_py.unpack
 
 
 def kernel_backend() -> str:
-    """Which monomial kernel is active ('compiled' or 'pure-python')."""
-    return KERNEL_BACKEND
+    """Name of the polynomial kernel, recorded in every certificate."""
+    return "pure-python"
 
 
+# kept only because the benchmark harness (perfbench/) still calls it
 def get_kernels():
-    """Active kernel module and the pure reference (for benchmarks)."""
-    return _kernel, _kernel_py
+    """The kernel module as an (active, reference) pair."""
+    return _kernel_py, _kernel_py
 
 
 class IntPolynomial:
@@ -127,7 +113,7 @@ class IntPolynomial:
             return self
         self._check_meta(other)
         out = dict(self.terms)
-        _kernel.add_into(out, other.terms, 1)
+        _kernel_py.add_into(out, other.terms, 1)
         return IntPolynomial(out, self.scale_log2, self.i_power)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -137,7 +123,7 @@ class IntPolynomial:
             return -other
         self._check_meta(other)
         out = dict(self.terms)
-        _kernel.add_into(out, other.terms, -1)
+        _kernel_py.add_into(out, other.terms, -1)
         return IntPolynomial(out, self.scale_log2, self.i_power)
 
     def __neg__(self) -> "IntPolynomial":
@@ -151,7 +137,7 @@ class IntPolynomial:
                                      i_power=self.i_power)
             return IntPolynomial({k: v * other for k, v in self.terms.items()},
                                  self.scale_log2, self.i_power)
-        return IntPolynomial(_kernel.mul(self.terms, other.terms),
+        return IntPolynomial(_kernel_py.mul(self.terms, other.terms),
                              self.scale_log2 + other.scale_log2,
                              self.i_power + other.i_power)
 
@@ -165,12 +151,12 @@ class IntPolynomial:
 
     def evaluate(self, values) -> complex:
         """Numeric value at an 18-vector, including scale and i factors."""
-        raw = _kernel.evaluate(self.terms, [float(v) for v in values])
+        raw = _kernel_py.evaluate(self.terms, [float(v) for v in values])
         return raw * (1j ** self.i_power) / (2.0 ** self.scale_log2)
 
     def evaluate_raw(self, values) -> float:
         """Numeric value of the bare integer polynomial."""
-        return _kernel.evaluate(self.terms, [float(v) for v in values])
+        return _kernel_py.evaluate(self.terms, [float(v) for v in values])
 
     def to_text(self) -> str:
         """Canonical textual form 'c * X1^a1...X18^a18 +- ...'."""

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import system
-from .poly import IntPolynomial, get_kernels
-
-_kernel, _kernel_py = get_kernels()
+from . import _kernel_py
+from .poly import IntPolynomial
 
 # variable bases per frequency slot: (unit-vector base, cosine base)
 SLOT_XI = (0, 9)
@@ -161,8 +160,8 @@ class InteractionTensor:
                              self.i_power)
 
     def max_degree(self) -> int:
-        return max((_kernel_py.degree(t) for _, t in self.iter_entries()
-                    if t), default=0)
+        return _kernel_py.degree(key for _, t in self.iter_entries()
+                                 for key in t)
 
     def term_counts(self) -> tuple[int, int]:
         counts = [len(t) for _, t in self.iter_entries()]
@@ -204,6 +203,14 @@ class InteractionTensor:
         return _eval
 
 
+def _max_degree(matrix) -> int:
+    """Largest total degree among a projector's entries (0 for None)."""
+    if matrix is None:
+        return 0
+    return _kernel_py.degree(key for line in matrix for t in line
+                             for key in t)
+
+
 def build_interaction_tensor(eps: tuple[int, int, int],
                              which: str = "evolution") -> InteractionTensor:
     """Contract the quadratic table with the slot projectors, exactly.
@@ -230,30 +237,29 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     else:
         P1 = None
         scale = 2
+    # every product below is P1 * (P2 * X_dir) * P3: check the packing
+    # bound once here, so the contraction loop need not
+    if (_max_degree(P1) + _max_degree(P2) + 1 + _max_degree(P3)
+            > _kernel_py.MAX_EXP):
+        raise OverflowError("product degree exceeds packing capacity")
 
+    folded = {}  # (c_diff, jdir) -> nonzero (j, P2[c_diff][j] * X_dir)
     for row, a_undiff, c_diff, jdir, sign in terms_table:
-        deriv_var = _var(SLOT_W[0] + jdir)
-        # fold the derivative direction into the xi-eta slot projector line
-        M2 = [None] * 10
-        for j in range(10):
-            if P2[c_diff][j]:
-                M2[j] = _kernel_py.mul(P2[c_diff][j], deriv_var)
-        for j in range(10):
-            if M2[j] is None:
-                continue
+        if (c_diff, jdir) not in folded:
+            dvar = _var(SLOT_W[0] + jdir)
+            folded[c_diff, jdir] = [(j, _kernel_py.mul(p2, dvar))
+                                    for j, p2 in enumerate(P2[c_diff]) if p2]
+        # the constraint interactions have no outer projector
+        outer = ([(row, {0: 1})] if P1 is None else
+                 [(i, P1[i][row]) for i in range(10) if P1[i][row]])
+        for j, m2 in folded[c_diff, jdir]:
             for k in range(10):
                 p3 = P3[a_undiff][k]
                 if not p3:
                     continue
-                if P1 is None:
-                    _kernel.add_into(entries[row][j][k],
-                                     _kernel.mul(M2[j], p3), sign)
-                else:
-                    for i in range(10):
-                        p1 = P1[i][row]
-                        if p1:
-                            _kernel.mul_add_into(entries[i][j][k], sign,
-                                                 p1, M2[j], p3)
+                for i, p1 in outer:
+                    _kernel_py.mul_add_into(entries[i][j][k], sign,
+                                            p1, m2, p3)
     return InteractionTensor(eps=(e1, e2, e3), which=which, entries=entries,
                              scale_log2=scale)
 

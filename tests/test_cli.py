@@ -41,6 +41,16 @@ def test_projectors_command(tmp_path, capsys):
     assert np.allclose(A0, data["norm0"] * (Pp - Pm), atol=1e-10)
 
 
+@pytest.mark.parametrize("value, workers", [("abc", 1), ("0", 1), ("2", 2)])
+def test_manifest_threads_match_fft_workers(tmp_path, monkeypatch, value,
+                                            workers):
+    monkeypatch.setenv("ABI_THREADS", value)
+    out = tmp_path / "proj"
+    assert run_cli("projectors", "--xi", "1,0.5,0", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threads"] == workers
+
+
 def test_projectors_rejects_zero_xi():
     assert run_cli("projectors", "--xi", "0,0,0") == cli.EXIT_USAGE
 

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from abiwave.state import ConstantState
 from abiwave.symbolic import _kernel_py
-from abiwave.symbolic.poly import (IntPolynomial, get_kernels, kernel_backend,
-                                   pack, unpack)
+from abiwave.symbolic.poly import IntPolynomial, pack, unpack
 from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic import certify as C
 
@@ -138,25 +137,49 @@ def test_cofactors_zero_poly_and_degree_bound(rng):
 
 
 # ----------------------------------------------------------------------
-# kernels agree
+# kernel products and the packing bound
 # ----------------------------------------------------------------------
 
-def test_kernels_equivalent(rng):
-    kern, kern_py = get_kernels()
-    if kern is kern_py:
-        pytest.skip("compiled kernel not built")
-    for _ in range(30):
-        p = _rand_terms(rng)
-        q = _rand_terms(rng)
-        r = _rand_terms(rng, n=6)
-        assert kern.mul(p, q) == kern_py.mul(p, q)
-        a1, a2 = dict(r), dict(r)
-        kern.mul_add_into(a1, -3, p, q, r)
-        kern_py.mul_add_into(a2, -3, p, q, r)
-        assert a1 == a2
-        for s in (1, -1):
-            assert kern.stage1_substitute(p, s) == kern_py.stage1_substitute(p, s)
-        assert kern.stage2_rewrite(p) == kern_py.stage2_rewrite(p)
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 31), c=st.integers(-10 ** 6, 10 ** 6))
+def test_mul_add_into_matches_mul_then_add(seed, c):
+    rng = np.random.default_rng(seed)
+    p, q, acc = _rand_terms(rng), _rand_terms(rng), _rand_terms(rng)
+    r = _rand_terms(rng, n=6)
+    before = dict(acc)
+    want = dict(acc)
+    _kernel_py.add_into(want, _kernel_py.mul(_kernel_py.mul(p, q), r), c)
+    _kernel_py.mul_add_into(acc, c, p, q, r)
+    assert acc == want
+    _kernel_py.mul_add_into(acc, -c, p, q, r)  # cancelled terms are dropped
+    assert acc == before
+
+
+def _x1_x2(a, b):
+    return {pack([a, b] + [0] * 16): 1}
+
+
+def test_mul_rejects_total_degree_128():
+    assert _kernel_py.mul(_x1_x2(64, 0), _x1_x2(63, 0)) == _x1_x2(127, 0)
+    with pytest.raises(OverflowError):
+        _kernel_py.mul(_x1_x2(64, 0), _x1_x2(0, 64))
+
+
+def test_reduce_rejects_total_degree_128():
+    assert ideal.reduce_terms(_x1_x2(64, 63), 1) == _x1_x2(64, 63)
+    with pytest.raises(OverflowError):
+        ideal.reduce_terms(_x1_x2(64, 64), 1)
+
+
+def test_tensor_build_rejects_total_degree_128(monkeypatch):
+    # slot degrees 42 (xi), 42 + 1 derivative (xi - eta) and 43 (eta)
+    def fake_projector_terms(branch, slot):
+        d = 43 if slot == tensors.SLOT_ETA else 42
+        return [[_x1_x2(d, 0) for _ in range(10)] for _ in range(10)]
+
+    monkeypatch.setattr(tensors, "projector_terms", fake_projector_terms)
+    with pytest.raises(OverflowError):
+        tensors.build_interaction_tensor((1, 1, 1))
 
 
 # ----------------------------------------------------------------------
