@@ -156,6 +156,10 @@ def cmd_verify_symbols(ns) -> int:
     from .symbolic import certify as C
 
     state = _state_from_flags(ns)
+    mutate_entry = _parse_entry(ns.mutate_entry)
+    if mutate_entry and not ns.interactions and ns.which == "both":
+        raise ValueError("--mutate-entry needs --which N or Nprime, or "
+                         "--interactions, to name the tensor it mutates")
     outdir = _outdir(ns)
     manifest = RunManifest("verify-symbols", vars_serializable(ns))
     try:
@@ -168,17 +172,18 @@ def cmd_verify_symbols(ns) -> int:
                 certs.append(C.certify(
                     (spec.eps1, spec.eps2, spec.eps3), which, state,
                     preflight=not ns.skip_preflight, subsystem=ns.subsystem,
-                    with_cofactors=ns.cofactors,
-                    mutate_entry=_parse_entry(ns.mutate_entry)))
+                    with_cofactors=ns.cofactors, mutate_entry=mutate_entry))
         else:
             which_list = {"N": ("evolution",), "Nprime": ("constraint",),
                           "both": ("evolution", "constraint")}[ns.which]
-            if ns.mutate_entry:
-                certs = [C.certify((1, 1, 1), "evolution", state,
+            if mutate_entry:
+                eps, which = {"N": ((1, 1, 1), "evolution"),
+                              "Nprime": ((0, 1, 1), "constraint")}[ns.which]
+                certs = [C.certify(eps, which, state,
                                    preflight=not ns.skip_preflight,
                                    subsystem=ns.subsystem,
                                    with_cofactors=ns.cofactors,
-                                   mutate_entry=_parse_entry(ns.mutate_entry))]
+                                   mutate_entry=mutate_entry)]
             else:
                 certs = C.certify_all(which_list, state,
                                       preflight=not ns.skip_preflight,
@@ -201,7 +206,11 @@ def cmd_verify_symbols(ns) -> int:
 def _parse_entry(text):
     if not text:
         return None
-    i, j, k = (int(x) for x in text.split(","))
+    try:
+        i, j, k = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--mutate-entry takes three integers I,J,K, "
+                         f"got {text!r}") from None
     return (i, j, k)
 
 

@@ -20,6 +20,14 @@ with the phase ``exp(-i t |k|0)``.  The forward propagator is
 and the profile (inverse) map is its conjugate.  ``PROPAGATOR_SIGN``
 below is the sign of the exponent multiplying ``+|k|0`` on the ``+``
 branch under forward propagation.
+
+Real fields are stored as half spectra, the modes with kz >= 0
+(:meth:`abiwave.grid.Grid.rfwd`).  ``scipy.fft.rfftn`` uses the opposite
+exponent sign, so ``rfwd`` is its complex conjugate and the transform
+above is unchanged.  Because ``A0(-k) = -A0(k)``, the branch projectors
+obey ``P+(-k) = P-(k)``: the + branch part of a real field is not a real
+field, and a norm of it over the full lattice pairs the half-spectrum
+values of ``P+ U`` and ``P- U`` (the pair rule).
 """
 
 # Forward propagation multiplies the + branch by exp(PROPAGATOR_SIGN * 1j * t * |k|0).

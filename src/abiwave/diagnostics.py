@@ -3,7 +3,8 @@
 Constraint residuals are evaluated in full variables (background plus
 perturbation); the manifold residuals expect absolute fields.  Norms
 mix spectral (Sobolev) and physical (sup, Besov) computations on the
-same grid.
+same grid.  Spectra are half spectra of real fields (:mod:`abiwave.grid`);
+one sample transforms the field once and synthesizes its gradient once.
 """
 from __future__ import annotations
 
@@ -29,30 +30,31 @@ SERIES_COLUMNS = (
 # residuals
 # ----------------------------------------------------------------------
 
-def constraint_residual(field: StateField, state: ConstantState):
+def constraint_residual(field: StateField, state: ConstantState,
+                        grad: np.ndarray | None = None):
     """Sup and L2 norms of the three constraint residual fields.
 
     Residuals of (tau div b - b.grad tau), (tau div d - d.grad tau) and
-    (tau curl v - b.grad d + d.grad b), all in full variables.
+    (tau curl v - b.grad d + d.grad b), all in full variables.  ``grad``
+    is ``field.grid.gradient(field.spectral())`` when the caller has it.
     """
     g = field.grid
     tau = state.tau0 + field.tau
     b = state.b0.reshape(3, 1, 1, 1) + field.b
     d = state.d0.reshape(3, 1, 1, 1) + field.d
 
-    fh = field.spectral()
-    grad_tau = np.stack([g.inv_real(g.deriv(fh[0], j)) for j in range(3)])
-    div_b = sum(g.inv_real(g.deriv(fh[4 + j], j)) for j in range(3))
-    div_d = sum(g.inv_real(g.deriv(fh[7 + j], j)) for j in range(3))
+    if grad is None:
+        grad = g.gradient(field.spectral())  # grad[c, j] = d_j U_c
+    grad_tau = grad[0]
+    div_b = grad[4, 0] + grad[5, 1] + grad[6, 2]
+    div_d = grad[7, 0] + grad[8, 1] + grad[9, 2]
     curl_v = np.stack([
-        g.inv_real(g.deriv(fh[3], 1)) - g.inv_real(g.deriv(fh[2], 2)),
-        g.inv_real(g.deriv(fh[1], 2)) - g.inv_real(g.deriv(fh[3], 0)),
-        g.inv_real(g.deriv(fh[2], 0)) - g.inv_real(g.deriv(fh[1], 1)),
+        grad[3, 1] - grad[2, 2],
+        grad[1, 2] - grad[3, 0],
+        grad[2, 0] - grad[1, 1],
     ])
-    grad_b = np.stack([[g.inv_real(g.deriv(fh[4 + i], j)) for j in range(3)]
-                       for i in range(3)])  # grad_b[i, j] = d_j b_i
-    grad_d = np.stack([[g.inv_real(g.deriv(fh[7 + i], j)) for j in range(3)]
-                       for i in range(3)])
+    grad_b = grad[4:7]  # grad_b[i, j] = d_j b_i
+    grad_d = grad[7:10]
 
     r1 = tau * div_b - np.einsum("j...,j...->...", b, grad_tau)
     r2 = tau * div_d - np.einsum("j...,j...->...", d, grad_tau)
@@ -77,18 +79,16 @@ def manifold_residual(field_abs: StateField):
 # norms
 # ----------------------------------------------------------------------
 
-def sobolev_norm(grid: Grid, fh: np.ndarray, s: float) -> float:
-    return grid.sobolev_norm(fh, s)
+def w1inf_norm(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
+               grad: np.ndarray | None = None) -> float:
+    """sup |U| + sup |grad U| over components and points.
 
-
-def w1inf_norm(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None) -> float:
-    """sup |U| + sup |grad U| over components and points."""
-    fh = grid.fwd(data) if fh is None else fh
-    sup = float(np.max(np.abs(data)))
-    dsup = 0.0
-    for j in range(3):
-        dsup = max(dsup, float(np.max(np.abs(grid.inv_real(grid.deriv(fh, j))))))
-    return sup + dsup
+    ``fh`` is the half spectrum of ``data`` and ``grad`` its
+    :meth:`Grid.gradient`; each is computed when not given.
+    """
+    if grad is None:
+        grad = grid.gradient(grid.rfwd(data) if fh is None else fh)
+    return float(np.max(np.abs(data))) + float(np.max(np.abs(grad)))
 
 
 def besov_norms(grid: Grid, data: np.ndarray,
@@ -96,13 +96,13 @@ def besov_norms(grid: Grid, data: np.ndarray,
     """Homogeneous Besov (B0_{inf,1}, B1_{inf,1}) via sharp dyadic shells.
 
     Shells are annuli 2^j <= |k| < 2^{j+1} on the discrete lattice; the
-    mean mode belongs to no shell.
+    mean mode belongs to no shell.  ``fh`` is the half spectrum of ``data``.
     """
-    fh = grid.fwd(data) if fh is None else fh
+    fh = grid.rfwd(data) if fh is None else fh
     b0 = 0.0
     b1 = 0.0
     for j, mask in grid.shell_masks():
-        piece = grid.inv(fh * mask).real
+        piece = grid.rinv(fh * mask[..., :grid.n_half])
         sup = float(np.max(np.abs(piece)))
         b0 += sup
         b1 += 2.0 ** j * sup
@@ -156,23 +156,32 @@ class DiagnosticsSeries:
 
 def sample_diagnostics(field: StateField, state: ConstantState, t: float,
                        sobolev_n: int, geo=None) -> dict:
-    """One full diagnostics row for a perturbation field."""
+    """One full diagnostics row for a perturbation field.
+
+    ``geo`` is the half-spectrum geometry (``spectral._geometry``).  For a
+    real field ``||u+||`` equals ``||u-||``; on the half spectrum each is
+    sqrt((||P+ U||^2 + ||P- U||^2) / 2) in the Hermitian weight, because
+    the mirror of P+ U at -k is P- U at k.
+    """
     g = field.grid
     fh = field.spectral()
+    grad = g.gradient(fh)
     parts = decompose_spectral(fh, g, state, geo)
-    r1, r2, r3 = constraint_residual(field, state)
+    r1, r2, r3 = constraint_residual(field, state, grad)
     absolute = StateField(g, field.data + state.as_vector().reshape(10, 1, 1, 1))
     man_s, man_v = manifold_residual(absolute)
     b0n, b1n = besov_norms(g, field.data, fh)
+    h1_wave = np.hypot(g.sobolev_norm(parts.plus, 1),
+                       g.sobolev_norm(parts.minus, 1)) / np.sqrt(2.0)
     return dict(
         t=t,
         H1_U=g.sobolev_norm(fh, 1),
         H6_U=g.sobolev_norm(fh, 6),
         HN_U=g.sobolev_norm(fh, sobolev_n),
-        H1_up=g.sobolev_norm(parts.plus, 1),
-        H1_um=g.sobolev_norm(parts.minus, 1),
+        H1_up=h1_wave,
+        H1_um=h1_wave,
         H1_u0=g.sobolev_norm(parts.zero, 1),
-        W1inf_U=w1inf_norm(g, field.data, fh),
+        W1inf_U=w1inf_norm(g, field.data, fh, grad),
         B0inf1=b0n,
         B1inf1=b1n,
         res_divb_sup=r1["sup"],
@@ -252,7 +261,7 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     samples = []
     for t in times:
         phase = np.exp(-1j * t * geo.norm0)
-        evolved = grid.inv(phase * plus + np.conj(phase) * minus).real
+        evolved = grid.rinv(phase * plus + np.conj(phase) * minus)
         samples.append({
             "t": t,
             "sup": grid.sup_norm(evolved),
@@ -266,7 +275,7 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
 
 
 def spectral_kernel_free(field: StateField, state: ConstantState, geo=None):
-    """Transform of the field with its kernel-branch part removed."""
+    """Half spectrum of the field with its kernel-branch part removed."""
     g = field.grid
     geo = geo or _geometry(g, state)
     fh = g.strip_nyquist(field.spectral())

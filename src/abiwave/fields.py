@@ -54,8 +54,8 @@ class StateField:
         return self.data[D]
 
     def spectral(self) -> np.ndarray:
-        """Transformed components (10, N, N, N) complex."""
-        return self.grid.fwd(self.data)
+        """Half spectra of the components (10, N, N, N//2+1), complex."""
+        return self.grid.rfwd(self.data)
 
     def copy(self) -> "StateField":
         return StateField(self.grid, self.data.copy())
@@ -78,6 +78,6 @@ class EMField:
     def spectral_divergences(self) -> tuple[float, float]:
         """Sup norms of the spectral divergences (should be round-off)."""
         g = self.grid
-        db = g.inv_real(g.spectral_divergence(g.fwd(self.B)))
-        dd = g.inv_real(g.spectral_divergence(g.fwd(self.D)))
+        db = g.rinv(g.spectral_divergence(g.rfwd(self.B)))
+        dd = g.rinv(g.spectral_divergence(g.rfwd(self.D)))
         return float(np.max(np.abs(db))), float(np.max(np.abs(dd)))

@@ -2,9 +2,9 @@
 
 Method of lines: spectral derivatives, pointwise products with the
 two-thirds dealiasing rule, classical RK4 in time.  The state advances
-in spectral form; every product stage passes through physical space
-with the real part taken, which enforces Hermitian symmetry (and hence
-reality) at each evaluation.
+as the half spectrum of the real fields (:mod:`abiwave.grid`); each
+right-hand side synthesizes the fields and all their first derivatives
+in two transforms and analyses the products in a third.
 """
 from __future__ import annotations
 
@@ -79,23 +79,24 @@ def rhs(field: StateField, state: ConstantState, dealias: bool = True) -> StateF
         raise BlowUpError(t=None)
     g = field.grid
     out = _rhs_hat(field.spectral(), g, state, _geometry(g, state), dealias)
-    return StateField(g, g.inv(out).real)
+    return StateField(g, g.rinv(out))
 
 
 def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
              dealias: bool, _check=True) -> np.ndarray:
-    """Spectral-side right-hand side: -i A0 U + advection + nonlinearity."""
+    """Spectral-side right-hand side: -i A0 U + advection + nonlinearity.
+
+    ``Uhat`` and the result are half spectra (10, N, N, N//2+1).
+    """
     out = -1j * apply_A0(Uhat, geo, state)
     if np.any(state.v0):
         kdotv0 = (geo.k[0] * state.v0[0] + geo.k[1] * state.v0[1]
                   + geo.k[2] * state.v0[2])
         out += 1j * kdotv0 * Uhat
-    Uhd = Uhat * grid.dealias_mask if dealias else grid.strip_nyquist(Uhat)
-    u = grid.inv(Uhd).real
-    du = np.empty((10, 3) + u.shape[1:])
-    for c in range(10):
-        for j in range(3):
-            du[c, j] = grid.inv(grid.deriv(Uhd[c], j)).real
+    mask = grid.dealias_mask[..., :grid.n_half]
+    Uhd = Uhat * mask if dealias else grid.strip_nyquist(Uhat)
+    u = grid.rinv(Uhd)
+    du = grid.gradient(Uhd)  # du[c, j] = d_j u_c
     if _check and not np.all(np.isfinite(u)):
         raise BlowUpError(t=None)
     nl = np.zeros_like(u)
@@ -104,9 +105,9 @@ def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
             nl[row] += u[a] * du[c, j]
         else:
             nl[row] -= u[a] * du[c, j]
-    nlh = grid.fwd(nl)
+    nlh = grid.rfwd(nl)
     if dealias:
-        nlh *= grid.dealias_mask
+        nlh *= mask
     out += nlh
     return out
 
@@ -118,7 +119,7 @@ def step_rk4(field: StateField, state: ConstantState, dt: float,
     geo = _geometry(g, state)
     Uh = field.spectral()
     out = _step_rk4_hat(Uh, g, state, geo, dt, dealias)
-    return StateField(g, g.inv(out).real)
+    return StateField(g, g.rinv(out))
 
 
 def _step_rk4_hat(Uh, grid, state, geo, dt, dealias):
@@ -164,7 +165,7 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     snap_times = sorted(config.snapshots)
 
     def emit(t, Uh):
-        f = StateField(g, g.inv(Uh).real)
+        f = StateField(g, g.rinv(Uh))
         series.append(**sample_diagnostics(f, state, t, config.sobolev_n, geo))
         while snap_times and t >= snap_times[0] - 0.5 * dt:
             snaps.append((t, f.copy()))
@@ -187,7 +188,7 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
             break
         if n % per_sample == 0 or n == nsteps:
             emit(t, Uh)
-    final = StateField(g, g.inv(Uh).real)
+    final = StateField(g, g.rinv(Uh))
     return SimResult(config=config, series=series, final=final, snapshots=snaps)
 
 
@@ -245,6 +246,11 @@ def read_snapshot(path) -> tuple[StateField, ConstantState, float]:
     with open(path.with_suffix(path.suffix + ".json")) as f:
         meta = json.load(f)
     g = Grid(N=meta["N"], L=meta["L"])
+    want = 10 * g.N ** 3 * 8
+    size = path.stat().st_size
+    if size != want:
+        raise ValueError(f"snapshot {path} holds {size} bytes; N = {g.N} "
+                         f"needs 10 * N^3 * 8 = {want}")
     data = np.fromfile(path, dtype="<f8").reshape(10, g.N, g.N, g.N)
     return (StateField(g, data), ConstantState.from_dict(meta["state"]),
             float(meta["t"]))

@@ -188,13 +188,15 @@ def assemble_L0(xi, state: ConstantState) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class _ModeGeometry:
-    """Per-mode alpha, beta, delta and unit vector fields for a grid."""
+    """Per-mode alpha, beta, delta and unit vector fields on a lattice.
 
-    def __init__(self, grid: Grid, state: ConstantState):
-        kx, ky, kz = grid.kvec
-        n = grid.N
-        k = np.empty((3, n, n, n))
-        k[0], k[1], k[2] = np.broadcast_arrays(kx, ky, kz)
+    Built from a broadcastable wavenumber triple (kx, ky, kz) whose first
+    entry is the k = 0 mode: ``Grid.kvec`` for the full lattice, or its
+    slice to a half spectrum.
+    """
+
+    def __init__(self, kvec, state: ConstantState):
+        k = np.array(np.broadcast_arrays(*kvec), dtype=float)
         knorm = np.sqrt(np.sum(k * k, axis=0))
         n0 = np.sqrt((state.tau0 * knorm) ** 2
                      + np.tensordot(state.b0, k, axes=(0, 0)) ** 2
@@ -223,13 +225,16 @@ class _ModeGeometry:
 
 
 def _geometry(grid: Grid, state: ConstantState) -> _ModeGeometry:
-    return _ModeGeometry(grid, state)
+    """Mode geometry on the half spectrum of ``grid``."""
+    kx, ky, kz = grid.kvec
+    return _ModeGeometry((kx, ky, kz[..., :grid.n_half]), state)
 
 
 def apply_projector(Uhat: np.ndarray, geo: _ModeGeometry, branch: int) -> np.ndarray:
-    """Apply P^branch mode-wise to transformed components (10, N, N, N).
+    """Apply P^branch mode-wise to transformed components (10, ...).
 
-    The mean (k = 0) mode is routed wholly to the kernel branch.
+    The modes are those of ``geo`` (full lattice or half spectrum).  The
+    mean (k = 0) mode is routed wholly to the kernel branch.
     """
     a, b, d, e = geo.alpha, geo.beta, geo.delta, geo.e
     t = Uhat[0]
@@ -295,6 +300,11 @@ BranchParts = namedtuple("BranchParts", ["plus", "minus", "zero"])
 
 def decompose_spectral(Uhat: np.ndarray, grid: Grid, state: ConstantState,
                        geo: _ModeGeometry | None = None) -> BranchParts:
+    """Branch parts of a spectrum; half spectra unless ``geo`` says otherwise.
+
+    On a half spectrum the wave parts are not half spectra of real
+    fields: P+(-k) = P-(k), so ``plus`` at k pairs with ``minus`` at -k.
+    """
     geo = geo or _geometry(grid, state)
     return BranchParts(
         plus=apply_projector(Uhat, geo, +1),
@@ -307,10 +317,12 @@ def decompose(field: StateField, state: ConstantState) -> BranchParts:
     """Physical-space branch fields (complex arrays; their sum is real).
 
     The wave-branch parts are complex conjugates of each other for real
-    input; the kernel part is real up to round-off.
+    input; the kernel part is real up to round-off.  Works on the full
+    lattice, since the wave parts are not real fields.
     """
     grid = field.grid
-    parts = decompose_spectral(field.spectral(), grid, state)
+    geo = _ModeGeometry(grid.kvec, state)
+    parts = decompose_spectral(grid.fwd(field.data), grid, state, geo)
     return BranchParts(*(grid.inv(p) for p in parts))
 
 
@@ -333,7 +345,7 @@ def propagate_linear(field: StateField, state: ConstantState, t: float,
     sign = -1.0 if direction == "forward" else +1.0
     phase_p = np.exp(sign * 1j * t * geo.norm0)
     out = phase_p * parts.plus + np.conj(phase_p) * parts.minus + parts.zero
-    return StateField(grid, grid.inv(out).real)
+    return StateField(grid, grid.rinv(out))
 
 
 # ----------------------------------------------------------------------

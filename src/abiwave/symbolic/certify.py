@@ -146,6 +146,11 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
 
     state = state or ConstantState(tau0=0.8, b0=(0.6, 0.2, -0.1),
                                    d0=(-0.3, 0.5, 0.2))
+    if mutate_entry is not None:
+        shape = (10 if which == "evolution" else 5, 10, 10)
+        if not all(0 <= x < n for x, n in zip(mutate_entry, shape)):
+            raise ValueError(f"mutate_entry {tuple(mutate_entry)} is outside "
+                             f"the {which} tensor, whose shape is {shape}")
     t0 = time.perf_counter()
     tensor = build_interaction_tensor(eps, which)
     s = eps[1] * eps[2]

@@ -160,8 +160,9 @@ class InteractionTensor:
                              self.i_power)
 
     def max_degree(self) -> int:
-        return _kernel_py.degree(key for _, t in self.iter_entries()
-                                 for key in t)
+        # entries share most monomials: each distinct key is scanned once
+        return _kernel_py.degree({key for _, t in self.iter_entries()
+                                  for key in t})
 
     def term_counts(self) -> tuple[int, int]:
         counts = [len(t) for _, t in self.iter_entries()]

@@ -74,7 +74,7 @@ def test_projected_composition_matches_grid_operator(setup):
     N = g.N
     st = ConstantState(tau0=0.9, b0=(0.4, 0.1, -0.2), d0=(0.1, -0.3, 0.5))
     eps = (1, -1, 1)
-    geo = spectral._geometry(g, st)
+    geo = spectral._ModeGeometry(g.kvec, st)  # full lattice: complex fields
     uh = spectral.apply_projector(g.fwd(u), geo, eps[1])
     vh = spectral.apply_projector(g.fwd(v), geo, eps[2])
     up = g.inv(uh)

@@ -81,12 +81,37 @@ def test_verify_symbols_single_and_mutated(tmp_path):
     assert certs["all_verified"]
     assert certs["certificates"][0]["entries_total"] == 1000
     # mutated entry must be flagged and exit 2
-    code = run_cli("verify-symbols", "--mutate-entry", "3,4,5",
+    code = run_cli("verify-symbols", "--which", "N", "--mutate-entry", "3,4,5",
                    "--skip-preflight", "--out", str(out))
     assert code == 2
     certs = json.loads((out / "certificates.json").read_text())
+    assert certs["certificates"][0]["interaction"] == "+,++"
     w = certs["certificates"][0]["witnesses"][0]
     assert w["entry"] == [3, 4, 5]
+
+
+def test_verify_symbols_mutates_a_constraint_tensor(tmp_path):
+    assert run_cli("verify-symbols", "--which", "Nprime", "--mutate-entry",
+                   "0,2,3", "--skip-preflight", "--out", str(tmp_path)) == 2
+    certs = json.loads((tmp_path / "certificates.json").read_text())
+    (cert,) = certs["certificates"]
+    assert cert["which"] == "Nprime" and cert["interaction"] == "',++"
+    assert cert["witnesses"][0]["entry"] == [0, 2, 3]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--mutate-entry", "1,2,3"), "--which N or Nprime"),
+    (("--which", "N", "--mutate-entry", "12,0,0"), "outside the evolution"),
+    (("--which", "Nprime", "--mutate-entry", "5,0,0"),
+     "outside the constraint"),
+    (("--which", "N", "--mutate-entry=-1,0,0"), "outside the evolution"),
+    (("--which", "N", "--mutate-entry", "1,2"), "three integers"),
+    (("--which", "N", "--mutate-entry", "a,b,c"), "three integers"),
+])
+def test_verify_symbols_rejects_bad_mutation(tmp_path, capsys, args, message):
+    assert run_cli("verify-symbols", *args, "--skip-preflight",
+                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_verify_symbols_which_nprime(tmp_path):

@@ -98,7 +98,7 @@ def test_dispersion_probe_continuity_and_unitarity():
     g = Grid(N=32, L=2 * np.pi * 8)
     st = ConstantState(tau0=1.0)
     bump = D.gaussian_bump_field(g, sigma=1.5)
-    base = g.inv(D.spectral_kernel_free(bump, st)).real
+    base = g.rinv(D.spectral_kernel_free(bump, st))
     rep = D.dispersion_probe(st, g, [1e-4, 2e-4, 4e-4], sigma=1.5)
     sup0 = float(np.max(np.abs(base)))
     assert rep.samples[0]["sup"] == pytest.approx(sup0, rel=1e-6)

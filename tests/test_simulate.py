@@ -159,3 +159,12 @@ def test_snapshot_roundtrip(tmp_path, grid16, manifold_bg, rng):
     assert np.array_equal(g2.data, f.data)
     assert t2 == 1.25
     assert st2.tau0 == manifold_bg.tau0
+
+
+def test_truncated_snapshot_is_rejected(tmp_path, grid16, manifold_bg):
+    path = tmp_path / "snap.raw"
+    simulate.write_snapshot(path, StateField.zeros(grid16), manifold_bg, t=0.0)
+    with open(path, "r+b") as f:
+        f.truncate(1000)
+    with pytest.raises(ValueError, match=r"snap\.raw holds 1000 .*327680"):
+        simulate.read_snapshot(path)

@@ -153,7 +153,7 @@ def test_decompose_idempotence(grid16, rng):
     g = grid16
     U = StateField(g, rng.normal(size=(10,) + (g.N,) * 3))
     geo = spectral._geometry(g, st)
-    up = spectral.apply_projector(g.fwd(U.data), geo, +1)
+    up = spectral.apply_projector(g.rfwd(U.data), geo, +1)
     again = spectral.apply_projector(up, geo, +1)
     assert np.max(np.abs(again - up)) <= 1e-12 * max(np.max(np.abs(up)), 1)
     crossed = spectral.apply_projector(up, geo, -1)
