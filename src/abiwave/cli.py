@@ -291,8 +291,9 @@ def cmd_simulate(ns) -> int:
         manifest.add_output(path)
     manifest.write(outdir)
     if res.series.blowup:
-        print("run terminated: numerical blow-up (partial outputs kept)",
-              file=sys.stderr)
+        s = res.series
+        print(f"run terminated: numerical blow-up in step {s.blowup_step} "
+              f"(t = {s.blowup_t:g}); partial outputs kept", file=sys.stderr)
         return EXIT_BLOWUP
     print(f"completed t = {cfg.t_end}; {len(res.series.rows)} samples "
           f"-> {series_path}")

@@ -21,6 +21,15 @@ and the profile (inverse) map is its conjugate.  ``PROPAGATOR_SIGN``
 below is the sign of the exponent multiplying ``+|k|0`` on the ``+``
 branch under forward propagation.
 
+``A0`` is the evolution table of :mod:`abiwave.system` contracted with
+the background in its rest frame, ``A0(k)[row, c] = sum sign * U0_a *
+k_j``: the differentiated factor gives ``-i k_j``, and the -i stays
+outside.  The background's v0 enters the solver as the separate
+transport term ``+i (k.v0) F[U](k)``.  The constraint symbol ``L0(k)``
+is the constraint table contracted the same way, with the table's
+signs (rows 0-1: ``-tau div b + b.grad tau`` and its d twin; rows 2-4:
+``-tau curl v + b.grad d - d.grad b``).
+
 Real fields are stored as half spectra, the modes with kz >= 0
 (:meth:`abiwave.grid.Grid.rfwd`).  ``scipy.fft.rfftn`` uses the opposite
 exponent sign, so ``rfwd`` is its complex conjugate and the transform

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import system
 from .fields import StateField
 from .grid import Grid
 from .state import ConstantState, metric_matrix
@@ -34,37 +35,23 @@ def constraint_residual(field: StateField, state: ConstantState,
                         grad: np.ndarray | None = None):
     """Sup and L2 norms of the three constraint residual fields.
 
-    Residuals of (tau div b - b.grad tau), (tau div d - d.grad tau) and
-    (tau curl v - b.grad d + d.grad b), all in full variables.  ``grad``
-    is ``field.grid.gradient(field.spectral())`` when the caller has it.
+    The constraint rows of :data:`abiwave.system.CONSTRAINT_TERMS`
+    evaluated on the full variables (background plus perturbation):
+    -tau div b + b.grad tau, -tau div d + d.grad tau and
+    -tau curl v + b.grad d - d.grad b.  The background has no gradient,
+    so ``grad`` is that of the perturbation,
+    ``field.grid.gradient(field.spectral())`` when the caller has it.
     """
     g = field.grid
-    tau = state.tau0 + field.tau
-    b = state.b0.reshape(3, 1, 1, 1) + field.b
-    d = state.d0.reshape(3, 1, 1, 1) + field.d
-
     if grad is None:
         grad = g.gradient(field.spectral())  # grad[c, j] = d_j U_c
-    grad_tau = grad[0]
-    div_b = grad[4, 0] + grad[5, 1] + grad[6, 2]
-    div_d = grad[7, 0] + grad[8, 1] + grad[9, 2]
-    curl_v = np.stack([
-        grad[3, 1] - grad[2, 2],
-        grad[1, 2] - grad[3, 0],
-        grad[2, 0] - grad[1, 1],
-    ])
-    grad_b = grad[4:7]  # grad_b[i, j] = d_j b_i
-    grad_d = grad[7:10]
-
-    r1 = tau * div_b - np.einsum("j...,j...->...", b, grad_tau)
-    r2 = tau * div_d - np.einsum("j...,j...->...", d, grad_tau)
-    r3 = tau * curl_v - np.einsum("j...,ij...->i...", b, grad_d) \
-        + np.einsum("j...,ij...->i...", d, grad_b)
+    full = field.data + state.as_vector().reshape(10, 1, 1, 1)
+    r = system.quadratic(system.CONSTRAINT_TERMS, full, grad)
 
     def norms(r):
         return {"sup": float(np.max(np.abs(r))), "l2": g.l2_norm(r)}
 
-    return norms(r1), norms(r2), norms(r3)
+    return norms(r[0]), norms(r[1]), norms(r[2:5])
 
 
 def manifold_residual(field_abs: StateField):
@@ -120,6 +107,11 @@ class DiagnosticsSeries:
     sobolev_n: int
     rows: list = dfield(default_factory=list)
     blowup: bool = False
+    blowup_t: float | None = None     # end time of the failed step
+    blowup_step: int | None = None    # its number; 0 for the initial field
+
+    def mark_blowup(self, t: float, step: int):
+        self.blowup, self.blowup_t, self.blowup_step = True, t, step
 
     def append(self, **kw):
         if self.rows and kw["t"] <= self.rows[-1]["t"]:
@@ -250,23 +242,29 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     tw = wrap_time(grid, state)
     if times and times[-1] >= tw:
         raise ValueError(f"requested time {times[-1]} >= wrap time {tw}")
-    bump = gaussian_bump_field(grid, sigma, amplitude, component)
     geo = _geometry(grid, state)
     # decompose once; each snapshot is then a phase multiply + synthesis
     from .spectral import apply_projector
-    fh = grid.strip_nyquist(bump.spectral())
+    fh = grid.strip_nyquist(
+        gaussian_bump_field(grid, sigma, amplitude, component).spectral())
     plus = apply_projector(fh, geo, +1)
     minus = apply_projector(fh, geo, -1)
     del fh
+    # one component at a time, through one reused buffer: the peak holds
+    # plus and minus and a few single-component fields
+    buf = np.empty(plus.shape[1:], dtype=complex)
     samples = []
     for t in times:
         phase = np.exp(-1j * t * geo.norm0)
-        evolved = grid.rinv(phase * plus + np.conj(phase) * minus)
-        samples.append({
-            "t": t,
-            "sup": grid.sup_norm(evolved),
-            "l2": grid.l2_norm(evolved),
-        })
+        conj_phase = np.conj(phase)
+        sup = l2sq = 0.0
+        for p, m in zip(plus, minus):
+            np.multiply(phase, p, out=buf)
+            buf += conj_phase * m
+            evolved = grid.rinv(buf)
+            sup = max(sup, grid.sup_norm(evolved))
+            l2sq += grid.l2_norm(evolved) ** 2
+        samples.append({"t": t, "sup": sup, "l2": float(np.sqrt(l2sq))})
     ts = np.array([s["t"] for s in samples])
     sups = np.array([s["sup"] for s in samples])
     slope, ci = loglog_fit(ts, sups)

@@ -211,15 +211,6 @@ class Grid:
         out[2] -= kz * kdotv
         return out
 
-    def spectral_divergence(self, vh: np.ndarray) -> np.ndarray:
-        """Transformed divergence of a transformed 3-vector field.
-
-        Takes a full or a half spectrum (3, N, N, m).
-        """
-        kx, ky, kz = self.kvec
-        kz = kz[..., :vh.shape[-1]]
-        return (-1j) * (kx * vh[0] + ky * vh[1] + kz * vh[2])
-
     def shell_masks(self):
         """Dyadic shell masks 2^j <= |k| < 2^{j+1} covering the lattice.
 

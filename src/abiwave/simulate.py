@@ -24,11 +24,11 @@ from .state import ConstantState, metric_matrix
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the solution leaves the finite range."""
+    """Raised when the solution leaves the finite range.
 
-    def __init__(self, t):
-        super().__init__(f"non-finite field at t = {t}")
-        self.t = t
+    Raised where the time is not known; :func:`simulate` records the
+    time and step of the failed step on the series.
+    """
 
 
 class ConfigError(ValueError):
@@ -76,7 +76,7 @@ class SimConfig:
 def rhs(field: StateField, state: ConstantState, dealias: bool = True) -> StateField:
     """Right-hand side in physical variables (perturbation form)."""
     if not np.all(np.isfinite(field.data)):
-        raise BlowUpError(t=None)
+        raise BlowUpError("non-finite field")
     g = field.grid
     out = _rhs_hat(field.spectral(), g, state, _geometry(g, state), dealias)
     return StateField(g, g.rinv(out))
@@ -98,14 +98,8 @@ def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
     u = grid.rinv(Uhd)
     du = grid.gradient(Uhd)  # du[c, j] = d_j u_c
     if _check and not np.all(np.isfinite(u)):
-        raise BlowUpError(t=None)
-    nl = np.zeros_like(u)
-    for row, a, c, j, sign in system.EVOLUTION_TERMS:
-        if sign == 1:
-            nl[row] += u[a] * du[c, j]
-        else:
-            nl[row] -= u[a] * du[c, j]
-    nlh = grid.rfwd(nl)
+        raise BlowUpError("non-finite field in a right-hand side")
+    nlh = grid.rfwd(system.quadratic(system.EVOLUTION_TERMS, u, du))
     if dealias:
         nlh *= mask
     out += nlh
@@ -145,7 +139,9 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     A blow-up terminates the run; the partial series is returned with
-    its flag set and the exception re-raised by the caller-facing CLI.
+    its flag set and the time and step of the failed step recorded
+    (step 0 at t = 0 for a non-finite initial field), and the CLI exits
+    with its blow-up code.
     """
     g = config.grid
     state = config.state
@@ -157,7 +153,7 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     field = initial if initial is not None else config.initial_field()
     series = DiagnosticsSeries(sobolev_n=config.sobolev_n)
     if not np.all(np.isfinite(field.data)):
-        series.blowup = True
+        series.mark_blowup(0.0, 0)
         return SimResult(config=config, series=series, final=field,
                          snapshots=[])
     Uh = g.strip_nyquist(field.spectral())
@@ -173,18 +169,15 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
         return f
 
     emit(0.0, Uh)
-    t = 0.0
     for n in range(1, nsteps + 1):
-        if series.blowup:
-            break
+        t = n * dt
         try:
             Uh = _step_rk4_hat(Uh, g, state, geo, dt, config.dealias)
+            finite = np.all(np.isfinite(Uh.view(float)))
         except BlowUpError:
-            series.blowup = True
-            break
-        t = n * dt
-        if not np.all(np.isfinite(Uh.view(float))):
-            series.blowup = True
+            finite = False
+        if not finite:
+            series.mark_blowup(t, n)
             break
         if n % per_sample == 0 or n == nsteps:
             emit(t, Uh)

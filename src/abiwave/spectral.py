@@ -5,7 +5,9 @@ For each frequency xi the symmetric matrix A0(xi) has eigenvalues
 orthogonal projectors P0, P+, P- onto the eigenspaces are assembled
 from the direction cosines (alpha, beta, delta) and the frame attached
 to xi.  The 5x10 constraint operator L0(xi) annihilates the wave
-branches and is injective on the kernel branch.
+branches and is injective on the kernel branch.  A0 and L0, and the
+mode-wise A0 of the solver, are the quadratic tables of
+:mod:`abiwave.system` contracted with the background.
 
 Conventions (transform, propagator signs) are fixed in
 :mod:`abiwave.conventions`.
@@ -53,23 +55,13 @@ def frequency_frame(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def assemble_A0(xi, state: ConstantState) -> np.ndarray:
     """Real symmetric 10x10 symbol of the linearized evolution.
 
-    The Fourier-side flow is dU/dt = -i A0(xi) U; A0(0) = 0.
+    The evolution table contracted with the background in its rest
+    frame: ``A0[row, c] = sum sign * U0_a * xi_j``.  The Fourier-side
+    flow is dU/dt = -i A0(xi) U; A0(0) = 0.
     """
-    xi = np.asarray(xi, dtype=float)
-    A = np.zeros((10, 10))
-    t0 = state.tau0
-    bxi = state.b0 @ xi
-    dxi = state.d0 @ xi
-    r = _cross_matrix(xi)
-    A[0, 1:4] = t0 * xi
-    A[1:4, 0] = t0 * xi
-    A[1:4, 4:7] = bxi * np.eye(3)
-    A[4:7, 1:4] = bxi * np.eye(3)
-    A[1:4, 7:10] = dxi * np.eye(3)
-    A[7:10, 1:4] = dxi * np.eye(3)
-    A[4:7, 7:10] = -t0 * r
-    A[7:10, 4:7] = t0 * r
-    return A
+    ubar = state.as_vector()
+    ubar[1:4] = 0.0  # v0 enters the solver as a separate transport term
+    return system.bilinear_symbol(np.asarray(xi, dtype=float)) @ ubar
 
 
 def eigen_basis(xi, state: ConstantState) -> dict:
@@ -165,22 +157,14 @@ def projector(xi, state: ConstantState, branch: int) -> np.ndarray:
 def assemble_L0(xi, state: ConstantState) -> np.ndarray:
     """Constraint symbol, 5x10: two divergence rows, three curl rows.
 
-    ker L0(xi) contains both wave branches; the restriction to the
-    kernel branch has rank 4 (the five rows carry one redundancy).
+    The constraint table contracted with the background, with the
+    table's signs: row 0 is the symbol of -tau div b + b.grad tau and
+    rows 2-4 that of -tau curl v + b.grad d - d.grad b.  ker L0(xi)
+    contains both wave branches; the restriction to the kernel branch
+    has rank 4 (the five rows carry one redundancy).
     """
-    xi = np.asarray(xi, dtype=float)
-    t0 = state.tau0
-    bxi = state.b0 @ xi
-    dxi = state.d0 @ xi
-    L = np.zeros((5, 10))
-    L[0, 0] = bxi
-    L[0, 4:7] = -t0 * xi
-    L[1, 0] = dxi
-    L[1, 7:10] = -t0 * xi
-    L[2:5, 1:4] = t0 * _cross_matrix(xi)
-    L[2:5, 4:7] = dxi * np.eye(3)
-    L[2:5, 7:10] = -bxi * np.eye(3)
-    return L
+    return (system.bilinear_symbol(np.asarray(xi, dtype=float), "constraint")
+            @ state.as_vector())
 
 
 # ----------------------------------------------------------------------
@@ -269,29 +253,16 @@ def apply_projector(Uhat: np.ndarray, geo: _ModeGeometry, branch: int) -> np.nda
 
 
 def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry, state: ConstantState) -> np.ndarray:
-    """Mode-wise A0(k) U-hat (real symmetric symbol, not the -i factor)."""
-    t0 = state.tau0
-    k = geo.k
-    bk = np.tensordot(state.b0, k, axes=(0, 0))
-    dk = np.tensordot(state.d0, k, axes=(0, 0))
-    t = Uhat[0]
-    V = Uhat[1:4]
-    Bc = Uhat[4:7]
-    Dc = Uhat[7:10]
-    kV = np.einsum("i...,i...->...", k, V)
-    out = np.empty_like(Uhat)
-    out[0] = t0 * kV
-    out[1:4] = t0 * k * t + bk * Bc + dk * Dc
-    out[4:7] = bk * V - t0 * np.stack([
-        k[1] * Dc[2] - k[2] * Dc[1],
-        k[2] * Dc[0] - k[0] * Dc[2],
-        k[0] * Dc[1] - k[1] * Dc[0],
-    ])
-    out[7:10] = dk * V + t0 * np.stack([
-        k[1] * Bc[2] - k[2] * Bc[1],
-        k[2] * Bc[0] - k[0] * Bc[2],
-        k[0] * Bc[1] - k[1] * Bc[0],
-    ])
+    """Mode-wise A0(k) U-hat (real symmetric symbol, not the -i factor).
+
+    A0 is linear in k, A0(k) = sum_j k_j A0(e_j): each nonzero entry of
+    A0(e_j) adds one product of k_j and a component of U-hat.
+    """
+    out = np.zeros_like(Uhat)
+    for j, unit in enumerate(np.eye(3)):
+        A = assemble_A0(unit, state)
+        for row, c in zip(*np.nonzero(A)):
+            out[row] += (A[row, c] * geo.k[j]) * Uhat[c]
     return out
 
 

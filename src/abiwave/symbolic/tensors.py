@@ -26,11 +26,6 @@ SLOT_XI = (0, 9)
 SLOT_ETA = (3, 12)
 SLOT_W = (6, 15)  # xi - eta
 
-_EPS3 = np.zeros((3, 3, 3), dtype=int)
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1
-    _EPS3[_i, _k, _j] = -1
-
 
 def _var(idx: int) -> dict:
     return {1 << (_kernel_py.BITS * idx): 1}
@@ -62,7 +57,7 @@ def projector_terms(branch: int, slot: tuple[int, int]):
         """Entries of the unit-vector cross matrix: C[i][j] x_j = (u ^ x)_i."""
         out: dict = {}
         for k in range(3):
-            e = int(_EPS3[i, k, j])
+            e = int(system.EPS[i, k, j])
             if e:
                 _kernel_py.add_into(out, u[k], e)
         return out

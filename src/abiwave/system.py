@@ -6,10 +6,21 @@ has the shape ``sign * U_a * d_j U_c``.  The tables below list
 :mod:`abiwave.fields` (0 = tau, 1..3 = v, 4..6 = b, 7..9 = d); they are
 the single source of truth for
 
-* the pseudo-spectral right-hand side (:mod:`abiwave.simulate`),
+* the pseudo-spectral right-hand side (:mod:`abiwave.simulate`) and the
+  grid constraint residual (:func:`abiwave.diagnostics.constraint_residual`),
+  both through :func:`quadratic`,
 * the floating-point bilinear symbol used to cross-check the exact
-  tensors (:func:`bilinear_symbol`), and
+  tensors (:func:`bilinear_symbol`),
+* the linear symbols ``A0`` and ``L0`` and the mode-wise ``A0`` of the
+  solver (:func:`abiwave.spectral.assemble_A0`,
+  :func:`~abiwave.spectral.assemble_L0`, :func:`~abiwave.spectral.apply_A0`),
+  which are the tables contracted with the constant background, and
 * the exact-arithmetic tensor builder (:mod:`abiwave.symbolic.tensors`).
+
+Because the system is quadratic and a constant background has no
+gradient, the linear part about ``U0`` of a row is
+``sum sign * U0_a * d_j u_c``, and the constraint rows evaluated on the
+full variables ``U0 + u`` are the constraint residual itself.
 
 Evolution rows are the perturbation-form right-hand side
 
@@ -28,10 +39,11 @@ from __future__ import annotations
 
 import numpy as np
 
-_EPS = np.zeros((3, 3, 3), dtype=int)
+# Levi-Civita symbol, shared with the exact tensor builder.
+EPS = np.zeros((3, 3, 3), dtype=int)
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_i, _j, _k] = 1
-    _EPS[_i, _k, _j] = -1
+    EPS[_i, _j, _k] = 1
+    EPS[_i, _k, _j] = -1
 
 
 def _evolution_terms():
@@ -52,7 +64,7 @@ def _evolution_terms():
             terms.append((7 + i, 1 + j, 7 + i, j, -1))   # -v.grad d
             terms.append((7 + i, 7 + j, 1 + i, j, +1))   # +d.grad v
             for k in range(3):
-                e = int(_EPS[i, j, k])
+                e = int(EPS[i, j, k])
                 if e:
                     terms.append((4 + i, 0, 7 + k, j, -e))  # -tau curl d
                     terms.append((7 + i, 0, 4 + k, j, +e))  # +tau curl b
@@ -71,7 +83,7 @@ def _constraint_terms():
             terms.append((2 + i, 4 + j, 7 + i, j, +1))   # +b.grad d
             terms.append((2 + i, 7 + j, 4 + i, j, -1))   # -d.grad b
             for k in range(3):
-                e = int(_EPS[i, j, k])
+                e = int(EPS[i, j, k])
                 if e:
                     terms.append((2 + i, 0, 1 + k, j, -e))  # -tau curl v
     return tuple(terms)
@@ -81,13 +93,30 @@ EVOLUTION_TERMS = _evolution_terms()
 CONSTRAINT_TERMS = _constraint_terms()
 
 
+def quadratic(terms, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Rows ``sum sign * u[a] * du[c, j]`` of a table on grid fields.
+
+    ``u`` holds the components (10, ...) and ``du[c, j]`` the derivative
+    d_j u_c (10, 3, ...); the result has one entry per table row.
+    """
+    rows = 1 + max(t[0] for t in terms)
+    out = np.zeros((rows,) + u.shape[1:], dtype=np.result_type(u, du))
+    for row, a, c, j, sign in terms:
+        if sign == 1:
+            out[row] += u[a] * du[c, j]
+        else:
+            out[row] -= u[a] * du[c, j]
+    return out
+
+
 def bilinear_symbol(unit: np.ndarray, which: str = "evolution") -> np.ndarray:
     """Normalized bilinear symbol as a dense float tensor.
 
     ``unit`` is the Euclidean unit vector of the differentiated
     frequency slot.  Entry ``[row, c, a]`` multiplies (transform of the
     differentiated factor, component c) x (undifferentiated factor,
-    component a); one factor of -i|k| has been stripped.
+    component a); one factor of -i|k| has been stripped.  The symbol is
+    linear in ``unit``, which may be any frequency vector.
     """
     terms = EVOLUTION_TERMS if which == "evolution" else CONSTRAINT_TERMS
     rows = 10 if which == "evolution" else 5

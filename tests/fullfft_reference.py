@@ -1,19 +1,90 @@
-"""Full-lattice complex-FFT reference for the half-spectrum solver and
-diagnostics.
+"""Reference implementations the package is tested against.
 
-These are the right-hand side and the diagnostics row as they were
-computed before real fields moved to the half spectrum: every real
-field is transformed on the full N^3 lattice with ``Grid.fwd``/``inv``,
-one derivative per transform, and synthesized fields keep the real
-part.  ``tests/test_half_spectrum.py`` compares the package against
-them.
+Full-lattice complex FFT: the right-hand side and the diagnostics row
+as they were computed before real fields moved to the half spectrum.
+Every real field is transformed on the full N^3 lattice with
+``Grid.fwd``/``inv``, one derivative per transform, and synthesized
+fields keep the real part.  ``tests/test_half_spectrum.py`` compares
+the package against them.
+
+Hand-written block layouts: ``assemble_A0``, ``assemble_L0``,
+``apply_A0`` and the einsum constraint residual, as they were written
+out before they were derived from the quadratic tables of
+:mod:`abiwave.system`.  ``tests/test_tables.py`` compares the package
+against them.
 """
 import numpy as np
 
 from abiwave import system
 from abiwave.diagnostics import manifold_residual
 from abiwave.fields import StateField
-from abiwave.spectral import _ModeGeometry, apply_A0, apply_projector
+from abiwave.spectral import _ModeGeometry, apply_projector
+
+
+def _cross_matrix(xi):
+    x, y, z = xi
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def assemble_A0(xi, state):
+    xi = np.asarray(xi, dtype=float)
+    A = np.zeros((10, 10))
+    t0 = state.tau0
+    bxi = state.b0 @ xi
+    dxi = state.d0 @ xi
+    r = _cross_matrix(xi)
+    A[0, 1:4] = t0 * xi
+    A[1:4, 0] = t0 * xi
+    A[1:4, 4:7] = bxi * np.eye(3)
+    A[4:7, 1:4] = bxi * np.eye(3)
+    A[1:4, 7:10] = dxi * np.eye(3)
+    A[7:10, 1:4] = dxi * np.eye(3)
+    A[4:7, 7:10] = -t0 * r
+    A[7:10, 4:7] = t0 * r
+    return A
+
+
+def assemble_L0(xi, state):
+    """Rows 2-4 carry the residual's sign, the opposite of the table's."""
+    xi = np.asarray(xi, dtype=float)
+    t0 = state.tau0
+    bxi = state.b0 @ xi
+    dxi = state.d0 @ xi
+    L = np.zeros((5, 10))
+    L[0, 0] = bxi
+    L[0, 4:7] = -t0 * xi
+    L[1, 0] = dxi
+    L[1, 7:10] = -t0 * xi
+    L[2:5, 1:4] = t0 * _cross_matrix(xi)
+    L[2:5, 4:7] = dxi * np.eye(3)
+    L[2:5, 7:10] = -bxi * np.eye(3)
+    return L
+
+
+def apply_A0(Uhat, geo, state):
+    t0 = state.tau0
+    k = geo.k
+    bk = np.tensordot(state.b0, k, axes=(0, 0))
+    dk = np.tensordot(state.d0, k, axes=(0, 0))
+    t = Uhat[0]
+    V = Uhat[1:4]
+    Bc = Uhat[4:7]
+    Dc = Uhat[7:10]
+    kV = np.einsum("i...,i...->...", k, V)
+    out = np.empty_like(Uhat)
+    out[0] = t0 * kV
+    out[1:4] = t0 * k * t + bk * Bc + dk * Dc
+    out[4:7] = bk * V - t0 * np.stack([
+        k[1] * Dc[2] - k[2] * Dc[1],
+        k[2] * Dc[0] - k[0] * Dc[2],
+        k[0] * Dc[1] - k[1] * Dc[0],
+    ])
+    out[7:10] = dk * V + t0 * np.stack([
+        k[1] * Bc[2] - k[2] * Bc[1],
+        k[2] * Bc[0] - k[0] * Bc[2],
+        k[0] * Bc[1] - k[1] * Bc[0],
+    ])
+    return out
 
 
 def full_geometry(grid, state):
@@ -55,28 +126,40 @@ def sobolev_norm(grid, fh, s):
     return float(np.sqrt(grid.spectral_weight * np.sum(w * np.abs(fh) ** 2)))
 
 
-def constraint_residual(field, state):
-    g = field.grid
+def residual_fields(field, state, grad):
+    """The three constraint residuals in full variables, with einsums.
+
+    ``grad[c, j] = d_j U_c``; the signs are those of the residual,
+    the opposite of the table's.
+    """
     tau = state.tau0 + field.tau
     b = state.b0.reshape(3, 1, 1, 1) + field.b
     d = state.d0.reshape(3, 1, 1, 1) + field.d
-    fh = g.fwd(field.data)
-
-    def dj(c, j):
-        return inv_real(g, g.deriv(fh[c], j))
-
-    grad_tau = np.stack([dj(0, j) for j in range(3)])
-    div_b = sum(dj(4 + j, j) for j in range(3))
-    div_d = sum(dj(7 + j, j) for j in range(3))
-    curl_v = np.stack([dj(3, 1) - dj(2, 2), dj(1, 2) - dj(3, 0),
-                       dj(2, 0) - dj(1, 1)])
-    grad_b = np.stack([[dj(4 + i, j) for j in range(3)] for i in range(3)])
-    grad_d = np.stack([[dj(7 + i, j) for j in range(3)] for i in range(3)])
+    grad_tau = grad[0]
+    div_b = grad[4, 0] + grad[5, 1] + grad[6, 2]
+    div_d = grad[7, 0] + grad[8, 1] + grad[9, 2]
+    curl_v = np.stack([
+        grad[3, 1] - grad[2, 2],
+        grad[1, 2] - grad[3, 0],
+        grad[2, 0] - grad[1, 1],
+    ])
+    grad_b = grad[4:7]  # grad_b[i, j] = d_j b_i
+    grad_d = grad[7:10]
     r1 = tau * div_b - np.einsum("j...,j...->...", b, grad_tau)
     r2 = tau * div_d - np.einsum("j...,j...->...", d, grad_tau)
     r3 = tau * curl_v - np.einsum("j...,ij...->i...", b, grad_d) \
         + np.einsum("j...,ij...->i...", d, grad_b)
-    return [float(np.max(np.abs(r))) for r in (r1, r2, r3)]
+    return r1, r2, r3
+
+
+def constraint_residual(field, state):
+    """Sups of the residuals, derivatives on the full lattice."""
+    g = field.grid
+    fh = g.fwd(field.data)
+    grad = np.stack([[inv_real(g, g.deriv(fh[c], j)) for j in range(3)]
+                     for c in range(10)])
+    return [float(np.max(np.abs(r)))
+            for r in residual_fields(field, state, grad)]
 
 
 def sample_diagnostics(field, state, t, sobolev_n):

@@ -177,7 +177,7 @@ def test_simulate_config_errors(tmp_path):
     assert run_cli("simulate", "--config", str(path)) == cli.EXIT_USAGE
 
 
-def test_simulate_blowup_exit_code(tmp_path, monkeypatch):
+def test_simulate_blowup_exit_code(tmp_path, monkeypatch, capsys):
     from abiwave import simulate as sim
     from abiwave.diagnostics import DiagnosticsSeries
 
@@ -185,13 +185,14 @@ def test_simulate_blowup_exit_code(tmp_path, monkeypatch):
 
     def fake_sim(cfg, initial=None):
         series = DiagnosticsSeries(sobolev_n=8)
-        series.blowup = True
+        series.mark_blowup(0.375, 3)
         from abiwave.fields import StateField
         return sim.SimResult(config=cfg, series=series,
                              final=StateField.zeros(cfg.grid), snapshots=[])
 
     monkeypatch.setattr(sim, "simulate", fake_sim)
     assert run_cli("simulate", "--config", str(path)) == cli.EXIT_BLOWUP
+    assert "blow-up in step 3 (t = 0.375)" in capsys.readouterr().err
 
 
 def test_simulate_u0_probe_mode(tmp_path):

@@ -125,6 +125,15 @@ def test_blowup_detection(grid16, manifold_bg):
                              cfl=0.2, cadence=0.25, amplitude=0.0)
     res = simulate.simulate(cfg, initial=bad)
     assert res.series.blowup
+    assert (res.series.blowup_t, res.series.blowup_step) == (0.0, 0)
+    # finite data whose products overflow: the first step fails
+    huge = StateField.zeros(grid16)
+    huge.data[0, 0, 0, 0] = 1e140
+    res = simulate.simulate(cfg, initial=huge)
+    dt = cfg.t_end / int(np.ceil(cfg.t_end / cfg.resolved_dt() - 1e-12))
+    assert res.series.blowup and res.series.blowup_step == 1
+    assert res.series.blowup_t == pytest.approx(dt, rel=1e-15)
+    assert len(res.series.rows) == 1
 
 
 def test_u0_probe_quadratic_scaling(grid16, manifold_bg):
