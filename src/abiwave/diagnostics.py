@@ -18,7 +18,8 @@ from . import system
 from .fields import StateField
 from .grid import Grid
 from .state import ConstantState, metric_matrix
-from .spectral import decompose_spectral, propagate_linear, _geometry
+from .spectral import (_apply_Ahat, _geometry, _wave_parts, decompose_spectral,
+                       propagate_linear)
 
 SERIES_COLUMNS = (
     "t", "H1_U", "H6_U", "HN_U", "H1_up", "H1_um", "H1_u0", "W1inf_U",
@@ -243,13 +244,10 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     if times and times[-1] >= tw:
         raise ValueError(f"requested time {times[-1]} >= wrap time {tw}")
     geo = _geometry(grid, state)
-    # decompose once; each snapshot is then a phase multiply + synthesis
-    from .spectral import apply_projector
-    fh = grid.strip_nyquist(
-        gaussian_bump_field(grid, sigma, amplitude, component).spectral())
-    plus = apply_projector(fh, geo, +1)
-    minus = apply_projector(fh, geo, -1)
-    del fh
+    # decompose once; each snapshot is then a phase multiply + synthesis.
+    # No name holds the bump's spectrum or Ahat U: each dies after use.
+    plus, minus = _wave_parts(_apply_Ahat(grid.strip_nyquist(
+        gaussian_bump_field(grid, sigma, amplitude, component).spectral()), geo), geo)
     # one component at a time, through one reused buffer: the peak holds
     # plus and minus and a few single-component fields
     buf = np.empty(plus.shape[1:], dtype=complex)
@@ -273,12 +271,11 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
 
 
 def spectral_kernel_free(field: StateField, state: ConstantState, geo=None):
-    """Half spectrum of the field with its kernel-branch part removed."""
+    """Half spectrum of the field minus its kernel-branch part: Ahat^2 U."""
     g = field.grid
     geo = geo or _geometry(g, state)
     fh = g.strip_nyquist(field.spectral())
-    from .spectral import apply_projector
-    return fh - apply_projector(fh, geo, 0)
+    return _apply_Ahat(_apply_Ahat(fh, geo), geo)
 
 
 def loglog_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -88,7 +88,7 @@ def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
 
     ``Uhat`` and the result are half spectra (10, N, N, N//2+1).
     """
-    out = -1j * apply_A0(Uhat, geo, state)
+    out = -1j * apply_A0(Uhat, geo)
     if np.any(state.v0):
         kdotv0 = (geo.k[0] * state.v0[0] + geo.k[1] * state.v0[1]
                   + geo.k[2] * state.v0[2])

@@ -1,13 +1,14 @@
 """Fourier-fiber structure of the linearized system.
 
 For each frequency xi the symmetric matrix A0(xi) has eigenvalues
-0, +|xi|_0, -|xi|_0 with multiplicities 4/3/3; the closed-form
-orthogonal projectors P0, P+, P- onto the eigenspaces are assembled
-from the direction cosines (alpha, beta, delta) and the frame attached
-to xi.  The 5x10 constraint operator L0(xi) annihilates the wave
-branches and is injective on the kernel branch.  A0 and L0, and the
-mode-wise A0 of the solver, are the quadratic tables of
-:mod:`abiwave.system` contracted with the background.
+0, +|xi|_0, -|xi|_0 with multiplicities 4/3/3.  A0 is linear in the
+multipliers (tau0 xi, b0.xi, d0.xi), whose squares sum to |xi|_0^2; its
+five matrices ``A0_SYMBOL`` are read from the evolution table of
+:mod:`abiwave.system`.  The projectors onto the eigenspaces are
+polynomials in Ahat = A0 / |xi|_0: P+- = (Ahat^2 +- Ahat) / 2 and
+P0 = I - Ahat^2.  The 5x10 constraint operator L0(xi), the constraint
+table contracted with the background, annihilates the wave branches and
+is injective on the kernel branch.
 
 Conventions (transform, propagator signs) are fixed in
 :mod:`abiwave.conventions`.
@@ -26,9 +27,32 @@ from .state import ConstantState, alpha_beta_delta, norm0
 BRANCHES = (0, +1, -1)
 
 
-def _cross_matrix(xi: np.ndarray) -> np.ndarray:
-    x, y, z = xi
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+def _symbol_matrices() -> np.ndarray:
+    """(T_1, T_2, T_3, T_b, T_d): A0 = tau0 xi.T + (b0.xi) T_b + (d0.xi) T_d.
+
+    The table sums the b.grad and d.grad terms over j, so the b and d
+    slices of ``bilinear_symbol(e_j)`` must be delta_ij T_b, delta_ij T_d.
+    """
+    B = np.stack([system.bilinear_symbol(unit) for unit in np.eye(3)])
+    T = np.concatenate([B[..., 0], B[:1, ..., 4], B[:1, ..., 7]])
+    delta = np.eye(3)[:, None, None, :]  # [j, row, c, i] -> delta_ij
+    if not (np.array_equal(B[..., 4:7], delta * T[3, ..., None])
+            and np.array_equal(B[..., 7:10], delta * T[4, ..., None])
+            and np.isin(T, (-1, 0, 1)).all()):
+        raise RuntimeError("evolution table: A0 is not "
+                           "tau0 xi.T + (b0.xi) T_b + (d0.xi) T_d with unit entries")
+    return T
+
+
+A0_SYMBOL = _symbol_matrices()
+# (multiplier, row, column, sign) of each nonzero entry of A0_SYMBOL
+_A0_ENTRIES = tuple(zip(*np.nonzero(A0_SYMBOL), A0_SYMBOL[A0_SYMBOL != 0]))
+
+
+def _multipliers(k: np.ndarray, state: ConstantState) -> np.ndarray:
+    """(tau0 k_1, tau0 k_2, tau0 k_3, b0.k, d0.k) for k of shape (3, ...)."""
+    return np.concatenate([state.tau0 * k,
+                           np.tensordot([state.b0, state.d0], k, axes=1)])
 
 
 def frequency_frame(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,9 +83,8 @@ def assemble_A0(xi, state: ConstantState) -> np.ndarray:
     frame: ``A0[row, c] = sum sign * U0_a * xi_j``.  The Fourier-side
     flow is dU/dt = -i A0(xi) U; A0(0) = 0.
     """
-    ubar = state.as_vector()
-    ubar[1:4] = 0.0  # v0 enters the solver as a separate transport term
-    return system.bilinear_symbol(np.asarray(xi, dtype=float)) @ ubar
+    m = _multipliers(np.asarray(xi, dtype=float), state)  # v0 left out
+    return np.tensordot(m, A0_SYMBOL, axes=1)
 
 
 def eigen_basis(xi, state: ConstantState) -> dict:
@@ -100,58 +123,20 @@ def eigen_basis(xi, state: ConstantState) -> dict:
 
 
 def projector(xi, state: ConstantState, branch: int) -> np.ndarray:
-    """Spectral projector P^branch(xi) from its closed-form blocks.
+    """Spectral projector P^branch(xi), a polynomial in Ahat = A0 / |xi|_0.
 
     Idempotent, symmetric; P0 + P+ + P- = I.  The xi = 0 fiber is
     rejected (grid-level routines send the mean mode to the kernel
     branch).
     """
-    xi = np.asarray(xi, dtype=float)
-    n = np.linalg.norm(xi)
-    if n == 0:
-        raise ValueError("projector undefined at xi = 0")
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
-    e = xi / n
-    a, b, d = alpha_beta_delta(xi, state)
-    ee = np.outer(e, e)
-    C = _cross_matrix(e)
-    I3 = np.eye(3)
-    P = np.zeros((10, 10))
-    if branch == 0:
-        P[0, 0] = 1 - a * a
-        P[0, 4:7] = -a * b * e
-        P[0, 7:10] = -a * d * e
-        P[4:7, 0] = -a * b * e
-        P[7:10, 0] = -a * d * e
-        P[1:4, 1:4] = a * a * (I3 - ee)
-        P[1:4, 4:7] = -a * d * C
-        P[4:7, 1:4] = a * d * C
-        P[1:4, 7:10] = a * b * C
-        P[7:10, 1:4] = -a * b * C
-        P[4:7, 4:7] = d * d * I3 + a * a * ee
-        P[7:10, 7:10] = b * b * I3 + a * a * ee
-        P[4:7, 7:10] = -b * d * I3
-        P[7:10, 4:7] = -b * d * I3
-        return P
-    s = float(branch)
-    P[0, 0] = a * a
-    P[0, 1:4] = s * a * e
-    P[1:4, 0] = s * a * e
-    P[0, 4:7] = a * b * e
-    P[4:7, 0] = a * b * e
-    P[0, 7:10] = a * d * e
-    P[7:10, 0] = a * d * e
-    P[1:4, 1:4] = (1 - a * a) * I3 + a * a * ee
-    P[1:4, 4:7] = s * b * I3 + a * d * C
-    P[4:7, 1:4] = s * b * I3 - a * d * C
-    P[1:4, 7:10] = s * d * I3 - a * b * C
-    P[7:10, 1:4] = s * d * I3 + a * b * C
-    P[4:7, 4:7] = (1 - d * d) * I3 - a * a * ee
-    P[7:10, 7:10] = (1 - b * b) * I3 - a * a * ee
-    P[4:7, 7:10] = b * d * I3 - s * a * C
-    P[7:10, 4:7] = b * d * I3 + s * a * C
-    return 0.5 * P
+    n0 = norm0(xi, state)
+    if n0 == 0:
+        raise ValueError("projector undefined at xi = 0")
+    A = assemble_A0(xi, state) / n0
+    A2 = A @ A
+    return np.eye(10) - A2 if branch == 0 else 0.5 * (A2 + branch * A)
 
 
 def assemble_L0(xi, state: ConstantState) -> np.ndarray:
@@ -172,40 +157,19 @@ def assemble_L0(xi, state: ConstantState) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class _ModeGeometry:
-    """Per-mode alpha, beta, delta and unit vector fields on a lattice.
+    """Per-mode multipliers of A0 and the norm |k|_0 on a lattice.
 
     Built from a broadcastable wavenumber triple (kx, ky, kz) whose first
     entry is the k = 0 mode: ``Grid.kvec`` for the full lattice, or its
-    slice to a half spectrum.
+    slice to a half spectrum.  ``multipliers`` weigh ``A0_SYMBOL``;
+    ``inv_norm0`` is 1 on the mean mode, where A0 = 0, so P0 keeps it.
     """
 
     def __init__(self, kvec, state: ConstantState):
-        k = np.array(np.broadcast_arrays(*kvec), dtype=float)
-        knorm = np.sqrt(np.sum(k * k, axis=0))
-        n0 = np.sqrt((state.tau0 * knorm) ** 2
-                     + np.tensordot(state.b0, k, axes=(0, 0)) ** 2
-                     + np.tensordot(state.d0, k, axes=(0, 0)) ** 2)
-        safe0 = n0.copy()
-        safe0[0, 0, 0] = 1.0
-        safe = knorm.copy()
-        safe[0, 0, 0] = 1.0
-        self.e = k / safe
-        self.alpha = state.tau0 * knorm / safe0
-        self.beta = np.tensordot(state.b0, k, axes=(0, 0)) / safe0
-        self.delta = np.tensordot(state.d0, k, axes=(0, 0)) / safe0
-        self.norm0 = n0
-        self.k = k
-
-    def dot(self, V):
-        return np.einsum("i...,i...->...", self.e, V)
-
-    def cross(self, V):
-        e = self.e
-        return np.stack([
-            e[1] * V[2] - e[2] * V[1],
-            e[2] * V[0] - e[0] * V[2],
-            e[0] * V[1] - e[1] * V[0],
-        ])
+        self.k = np.array(np.broadcast_arrays(*kvec), dtype=float)
+        self.multipliers = _multipliers(self.k, state)
+        self.norm0 = np.sqrt(np.sum(self.multipliers ** 2, axis=0))
+        self.inv_norm0 = 1.0 / np.where(self.norm0 == 0, 1.0, self.norm0)
 
 
 def _geometry(grid: Grid, state: ConstantState) -> _ModeGeometry:
@@ -220,50 +184,39 @@ def apply_projector(Uhat: np.ndarray, geo: _ModeGeometry, branch: int) -> np.nda
     The modes are those of ``geo`` (full lattice or half spectrum).  The
     mean (k = 0) mode is routed wholly to the kernel branch.
     """
-    a, b, d, e = geo.alpha, geo.beta, geo.delta, geo.e
-    t = Uhat[0]
-    V = Uhat[1:4]
-    Bc = Uhat[4:7]
-    Dc = Uhat[7:10]
-    eV, eB, eD = geo.dot(V), geo.dot(Bc), geo.dot(Dc)
-    out = np.empty_like(Uhat)
+    AU = _apply_Ahat(Uhat, geo)
     if branch == 0:
-        cV, cB, cD = geo.cross(V), geo.cross(Bc), geo.cross(Dc)
-        out[0] = (1 - a * a) * t - a * b * eB - a * d * eD
-        out[1:4] = a * a * (V - e * eV) - a * d * cB + a * b * cD
-        out[4:7] = (-a * b * t) * e + a * d * cV + d * d * Bc \
-            + (a * a * eB) * e - b * d * Dc
-        out[7:10] = (-a * d * t) * e - a * b * cV - b * d * Bc \
-            + b * b * Dc + (a * a * eD) * e
-        out[:, 0, 0, 0] = Uhat[:, 0, 0, 0]
-        return out
-    s = float(branch)
-    cV, cB, cD = geo.cross(V), geo.cross(Bc), geo.cross(Dc)
-    out[0] = 0.5 * (a * a * t + s * a * eV + a * b * eB + a * d * eD)
-    out[1:4] = 0.5 * ((s * a * t) * e + (1 - a * a) * V + (a * a * eV) * e
-                      + s * b * Bc + a * d * cB + s * d * Dc - a * b * cD)
-    out[4:7] = 0.5 * ((a * b * t) * e + s * b * V - a * d * cV
-                      + (1 - d * d) * Bc - (a * a * eB) * e
-                      + b * d * Dc - s * a * cD)
-    out[7:10] = 0.5 * ((a * d * t) * e + s * d * V + a * b * cV
-                       + b * d * Bc + s * a * cB
-                       + (1 - b * b) * Dc - (a * a * eD) * e)
-    out[:, 0, 0, 0] = 0.0
-    return out
+        return Uhat - _apply_Ahat(AU, geo)
+    return _wave_parts(AU, geo)[0 if branch > 0 else 1]
 
 
-def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry, state: ConstantState) -> np.ndarray:
+def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry) -> np.ndarray:
     """Mode-wise A0(k) U-hat (real symmetric symbol, not the -i factor).
 
-    A0 is linear in k, A0(k) = sum_j k_j A0(e_j): each nonzero entry of
-    A0(e_j) adds one product of k_j and a component of U-hat.
+    One product per nonzero entry of ``A0_SYMBOL``: its multiplier
+    times a component of U-hat, added to or subtracted from a row.
     """
     out = np.zeros_like(Uhat)
-    for j, unit in enumerate(np.eye(3)):
-        A = assemble_A0(unit, state)
-        for row, c in zip(*np.nonzero(A)):
-            out[row] += (A[row, c] * geo.k[j]) * Uhat[c]
+    for m, row, c, sign in _A0_ENTRIES:
+        if sign == 1:
+            out[row] += geo.multipliers[m] * Uhat[c]
+        else:
+            out[row] -= geo.multipliers[m] * Uhat[c]
     return out
+
+
+def _apply_Ahat(Uhat: np.ndarray, geo: _ModeGeometry) -> np.ndarray:
+    """Mode-wise Ahat U-hat, Ahat = A0(k) / |k|_0 (0 on the mean mode)."""
+    out = apply_A0(Uhat, geo)
+    return np.multiply(out, geo.inv_norm0, out=out)
+
+
+def _wave_parts(AU: np.ndarray, geo: _ModeGeometry):
+    """(P+ U-hat, P- U-hat) from ``AU`` = Ahat U-hat, which is overwritten."""
+    A2U = _apply_Ahat(AU, geo)
+    AU *= 0.5
+    A2U *= 0.5
+    return A2U + AU, np.subtract(A2U, AU, out=A2U)
 
 
 BranchParts = namedtuple("BranchParts", ["plus", "minus", "zero"])
@@ -277,11 +230,8 @@ def decompose_spectral(Uhat: np.ndarray, grid: Grid, state: ConstantState,
     fields: P+(-k) = P-(k), so ``plus`` at k pairs with ``minus`` at -k.
     """
     geo = geo or _geometry(grid, state)
-    return BranchParts(
-        plus=apply_projector(Uhat, geo, +1),
-        minus=apply_projector(Uhat, geo, -1),
-        zero=apply_projector(Uhat, geo, 0),
-    )
+    plus, minus = _wave_parts(_apply_Ahat(Uhat, geo), geo)
+    return BranchParts(plus=plus, minus=minus, zero=Uhat - plus - minus)
 
 
 def decompose(field: StateField, state: ConstantState) -> BranchParts:

@@ -41,7 +41,8 @@ def projector_terms(branch: int, slot: tuple[int, int]):
 
     Wave branches are returned doubled (the entries of 2 P^{+-}) so all
     coefficients are integers; the kernel branch is returned as is.
-    The caller tracks the factor-of-two count.
+    The caller tracks the factor-of-two count.  Kept hand-written: the
+    float projectors derive from A0, so the float cross-check is independent.
     """
     ub, cb = slot
     u = [_var(ub + i) for i in range(3)]

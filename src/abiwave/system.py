@@ -11,10 +11,10 @@ the single source of truth for
   both through :func:`quadratic`,
 * the floating-point bilinear symbol used to cross-check the exact
   tensors (:func:`bilinear_symbol`),
-* the linear symbols ``A0`` and ``L0`` and the mode-wise ``A0`` of the
-  solver (:func:`abiwave.spectral.assemble_A0`,
-  :func:`~abiwave.spectral.assemble_L0`, :func:`~abiwave.spectral.apply_A0`),
-  which are the tables contracted with the constant background, and
+* the linear symbols ``A0`` and ``L0`` (:mod:`abiwave.spectral`), which
+  are the tables contracted with the constant background; ``A0`` gives
+  the solver's mode-wise ``apply_A0`` and the spectral projectors, which
+  are polynomials in ``A0 / |xi|_0``, and
 * the exact-arithmetic tensor builder (:mod:`abiwave.symbolic.tensors`).
 
 Because the system is quadratic and a constant background has no

@@ -10,15 +10,19 @@ the package against them.
 Hand-written block layouts: ``assemble_A0``, ``assemble_L0``,
 ``apply_A0`` and the einsum constraint residual, as they were written
 out before they were derived from the quadratic tables of
-:mod:`abiwave.system`.  ``tests/test_tables.py`` compares the package
-against them.
+:mod:`abiwave.system`, and the closed-form projectors ``projector`` and
+``apply_projector`` (built from the direction cosines alpha, beta,
+delta and the unit vector of xi), as they were written out before they
+became polynomials in A0 / |xi|_0.  ``tests/test_tables.py`` compares
+the package against them.
 """
 import numpy as np
 
 from abiwave import system
 from abiwave.diagnostics import manifold_residual
 from abiwave.fields import StateField
-from abiwave.spectral import _ModeGeometry, apply_projector
+from abiwave.spectral import _ModeGeometry
+from abiwave.state import alpha_beta_delta
 
 
 def _cross_matrix(xi):
@@ -84,6 +88,115 @@ def apply_A0(Uhat, geo, state):
         k[2] * Bc[0] - k[0] * Bc[2],
         k[0] * Bc[1] - k[1] * Bc[0],
     ])
+    return out
+
+
+def projector(xi, state, branch):
+    """P^branch(xi) from its closed-form blocks."""
+    xi = np.asarray(xi, dtype=float)
+    e = xi / np.linalg.norm(xi)
+    a, b, d = alpha_beta_delta(xi, state)
+    ee = np.outer(e, e)
+    C = _cross_matrix(e)
+    I3 = np.eye(3)
+    P = np.zeros((10, 10))
+    if branch == 0:
+        P[0, 0] = 1 - a * a
+        P[0, 4:7] = -a * b * e
+        P[0, 7:10] = -a * d * e
+        P[4:7, 0] = -a * b * e
+        P[7:10, 0] = -a * d * e
+        P[1:4, 1:4] = a * a * (I3 - ee)
+        P[1:4, 4:7] = -a * d * C
+        P[4:7, 1:4] = a * d * C
+        P[1:4, 7:10] = a * b * C
+        P[7:10, 1:4] = -a * b * C
+        P[4:7, 4:7] = d * d * I3 + a * a * ee
+        P[7:10, 7:10] = b * b * I3 + a * a * ee
+        P[4:7, 7:10] = -b * d * I3
+        P[7:10, 4:7] = -b * d * I3
+        return P
+    s = float(branch)
+    P[0, 0] = a * a
+    P[0, 1:4] = s * a * e
+    P[1:4, 0] = s * a * e
+    P[0, 4:7] = a * b * e
+    P[4:7, 0] = a * b * e
+    P[0, 7:10] = a * d * e
+    P[7:10, 0] = a * d * e
+    P[1:4, 1:4] = (1 - a * a) * I3 + a * a * ee
+    P[1:4, 4:7] = s * b * I3 + a * d * C
+    P[4:7, 1:4] = s * b * I3 - a * d * C
+    P[1:4, 7:10] = s * d * I3 - a * b * C
+    P[7:10, 1:4] = s * d * I3 + a * b * C
+    P[4:7, 4:7] = (1 - d * d) * I3 - a * a * ee
+    P[7:10, 7:10] = (1 - b * b) * I3 - a * a * ee
+    P[4:7, 7:10] = b * d * I3 - s * a * C
+    P[7:10, 4:7] = b * d * I3 + s * a * C
+    return 0.5 * P
+
+
+class ClosedFormGeometry:
+    """Per-mode alpha, beta, delta and unit vector fields on a lattice."""
+
+    def __init__(self, kvec, state):
+        k = np.array(np.broadcast_arrays(*kvec), dtype=float)
+        knorm = np.sqrt(np.sum(k * k, axis=0))
+        n0 = np.sqrt((state.tau0 * knorm) ** 2
+                     + np.tensordot(state.b0, k, axes=(0, 0)) ** 2
+                     + np.tensordot(state.d0, k, axes=(0, 0)) ** 2)
+        safe0 = n0.copy()
+        safe0[0, 0, 0] = 1.0
+        safe = knorm.copy()
+        safe[0, 0, 0] = 1.0
+        self.e = k / safe
+        self.alpha = state.tau0 * knorm / safe0
+        self.beta = np.tensordot(state.b0, k, axes=(0, 0)) / safe0
+        self.delta = np.tensordot(state.d0, k, axes=(0, 0)) / safe0
+
+    def dot(self, V):
+        return np.einsum("i...,i...->...", self.e, V)
+
+    def cross(self, V):
+        e = self.e
+        return np.stack([
+            e[1] * V[2] - e[2] * V[1],
+            e[2] * V[0] - e[0] * V[2],
+            e[0] * V[1] - e[1] * V[0],
+        ])
+
+
+def apply_projector(Uhat, geo, branch):
+    """P^branch mode-wise from the closed-form blocks; ``geo`` is a
+    :class:`ClosedFormGeometry`.  The mean mode goes to the kernel branch."""
+    a, b, d, e = geo.alpha, geo.beta, geo.delta, geo.e
+    t = Uhat[0]
+    V = Uhat[1:4]
+    Bc = Uhat[4:7]
+    Dc = Uhat[7:10]
+    eV, eB, eD = geo.dot(V), geo.dot(Bc), geo.dot(Dc)
+    cV, cB, cD = geo.cross(V), geo.cross(Bc), geo.cross(Dc)
+    out = np.empty_like(Uhat)
+    if branch == 0:
+        out[0] = (1 - a * a) * t - a * b * eB - a * d * eD
+        out[1:4] = a * a * (V - e * eV) - a * d * cB + a * b * cD
+        out[4:7] = (-a * b * t) * e + a * d * cV + d * d * Bc \
+            + (a * a * eB) * e - b * d * Dc
+        out[7:10] = (-a * d * t) * e - a * b * cV - b * d * Bc \
+            + b * b * Dc + (a * a * eD) * e
+        out[:, 0, 0, 0] = Uhat[:, 0, 0, 0]
+        return out
+    s = float(branch)
+    out[0] = 0.5 * (a * a * t + s * a * eV + a * b * eB + a * d * eD)
+    out[1:4] = 0.5 * ((s * a * t) * e + (1 - a * a) * V + (a * a * eV) * e
+                      + s * b * Bc + a * d * cB + s * d * Dc - a * b * cD)
+    out[4:7] = 0.5 * ((a * b * t) * e + s * b * V - a * d * cV
+                      + (1 - d * d) * Bc - (a * a * eB) * e
+                      + b * d * Dc - s * a * cD)
+    out[7:10] = 0.5 * ((a * d * t) * e + s * d * V + a * b * cV
+                       + b * d * Bc + s * a * cB
+                       + (1 - b * b) * Dc - (a * a * eD) * e)
+    out[:, 0, 0, 0] = 0.0
     return out
 
 
@@ -166,7 +279,7 @@ def sample_diagnostics(field, state, t, sobolev_n):
     """The diagnostics row, all on the full lattice."""
     g = field.grid
     fh = g.fwd(field.data)
-    geo = full_geometry(g, state)
+    geo = ClosedFormGeometry(g.kvec, state)
     plus, minus, zero = (apply_projector(fh, geo, br) for br in (1, -1, 0))
     r1, r2, r3 = constraint_residual(field, state)
     absolute = StateField(g, field.data

@@ -1,4 +1,7 @@
-"""Repository hygiene: git tracks nothing that .gitignore excludes."""
+"""Repository hygiene: git tracks nothing that .gitignore excludes, and
+every function the benchmark tracer wraps exists in the package."""
+import importlib
+import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
@@ -21,3 +24,15 @@ def test_no_ignored_files_tracked():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_tracer_functions_resolve():
+    # the tracer only lists a missing target as "not traced", so a
+    # rename would drop its span and metrics without failing a run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{attr}" for module, attr, *_ in tracer.FUNCTIONS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

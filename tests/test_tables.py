@@ -1,6 +1,7 @@
 """A0, L0, the mode-wise A0 and the constraint residual, all derived from
-the quadratic tables of :mod:`abiwave.system`, against the hand-written
-block layouts they replaced (``fullfft_reference.py``).
+the quadratic tables of :mod:`abiwave.system`, and the projectors, built
+as polynomials in A0 / |xi|_0, against the hand-written block layouts
+and closed forms they replaced (``fullfft_reference.py``).
 
 Backgrounds move (v0 != 0): A0 is defined in the rest frame, so the
 -v.grad terms of the table must not reach it.
@@ -36,17 +37,63 @@ def test_L0_matches_block_layout_with_table_signs(rng):
         assert _rel(spectral.assemble_L0(xi, st), want) <= 1e-14
 
 
+def _spectrum_and_geometries(g, st, f, lattice):
+    """A spectrum of ``f`` with the package and closed-form geometries."""
+    if lattice == "full":
+        kvec, Uhat = g.kvec, g.fwd(f)
+    else:
+        kx, ky, kz = g.kvec
+        kvec, Uhat = (kx, ky, kz[..., :g.n_half]), g.rfwd(f)
+    return (Uhat, spectral._ModeGeometry(kvec, st),
+            R.ClosedFormGeometry(kvec, st))
+
+
 @pytest.mark.parametrize("lattice", ["full", "half"])
 def test_apply_A0_matches_block_layout(grid16, rng, lattice):
     g = grid16
     st = _moving_state(rng)
     f = rng.normal(size=(10,) + (g.N,) * 3)
-    if lattice == "full":
-        Uhat, geo = g.fwd(f), spectral._ModeGeometry(g.kvec, st)
-    else:
-        Uhat, geo = g.rfwd(f), spectral._geometry(g, st)
-    got = spectral.apply_A0(Uhat, geo, st)
+    Uhat, geo, _ = _spectrum_and_geometries(g, st, f, lattice)
+    got = spectral.apply_A0(Uhat, geo)
     assert _rel(got, R.apply_A0(Uhat, geo, st)) <= 1e-14
+
+
+def test_projector_matches_closed_form(rng):
+    for _ in range(200):
+        st, xi = _moving_state(rng), random_xi(rng)
+        for branch in spectral.BRANCHES:
+            assert _rel(spectral.projector(xi, st, branch),
+                        R.projector(xi, st, branch)) <= 1e-14
+
+
+@pytest.mark.parametrize("lattice", ["full", "half"])
+def test_grid_projectors_match_closed_form(grid16, rng, lattice):
+    g = grid16
+    st = _moving_state(rng)
+    f = rng.normal(size=(10,) + (g.N,) * 3)
+    Uhat, geo, closed = _spectrum_and_geometries(g, st, f, lattice)
+    parts = spectral.decompose_spectral(Uhat, g, st, geo)
+    for branch, part in zip((+1, -1, 0), parts):
+        want = R.apply_projector(Uhat, closed, branch)
+        assert _rel(spectral.apply_projector(Uhat, geo, branch), want) <= 1e-14
+        assert _rel(part, want) <= 1e-14
+
+
+@pytest.mark.parametrize("lattice", ["full", "half"])
+def test_mean_mode_goes_to_the_kernel_branch(grid16, rng, lattice):
+    g = grid16
+    st = _moving_state(rng)
+    f = 1.0 + rng.normal(size=(10,) + (g.N,) * 3)
+    Uhat, geo, _ = _spectrum_and_geometries(g, st, f, lattice)
+    mean = Uhat[:, 0, 0, 0]
+    assert np.all(mean != 0)
+    parts = spectral.decompose_spectral(Uhat, g, st, geo)
+    assert np.array_equal(parts.zero[:, 0, 0, 0], mean)
+    assert np.array_equal(spectral.apply_projector(Uhat, geo, 0)[:, 0, 0, 0],
+                          mean)
+    for branch, part in ((+1, parts.plus), (-1, parts.minus)):
+        assert not np.any(part[:, 0, 0, 0])
+        assert not np.any(spectral.apply_projector(Uhat, geo, branch)[:, 0, 0, 0])
 
 
 @pytest.mark.parametrize("kind", ["admissible", "generic"])
