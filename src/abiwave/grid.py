@@ -108,10 +108,6 @@ class Grid:
         return (keep[:, None, None] & keep[None, :, None]
                 & keep[None, None, :])
 
-    @property
-    def k_max_dealiased(self) -> float:
-        return 2.0 * np.pi * (self.N // 3) / self.L * np.sqrt(3.0)
-
     @cached_property
     def x1d(self) -> np.ndarray:
         return np.arange(self.N) * self.dx
@@ -132,10 +128,10 @@ class Grid:
         """Analysis transform of real fields: their half spectra.
 
         Equals ``fwd(f)[..., :n_half]``; ``rfftn`` has the opposite sign
-        in its exponent, hence the conjugate.
+        in its exponent, hence the conjugate, taken in place.
         """
-        return np.conj(scipy.fft.rfftn(f, axes=(-3, -2, -1),
-                                       workers=fft_workers()))
+        fh = scipy.fft.rfftn(f, axes=(-3, -2, -1), workers=fft_workers())
+        return np.conj(fh, out=fh)
 
     def rinv(self, fh: np.ndarray) -> np.ndarray:
         """Synthesis of real fields from their half spectra."""

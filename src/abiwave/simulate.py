@@ -106,16 +106,6 @@ def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
     return out
 
 
-def step_rk4(field: StateField, state: ConstantState, dt: float,
-             dealias: bool = True) -> StateField:
-    """One classical RK4 step (public, physical-variable wrapper)."""
-    g = field.grid
-    geo = _geometry(g, state)
-    Uh = field.spectral()
-    out = _step_rk4_hat(Uh, g, state, geo, dt, dealias)
-    return StateField(g, g.rinv(out))
-
-
 def _step_rk4_hat(Uh, grid, state, geo, dt, dealias):
     # non-finite intermediates raise BlowUpError; keep their transient
     # arithmetic quiet

@@ -15,14 +15,37 @@ bound is checked once where it is decided, not in the inner loops:
   :func:`abiwave.symbolic.ideal.reduce_terms`, which checks each entry
   once (stage one keeps the total degree, stage two never raises it).
 
+Reading many keys at once is vectorized.  A key of eighteen 7-bit
+fields splits into two ``int64`` halves of nine fields each
+(``key & (2**63 - 1)`` and ``key >> 63``), and NumPy shifts and masks
+unpack those halves into an ``(n, 18)`` exponent array
+(:func:`exponents`).  :func:`degree` is a row sum and max over that
+array; it is still called exactly where the bound is checked, as listed
+above.  :func:`evaluator` evaluates many polynomials at many float
+points through the same array.
+
 This is the only polynomial kernel; every symbolic module uses it.
 """
 from __future__ import annotations
+
+from collections import defaultdict
+from itertools import count
+
+import numpy as np
+import scipy.sparse
 
 NVARS = 18
 BITS = 7
 MASK = (1 << BITS) - 1
 MAX_EXP = MASK
+
+# a key splits into two int64 halves of nine fields each
+_HALF_FIELDS = NVARS // 2
+_HALF_BITS = BITS * _HALF_FIELDS
+_LOW = (1 << _HALF_BITS) - 1
+_SHIFTS = np.arange(_HALF_FIELDS, dtype=np.int64) * BITS
+# below this many keys the bit loop costs less than the NumPy calls
+_VECTOR_MIN = 8
 
 # substitution targets for the first reduction stage:
 # X7 <- s X4, X8 <- s X5, X9 <- s X6, X16 <- X13, X17 <- s X14, X18 <- s X15
@@ -51,22 +74,39 @@ def unpack(key: int) -> tuple:
     return tuple((key >> (BITS * i)) & MASK for i in range(NVARS))
 
 
+def exponents(keys: list) -> np.ndarray:
+    """The (n, NVARS) int64 exponent array of a list of n packed keys.
+
+    Row r is ``unpack(keys[r])``.  Every key must be below 2**126, the
+    capacity of eighteen fields; a larger one raises OverflowError.
+    """
+    n = len(keys)
+    halves = np.empty((n, 2), dtype=np.int64)
+    halves[:, 0] = np.fromiter((k & _LOW for k in keys), np.int64, n)
+    halves[:, 1] = np.fromiter((k >> _HALF_BITS for k in keys), np.int64, n)
+    return ((halves[:, :, None] >> _SHIFTS) & MASK).reshape(n, NVARS)
+
+
+def _key_degree(key: int) -> int:
+    d = 0
+    while key:
+        d += key & MASK
+        key >>= BITS
+    return d
+
+
 def degree(terms) -> int:
     """Total degree (0 for the zero polynomial).
 
     Takes a term dict or any iterable of packed keys, so the largest
-    degree over many polynomials costs one call.
+    degree over many polynomials costs one call.  It is the row sum and
+    max of :func:`exponents`; fewer than ``_VECTOR_MIN`` keys are summed
+    field by field instead, where NumPy's fixed cost would dominate.
     """
-    best = 0
-    for key in terms:
-        d = 0
-        k = key
-        while k:
-            d += k & MASK
-            k >>= BITS
-        if d > best:
-            best = d
-    return best
+    keys = list(terms)
+    if len(keys) < _VECTOR_MIN:
+        return max(map(_key_degree, keys), default=0)
+    return int(exponents(keys).sum(axis=1).max())
 
 
 def add_into(acc: dict, p: dict, c: int) -> None:
@@ -201,19 +241,37 @@ def stage2_rewrite(p: dict) -> dict:
     return cur
 
 
-def evaluate(p: dict, values) -> float:
-    """Evaluate at a float 18-vector (used by the numeric gates)."""
-    vals = list(values)
-    total = 0.0
-    for key, c in p.items():
-        t = float(c)
-        k = key
-        i = 0
-        while k:
-            e = k & MASK
-            if e:
-                t *= vals[i] ** e
-            k >>= BITS
-            i += 1
-        total += t
-    return total
+def evaluator(polys):
+    """Batch float evaluator: (npoints, NVARS) -> (npoints, len(polys)).
+
+    ``polys`` is an iterable of term dicts, read once.  One pass over
+    their terms builds the index of distinct keys and a
+    sparse (polynomials x monomials) coefficient matrix.  Evaluation
+    reads each monomial's factors from a per-variable power table
+    ``X[:, v] ** e`` and contracts the monomial values with the matrix.
+    """
+    index = defaultdict(count().__next__)  # key -> column, numbered on sight
+    cols: list = []
+    coefs: list = []
+    indptr = [0]
+    for terms in polys:
+        cols.extend(map(index.__getitem__, terms))
+        coefs.extend(terms.values())
+        indptr.append(len(cols))
+    matrix = scipy.sparse.csr_matrix(
+        (np.array(coefs, dtype=float), np.array(cols, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, len(index)))
+    exps = exponents(list(index))
+    used = [(v, int(exps[:, v].max())) for v in range(NVARS)
+            if exps[:, v].any()]
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        mono = np.ones((len(exps), len(points)))
+        for v, top in used:
+            table = points[:, v] ** np.arange(top + 1)[:, None]
+            mono *= table[exps[:, v]]
+        return (matrix @ mono).T
+
+    return evaluate

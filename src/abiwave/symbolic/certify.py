@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import _kernel_py
 from .ideal import (build_ideal_generators, extract_cofactors,
                     numeric_embedding, reduce_terms)
 from .poly import IntPolynomial, kernel_backend
@@ -96,13 +97,8 @@ def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
     gens = build_ideal_generators(eps2, eps3)
     xi, eta = resonant_configurations(eps2 * eps3, n, seed)
     X = numeric_embedding(xi, eta, state)
-    worst = 0.0
-    for g in gens:
-        from .poly import unpack
-        exps = np.array([unpack(k) for k in g.terms], dtype=np.int64)
-        coef = np.array(list(g.terms.values()), dtype=float)
-        vals = np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ coef
-        worst = max(worst, float(np.max(np.abs(vals))))
+    vals = _kernel_py.evaluator([g.terms for g in gens])(X)
+    worst = float(np.max(np.abs(vals)))
     if worst > GATE_ANNIHILATION_TOL:
         raise PreflightError(
             f"layout annihilation gate failed: {worst} > {GATE_ANNIHILATION_TOL}")
@@ -163,7 +159,6 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
         terms[0] = terms.get(0, 0) + 1
         tensor.entries[i][j][k] = terms
 
-    nrows = tensor.shape[0]
     row_limit = 4 if subsystem == "chaplygin" else None
     witnesses = []
     total = 0

@@ -143,20 +143,11 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def scaled(self, extra_scale_log2: int = 0, extra_i: int = 0) -> "IntPolynomial":
-        return IntPolynomial(self.terms, self.scale_log2 + extra_scale_log2,
-                             self.i_power + extra_i)
-
     # -- evaluation and formatting ------------------------------------
 
-    def evaluate(self, values) -> complex:
-        """Numeric value at an 18-vector, including scale and i factors."""
-        raw = _kernel_py.evaluate(self.terms, [float(v) for v in values])
-        return raw * (1j ** self.i_power) / (2.0 ** self.scale_log2)
-
     def evaluate_raw(self, values) -> float:
-        """Numeric value of the bare integer polynomial."""
-        return _kernel_py.evaluate(self.terms, [float(v) for v in values])
+        """Numeric value of the bare integer polynomial at an 18-vector."""
+        return float(_kernel_py.evaluator([self.terms])([values])[0, 0])
 
     def to_text(self) -> str:
         """Canonical textual form 'c * X1^a1...X18^a18 +- ...'."""

@@ -31,11 +31,6 @@ def _var(idx: int) -> dict:
     return {1 << (_kernel_py.BITS * idx): 1}
 
 
-def _mono2(i1: int, i2: int, c: int = 1) -> dict:
-    key = (1 << (_kernel_py.BITS * i1)) + (1 << (_kernel_py.BITS * i2))
-    return {key: c}
-
-
 def projector_terms(branch: int, slot: tuple[int, int]):
     """10x10 matrix of bare term-dicts for a projector at one slot.
 
@@ -164,38 +159,24 @@ class InteractionTensor:
         counts = [len(t) for _, t in self.iter_entries()]
         return (max(counts, default=0), int(np.sum(counts)))
 
-    def evaluate(self, layout_values: np.ndarray) -> np.ndarray:
-        """Float tensor at a numeric embedding point (scale included)."""
-        return self.evaluator()(np.asarray(layout_values)[None])[0]
-
     def evaluator(self):
         """Batch numeric evaluator: (npoints, 18) -> (npoints, *shape).
 
-        Monomial values are shared across entries, which makes the
-        floating cross-check gate cheap.
+        Built on :func:`abiwave.symbolic._kernel_py.evaluator`: one pass
+        over the entries indexes the distinct monomials and fills a
+        sparse (entries x monomials) coefficient matrix.  Each call
+        evaluates every monomial once from a per-variable power table
+        and contracts with that matrix, so the float cross-check gate
+        is cheap.  The scale 2^-scale_log2 is included; the factor
+        i^i_power is not.
         """
-        keys = sorted({k for _, t in self.iter_entries() for k in t})
-        index = {k: n for n, k in enumerate(keys)}
-        exps = np.array([_kernel_py.unpack(k) for k in keys], dtype=np.int64) \
-            if keys else np.zeros((0, _kernel_py.NVARS), dtype=np.int64)
-        entry_idx = {}
-        for (i, j, k), terms in self.iter_entries():
-            if terms:
-                entry_idx[(i, j, k)] = (
-                    np.array([index[key] for key in terms], dtype=np.int64),
-                    np.array(list(terms.values()), dtype=float),
-                )
-        scale = 2.0 ** self.scale_log2
+        evaluate = _kernel_py.evaluator(t for _, t in self.iter_entries())
         shape = self.shape
+        scale = 2.0 ** self.scale_log2
 
         def _eval(points: np.ndarray) -> np.ndarray:
-            points = np.asarray(points, dtype=float)
-            mono = np.prod(points[:, None, :] ** exps[None, :, :], axis=2) \
-                if len(keys) else np.zeros((len(points), 0))
-            out = np.zeros((len(points),) + shape)
-            for (i, j, k), (idx, coef) in entry_idx.items():
-                out[:, i, j, k] = mono[:, idx] @ coef
-            return out / scale
+            vals = evaluate(points)
+            return vals.reshape((len(vals),) + shape) / scale
 
         return _eval
 

@@ -52,6 +52,17 @@ def test_transforms_match_full_lattice(grid16, rng):
         assert np.all(plane == 0)
 
 
+def test_rfwd_conjugates_in_place_bitwise(grid16, rng):
+    # the in-place conjugate must equal the copying one bit for bit
+    import scipy.fft
+    from abiwave.grid import fft_workers
+
+    f = rng.normal(size=(10,) + (grid16.N,) * 3)
+    want = np.conj(scipy.fft.rfftn(f, axes=(-3, -2, -1),
+                                   workers=fft_workers()))
+    assert np.array_equal(grid16.rfwd(f), want)
+
+
 @pytest.mark.parametrize("dealias", [True, False])
 def test_rhs_matches_full_lattice(grid16, manifold_bg, dealias):
     g, st = grid16, manifold_bg

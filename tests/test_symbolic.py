@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abiwave.state import ConstantState
 from abiwave.symbolic import _kernel_py
@@ -180,6 +180,132 @@ def test_tensor_build_rejects_total_degree_128(monkeypatch):
     monkeypatch.setattr(tensors, "projector_terms", fake_projector_terms)
     with pytest.raises(OverflowError):
         tensors.build_interaction_tensor((1, 1, 1))
+
+
+# ----------------------------------------------------------------------
+# vectorized key scans against the loops they replaced
+# ----------------------------------------------------------------------
+
+def _bitloop_degree(terms):
+    """The per-key bit loop that ``_kernel_py.degree`` replaced."""
+    best = 0
+    for key in terms:
+        d = 0
+        k = key
+        while k:
+            d += k & _kernel_py.MASK
+            k >>= _kernel_py.BITS
+        best = max(best, d)
+    return best
+
+
+def _dense_evaluate(polys, points):
+    """The dense ``points ** exps`` evaluation the sparse evaluator replaced.
+
+    Term dicts at (npoints, 18) points -> (npoints, len(polys)); taken in
+    blocks of ten points to bound the (points x monomials x 18) tensor.
+    """
+    keys = sorted({k for t in polys for k in t})
+    index = {k: n for n, k in enumerate(keys)}
+    exps = np.array([unpack(k) for k in keys], dtype=np.int64).reshape(-1, 18)
+    out = np.zeros((len(points), len(polys)))
+    for lo in range(0, len(points), 10):
+        block = points[lo:lo + 10]
+        mono = np.prod(block[:, None, :] ** exps[None, :, :], axis=2)
+        for n, terms in enumerate(polys):
+            if terms:
+                idx = np.array([index[k] for k in terms], dtype=np.int64)
+                coef = np.array(list(terms.values()), dtype=float)
+                out[lo:lo + 10, n] = mono[:, idx] @ coef
+    return out
+
+
+_exps = st.lists(st.integers(0, 127), min_size=18, max_size=18)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_exps, max_size=30))
+@example([[0] * 17 + [127]])
+@example([[0] * 17 + [127]] * 9 + [[127] * 18])
+@example([])
+def test_exponents_and_degree_match_bit_loop(rows):
+    # rows with a nonzero exponent in X10..X18 pack to keys >= 2^63;
+    # lists below and above _VECTOR_MIN take both paths of degree
+    keys = [pack(r) for r in rows]
+    got = _kernel_py.exponents(keys)
+    assert got.shape == (len(keys), 18) and got.dtype == np.int64
+    assert got.tolist() == [list(unpack(k)) for k in keys]
+    want = _bitloop_degree(keys)
+    assert _kernel_py.degree(keys) == want
+    assert _kernel_py.degree(dict.fromkeys(keys, 1)) == want
+    assert _kernel_py.degree(k for k in keys) == want
+    assert _kernel_py.degree(set(keys)) == want
+
+
+def test_exponents_reject_keys_past_eighteen_fields():
+    assert _kernel_py.exponents([(1 << 126) - 1]).tolist() == [[127] * 18]
+    with pytest.raises(OverflowError):
+        _kernel_py.exponents([1 << 126])
+
+
+def test_reduce_rejects_total_degree_128_in_a_large_entry():
+    # more keys than _VECTOR_MIN: the bound is checked on the vectorized path
+    terms = {pack([d, 1] + [0] * 16): 1 for d in range(20)}
+    terms[pack([0] * 17 + [127])] = 1
+    assert ideal.reduce_terms(terms, 1)
+    terms[pack([1] * 17 + [111])] = 1
+    with pytest.raises(OverflowError):
+        ideal.reduce_terms(terms, 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 31), npolys=st.integers(0, 6))
+def test_kernel_evaluator_matches_dense(seed, npolys):
+    rng = np.random.default_rng(seed)
+    polys = [_rand_terms(rng, n=int(rng.integers(0, 12)), emax=5)
+             for _ in range(npolys)]
+    points = rng.uniform(-1.2, 1.2, (7, 18))
+    got = _kernel_py.evaluator(polys)(points)
+    want = _dense_evaluate(polys, points)
+    assert got.shape == (7, npolys)
+    bound = max((sum(abs(c) for c in t.values()) for t in polys), default=0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * (bound * 5 + 1)
+
+
+@pytest.fixture(scope="module", ids=["+,++", "-,+-", "',+-"],
+                params=[((1, 1, 1), "evolution"), ((-1, 1, -1), "evolution"),
+                        ((0, 1, -1), "constraint")])
+def oracle_case(request):
+    """Tensor, the float cross-check's 30 points and the dense oracle there."""
+    from abiwave.resonance import sample_off_axis
+
+    T = tensors.build_interaction_tensor(*request.param)
+    xi, eta = sample_off_axis(np.random.default_rng(1), 30)
+    X = ideal.numeric_embedding(xi, eta, STATE)
+    dense = _dense_evaluate([t for _, t in T.iter_entries()], X)
+    return T, xi, eta, dense.reshape((len(X),) + T.shape) / 2.0 ** T.scale_log2
+
+
+def test_tensor_evaluator_matches_dense_oracle(oracle_case):
+    T, xi, eta, dense = oracle_case
+    got = T.evaluator()(ideal.numeric_embedding(xi, eta, STATE))
+    assert got.shape == dense.shape
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_float_crosscheck_error_matches_dense_oracle(oracle_case):
+    # the gate's worst error stays at the dense evaluator's round-off
+    from abiwave.spectral import compose_interaction
+
+    T, xi, eta, dense = oracle_case
+    worst = 0.0
+    for i in range(len(xi)):
+        ref = compose_interaction(xi[i], eta[i], STATE, T.eps, T.which)
+        scale = max(float(np.max(np.abs(ref))), 1e-30)
+        worst = max(worst, float(np.max(np.abs(dense[i] - ref))) / scale)
+    got = C.preflight_float_crosscheck(T, STATE, n=len(xi))
+    assert worst / 2 <= got <= 2 * worst
+    assert got <= 1e-12
 
 
 # ----------------------------------------------------------------------
