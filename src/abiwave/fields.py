@@ -1,4 +1,4 @@
-"""Grid fields: the ten-component state and solenoidal vector pairs."""
+"""Grid fields: the ten-component state."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -66,19 +66,3 @@ class StateField:
     def __sub__(self, other: "StateField") -> "StateField":
         return StateField(self.grid, self.data - other.data)
 
-
-@dataclass
-class EMField:
-    """Pair of divergence-free vector fields (B, D) on a grid."""
-
-    grid: Grid
-    B: np.ndarray  # (3, N, N, N)
-    D: np.ndarray  # (3, N, N, N)
-
-    def spectral_divergences(self) -> tuple[float, float]:
-        """Sup norms of the spectral divergences (should be round-off)."""
-        g = self.grid
-        # the divergence is the trace of the gradient grad[i, j] = d_j F_i
-        db = np.trace(g.gradient(g.rfwd(self.B)))
-        dd = np.trace(g.gradient(g.rfwd(self.D)))
-        return float(np.max(np.abs(db))), float(np.max(np.abs(dd)))

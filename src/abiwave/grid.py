@@ -1,17 +1,18 @@
-"""Periodic cubic grid, spectral transforms and dealiasing.
+"""Periodic cubic grid, real-field spectral transforms and dealiasing.
 
 The analysis transform follows the package convention
 (:mod:`abiwave.conventions`): ``F[f](k) = sum_x f(x) exp(+i k.x)``, so
-``F[d_j f] = -i k_j F[f]``.  This is numpy's inverse-FFT kernel; the
-wrappers below hide the bookkeeping.
+``F[d_j f] = -i k_j F[f]``.
 
-Real fields live on the half spectrum: the modes with kz >= 0, i.e.
-last-axis indices 0..N//2 (``n_half`` entries).  ``F[f](-k)`` is
-``conj(F[f](k))``, so the other half carries no information.
-``scipy.fft.rfftn`` computes ``sum_x f(x) exp(-i k.x)``, the conjugate
-of the package transform; :meth:`Grid.rfwd` and :meth:`Grid.rinv`
-conjugate on the way in and out.  Lattice arrays (``kvec``, ``k_norm``,
-the masks) are defined once on the full lattice; half-spectrum code
+Every field is real and lives on the half spectrum, the one transform
+pair (there is no full-lattice complex transform): the modes with
+kz >= 0, i.e. last-axis indices 0..N//2 (``n_half`` entries).
+``F[f](-k)`` is ``conj(F[f](k))``, so the other half carries no
+information.  ``scipy.fft.rfftn`` computes ``sum_x f(x) exp(-i k.x)``,
+the conjugate of the package transform; :meth:`Grid.rfwd` and
+:meth:`Grid.rinv` conjugate on the way in and out.  Lattice arrays
+(``kvec``, ``k_norm``, the masks) are defined on the full lattice,
+where :mod:`abiwave.model` draws its random modes; half-spectrum code
 slices them to ``[..., :n_half]``, which keeps fftfreq's sign: the
 last half-spectrum plane kz = N/2 carries ``k1d[N//2] = -pi N / L``.
 
@@ -114,21 +115,11 @@ class Grid:
 
     # -- transforms -------------------------------------------------
 
-    def fwd(self, f: np.ndarray) -> np.ndarray:
-        """Analysis transform over the last three axes."""
-        return scipy.fft.ifftn(f, axes=(-3, -2, -1), norm="forward",
-                               workers=fft_workers())
-
-    def inv(self, fh: np.ndarray) -> np.ndarray:
-        """Synthesis transform (complex output; take .real for real fields)."""
-        return scipy.fft.fftn(fh, axes=(-3, -2, -1), norm="forward",
-                              workers=fft_workers())
-
     def rfwd(self, f: np.ndarray) -> np.ndarray:
         """Analysis transform of real fields: their half spectra.
 
-        Equals ``fwd(f)[..., :n_half]``; ``rfftn`` has the opposite sign
-        in its exponent, hence the conjugate, taken in place.
+        The package transform at kz >= 0; ``rfftn`` has the opposite
+        sign in its exponent, hence the conjugate, taken in place.
         """
         fh = scipy.fft.rfftn(f, axes=(-3, -2, -1), workers=fft_workers())
         return np.conj(fh, out=fh)
@@ -159,13 +150,6 @@ class Grid:
         return scipy.fft.irfftn(dh, s=(n, n, n), axes=(-3, -2, -1),
                                 workers=fft_workers())
 
-    def deriv(self, fh: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral derivative along spatial axis 0, 1 or 2 (full lattice)."""
-        shape = [1, 1, 1]
-        shape[axis] = self.N
-        karr = self.k1d.reshape(shape)
-        return (-1j) * karr * fh
-
     # -- norms ------------------------------------------------------
 
     @property
@@ -193,19 +177,6 @@ class Grid:
         return float(np.max(np.abs(f)))
 
     # -- helpers ----------------------------------------------------
-
-    def solenoidal_project(self, vh: np.ndarray) -> np.ndarray:
-        """Project a transformed 3-vector field (3,N,N,N) onto div-free."""
-        kx, ky, kz = self.kvec
-        k2 = kx ** 2 + ky ** 2 + kz ** 2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            kdotv = (kx * vh[0] + ky * vh[1] + kz * vh[2]) / k2
-        kdotv[0, 0, 0] = 0.0
-        out = vh.copy()
-        out[0] -= kx * kdotv
-        out[1] -= ky * kdotv
-        out[2] -= kz * kdotv
-        return out
 
     def shell_masks(self):
         """Dyadic shell masks 2^j <= |k| < 2^{j+1} covering the lattice.

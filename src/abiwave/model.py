@@ -10,12 +10,16 @@ lie pointwise on the algebraic manifold tau^2+v^2+b^2+d^2 = 1,
 tau v = d ^ b and, as long as B and D are divergence free, satisfy the
 three constraint equations.  Subtracting the lift of the constant part
 of (B, D) yields an admissible perturbation of that background.
+
+The random fields are drawn as complex Gaussian modes on the full
+lattice and synthesized from the half spectrum of their Hermitian part,
+which is the real part of their full-lattice synthesis.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import EMField, StateField
+from .fields import StateField
 from .grid import Grid
 from .state import AdmissibilityError, ConstantState, bi_lift_constant
 
@@ -36,44 +40,59 @@ def band_profile(grid: Grid, k0: float, width: float) -> np.ndarray:
     return prof
 
 
-def solenoidal_pair(grid: Grid, seed: int, amplitude: float,
-                    k0: float, width: float) -> EMField:
-    """Random divergence-free (B, D) pair, normalized to the requested sup.
+def _band_half_spectrum(grid: Grid, rng: np.random.Generator,
+                        prof: np.ndarray, lead: tuple = ()) -> np.ndarray:
+    """Half spectrum of a random real band-limited field.
 
-    Deterministic in (seed, amplitude, k0, width); spectral divergence
-    vanishes to round-off.
+    The complex Gaussian modes are drawn on the full lattice, so the
+    Philox stream does not depend on the transform, and weighted by
+    ``prof``.  The real part of their synthesis is the synthesis of the
+    Hermitian part h(k) = (v(k) + conj v(-k)) / 2, which ``Grid.rinv``
+    takes on the half spectrum kz >= 0.
+    """
+    shape = lead + prof.shape
+    vh = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * prof
+    neg = -np.arange(grid.N) % grid.N  # lattice index of -k
+    mirror = vh[..., neg[:, None, None], neg[None, :, None],
+                neg[:grid.n_half]]
+    return 0.5 * (vh[..., :grid.n_half] + np.conj(mirror))
+
+
+def solenoidal_pair(grid: Grid, seed: int, amplitude: float,
+                    k0: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Random divergence-free (B, D) pair, each normalized to the requested sup.
+
+    Each field is projected to k . v = 0 on the half spectrum and
+    synthesized with ``Grid.rinv``.  Deterministic in (seed, amplitude,
+    k0, width); the spectral divergence vanishes to round-off.
     """
     rng = _philox(seed)
     prof = band_profile(grid, k0, width)
+    kx, ky, kz = grid.kvec
+    k = (kx, ky, kz[..., :grid.n_half])
+    k2 = kx ** 2 + ky ** 2 + k[2] ** 2
+    k2[0, 0, 0] = 1.0  # no 0/0: the profile empties the mean mode
     out = []
     for _ in range(2):
-        vh = (rng.normal(size=(3,) + prof.shape)
-              + 1j * rng.normal(size=(3,) + prof.shape)) * prof
-        vh = grid.solenoidal_project(vh)
-        v = grid.inv(vh).real  # real part enforces Hermitian symmetry
+        vh = _band_half_spectrum(grid, rng, prof, (3,))
+        kdotv = (k[0] * vh[0] + k[1] * vh[1] + k[2] * vh[2]) / k2
+        for j in range(3):
+            vh[j] -= k[j] * kdotv
+        v = grid.rinv(vh)
         sup = np.max(np.abs(v))
         if sup > 0:
             v *= amplitude / sup
         out.append(v)
-    return EMField(grid, B=out[0], D=out[1])
+    return out[0], out[1]
 
 
-def abi_from_bi(B: EMField | np.ndarray, D: np.ndarray | None = None,
-                grid: Grid | None = None) -> StateField:
-    """Lift electromagnetic fields to absolute ten-component variables.
+def abi_from_bi(B: np.ndarray, D: np.ndarray, grid: Grid) -> StateField:
+    """Lift two (3,N,N,N) electromagnetic fields to absolute variables.
 
-    Accepts an EMField pair or two (3,N,N,N) arrays with a grid.  The
-    output satisfies the manifold identities pointwise by construction
-    and tau > 0 everywhere (h >= 1).
+    The output satisfies the manifold identities pointwise by
+    construction and tau > 0 everywhere (h >= 1).
     """
-    if isinstance(B, EMField):
-        grid, Barr, Darr = B.grid, B.B, B.D
-        if D is not None:
-            raise TypeError("pass either an EMField or two arrays")
-    else:
-        if D is None or grid is None:
-            raise TypeError("array form needs B, D and grid")
-        Barr, Darr = np.asarray(B, float), np.asarray(D, float)
+    Barr, Darr = np.asarray(B, float), np.asarray(D, float)
     if not (np.all(np.isfinite(Barr)) and np.all(np.isfinite(Darr))):
         raise ValueError("non-finite electromagnetic input")
     V = np.cross(Darr, Barr, axis=0)
@@ -122,8 +141,9 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
     lifted constant subtracted.  Constraints hold to spectral accuracy
     and tau0 + tau > 0 is automatic.
 
-    ``chaplygin``: b = d = 0, v a gradient and an independent random
-    tau; exact for backgrounds with b0 = d0 = 0.
+    ``chaplygin``: b = d = 0, v = grad psi (``Grid.gradient`` of a
+    random half spectrum) and an independent random tau; exact for
+    backgrounds with b0 = d0 = 0.
 
     Deterministic given (seed, amplitude, profile).
     """
@@ -136,9 +156,9 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
 
     if kind == "bi_lift":
         B0, D0 = state_em_constants(state)
-        em = solenoidal_pair(grid, seed, amplitude, k0, width)
-        full = abi_from_bi(em.B + B0.reshape(3, 1, 1, 1),
-                           em.D + D0.reshape(3, 1, 1, 1), grid=grid)
+        B, D = solenoidal_pair(grid, seed, amplitude, k0, width)
+        full = abi_from_bi(B + B0.reshape(3, 1, 1, 1),
+                           D + D0.reshape(3, 1, 1, 1), grid)
         const = bi_lift_constant(B0, D0).as_vector()
         pert = full.data - const.reshape(10, 1, 1, 1)
         if np.min(state.tau0 + pert[0]) <= 0:
@@ -150,14 +170,11 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
             raise AdmissibilityError("chaplygin data needs b0 = d0 = 0")
         rng = _philox(seed)
         prof = band_profile(grid, k0, width)
-        psih = (rng.normal(size=prof.shape)
-                + 1j * rng.normal(size=prof.shape)) * prof
-        tauh = (rng.normal(size=prof.shape)
-                + 1j * rng.normal(size=prof.shape)) * prof
+        psih = _band_half_spectrum(grid, rng, prof)
+        tauh = _band_half_spectrum(grid, rng, prof)
         data = np.zeros((10,) + prof.shape)
-        for j in range(3):
-            data[1 + j] = grid.inv(grid.deriv(psih, j)).real
-        data[0] = grid.inv(tauh).real
+        data[1:4] = grid.gradient(psih)
+        data[0] = grid.rinv(tauh)
         sup = max(np.max(np.abs(data[0])), np.max(np.abs(data[1:4])))
         if sup > 0:
             data *= amplitude / sup

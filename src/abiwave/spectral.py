@@ -234,19 +234,6 @@ def decompose_spectral(Uhat: np.ndarray, grid: Grid, state: ConstantState,
     return BranchParts(plus=plus, minus=minus, zero=Uhat - plus - minus)
 
 
-def decompose(field: StateField, state: ConstantState) -> BranchParts:
-    """Physical-space branch fields (complex arrays; their sum is real).
-
-    The wave-branch parts are complex conjugates of each other for real
-    input; the kernel part is real up to round-off.  Works on the full
-    lattice, since the wave parts are not real fields.
-    """
-    grid = field.grid
-    geo = _ModeGeometry(grid.kvec, state)
-    parts = decompose_spectral(grid.fwd(field.data), grid, state, geo)
-    return BranchParts(*(grid.inv(p) for p in parts))
-
-
 def propagate_linear(field: StateField, state: ConstantState, t: float,
                      direction: str = "forward") -> StateField:
     """Exact linear flow: each mode multiplied by exp(-+ i t A0(k)).

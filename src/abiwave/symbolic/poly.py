@@ -143,11 +143,7 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    # -- evaluation and formatting ------------------------------------
-
-    def evaluate_raw(self, values) -> float:
-        """Numeric value of the bare integer polynomial at an 18-vector."""
-        return float(_kernel_py.evaluator([self.terms])([values])[0, 0])
+    # -- formatting ---------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical textual form 'c * X1^a1...X18^a18 +- ...'."""

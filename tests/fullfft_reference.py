@@ -1,11 +1,15 @@
 """Reference implementations the package is tested against.
 
-Full-lattice complex FFT: the right-hand side and the diagnostics row
-as they were computed before real fields moved to the half spectrum.
-Every real field is transformed on the full N^3 lattice with
-``Grid.fwd``/``inv``, one derivative per transform, and synthesized
-fields keep the real part.  ``tests/test_half_spectrum.py`` compares
-the package against them.
+Full-lattice complex FFT: the transform pair ``fwd``/``inv`` with the
+per-axis ``deriv`` and ``solenoidal_project``, which the package held
+before every field moved to the half spectrum, and what was computed
+with them: the right-hand side, the diagnostics row, the physical-space
+branch fields ``decompose`` and the random generators
+``solenoidal_pair`` and ``admissible_perturbation`` (bi_lift and
+chaplygin data).  Every real field is transformed on the full N^3
+lattice, one derivative per transform, and synthesized fields keep the
+real part.  ``tests/test_half_spectrum.py`` and ``tests/test_model.py``
+compare the package against them.
 
 Hand-written block layouts: ``assemble_A0``, ``assemble_L0``,
 ``apply_A0`` and the einsum constraint residual, as they were written
@@ -17,12 +21,103 @@ became polynomials in A0 / |xi|_0.  ``tests/test_tables.py`` compares
 the package against them.
 """
 import numpy as np
+import scipy.fft
 
-from abiwave import system
+from abiwave import model, spectral, system
 from abiwave.diagnostics import manifold_residual
 from abiwave.fields import StateField
 from abiwave.spectral import _ModeGeometry
-from abiwave.state import alpha_beta_delta
+from abiwave.state import alpha_beta_delta, bi_lift_constant
+
+
+def fwd(f):
+    """Analysis transform over the last three axes, full lattice."""
+    return scipy.fft.ifftn(f, axes=(-3, -2, -1), norm="forward")
+
+
+def inv(fh):
+    """Synthesis transform (complex output; take .real for real fields)."""
+    return scipy.fft.fftn(fh, axes=(-3, -2, -1), norm="forward")
+
+
+def inv_real(fh):
+    return inv(fh).real
+
+
+def deriv(grid, fh, axis):
+    """Spectral derivative along spatial axis 0, 1 or 2 (full lattice)."""
+    shape = [1, 1, 1]
+    shape[axis] = grid.N
+    return (-1j) * grid.k1d.reshape(shape) * fh
+
+
+def solenoidal_project(grid, vh):
+    """Project a transformed 3-vector field (3,N,N,N) onto div-free."""
+    kx, ky, kz = grid.kvec
+    k2 = kx ** 2 + ky ** 2 + kz ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kdotv = (kx * vh[0] + ky * vh[1] + kz * vh[2]) / k2
+    kdotv[0, 0, 0] = 0.0
+    out = vh.copy()
+    out[0] -= kx * kdotv
+    out[1] -= ky * kdotv
+    out[2] -= kz * kdotv
+    return out
+
+
+def decompose(field, state):
+    """Physical-space branch fields (complex arrays; their sum is real).
+
+    The wave-branch parts are complex conjugates of each other for real
+    input; the kernel part is real up to round-off.
+    """
+    grid = field.grid
+    parts = spectral.decompose_spectral(fwd(field.data), grid, state,
+                                        full_geometry(grid, state))
+    return spectral.BranchParts(*(inv(p) for p in parts))
+
+
+def band_draw(rng, prof, lead=()):
+    """Complex Gaussian modes weighted by ``prof``, in the generators' order."""
+    shape = lead + prof.shape
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * prof
+
+
+def solenoidal_pair(grid, seed, amplitude, k0, width):
+    """(B, D): projected on the full lattice, real part of the synthesis."""
+    rng = model._philox(seed)
+    prof = model.band_profile(grid, k0, width)
+    out = []
+    for _ in range(2):
+        v = inv_real(solenoidal_project(grid, band_draw(rng, prof, (3,))))
+        sup = np.max(np.abs(v))
+        if sup > 0:
+            v *= amplitude / sup
+        out.append(v)
+    return out[0], out[1]
+
+
+def admissible_perturbation(seed, amplitude, state, grid, k0, width, kind):
+    """The (10,N,N,N) data of ``model.admissible_perturbation``."""
+    if kind == "bi_lift":
+        B0, D0 = model.state_em_constants(state)
+        B, D = solenoidal_pair(grid, seed, amplitude, k0, width)
+        full = model.abi_from_bi(B + B0.reshape(3, 1, 1, 1),
+                                 D + D0.reshape(3, 1, 1, 1), grid)
+        return full.data - bi_lift_constant(B0, D0).as_vector().reshape(
+            10, 1, 1, 1)
+    rng = model._philox(seed)
+    prof = model.band_profile(grid, k0, width)
+    psih = band_draw(rng, prof)
+    tauh = band_draw(rng, prof)
+    data = np.zeros((10,) + prof.shape)
+    for j in range(3):
+        data[1 + j] = inv_real(deriv(grid, psih, j))
+    data[0] = inv_real(tauh)
+    sup = max(np.max(np.abs(data[0])), np.max(np.abs(data[1:4])))
+    if sup > 0:
+        data *= amplitude / sup
+    return data
 
 
 def _cross_matrix(xi):
@@ -204,10 +299,6 @@ def full_geometry(grid, state):
     return _ModeGeometry(grid.kvec, state)
 
 
-def inv_real(grid, fh):
-    return grid.inv(fh).real
-
-
 def rhs_hat(Uhat, grid, state, geo, dealias):
     """Full-lattice spectral right-hand side."""
     out = -1j * apply_A0(Uhat, geo, state)
@@ -216,18 +307,18 @@ def rhs_hat(Uhat, grid, state, geo, dealias):
                   + geo.k[2] * state.v0[2])
         out += 1j * kdotv0 * Uhat
     Uhd = Uhat * grid.dealias_mask if dealias else Uhat * grid.nyquist_mask
-    u = inv_real(grid, Uhd)
+    u = inv_real(Uhd)
     du = np.empty((10, 3) + u.shape[1:])
     for c in range(10):
         for j in range(3):
-            du[c, j] = inv_real(grid, grid.deriv(Uhd[c], j))
+            du[c, j] = inv_real(deriv(grid, Uhd[c], j))
     nl = np.zeros_like(u)
     for row, a, c, j, sign in system.EVOLUTION_TERMS:
         if sign == 1:
             nl[row] += u[a] * du[c, j]
         else:
             nl[row] -= u[a] * du[c, j]
-    nlh = grid.fwd(nl)
+    nlh = fwd(nl)
     if dealias:
         nlh *= grid.dealias_mask
     return out + nlh
@@ -268,8 +359,8 @@ def residual_fields(field, state, grad):
 def constraint_residual(field, state):
     """Sups of the residuals, derivatives on the full lattice."""
     g = field.grid
-    fh = g.fwd(field.data)
-    grad = np.stack([[inv_real(g, g.deriv(fh[c], j)) for j in range(3)]
+    fh = fwd(field.data)
+    grad = np.stack([[inv_real(deriv(g, fh[c], j)) for j in range(3)]
                      for c in range(10)])
     return [float(np.max(np.abs(r)))
             for r in residual_fields(field, state, grad)]
@@ -278,18 +369,18 @@ def constraint_residual(field, state):
 def sample_diagnostics(field, state, t, sobolev_n):
     """The diagnostics row, all on the full lattice."""
     g = field.grid
-    fh = g.fwd(field.data)
+    fh = fwd(field.data)
     geo = ClosedFormGeometry(g.kvec, state)
     plus, minus, zero = (apply_projector(fh, geo, br) for br in (1, -1, 0))
     r1, r2, r3 = constraint_residual(field, state)
     absolute = StateField(g, field.data
                           + state.as_vector().reshape(10, 1, 1, 1))
     man_s, man_v = manifold_residual(absolute)
-    dsup = max(float(np.max(np.abs(inv_real(g, g.deriv(fh, j)))))
+    dsup = max(float(np.max(np.abs(inv_real(deriv(g, fh, j)))))
                for j in range(3))
     b0 = b1 = 0.0
     for j, mask in g.shell_masks():
-        sup = float(np.max(np.abs(inv_real(g, fh * mask))))
+        sup = float(np.max(np.abs(inv_real(fh * mask))))
         b0 += sup
         b1 += 2.0 ** j * sup
     return dict(
@@ -316,11 +407,11 @@ def simulate_final(field, state, dt, nsteps, dealias):
     """RK4 on the full lattice; the physical field after ``nsteps``."""
     g = field.grid
     geo = full_geometry(g, state)
-    Uh = g.fwd(field.data) * g.nyquist_mask
+    Uh = fwd(field.data) * g.nyquist_mask
     for _ in range(nsteps):
         k1 = rhs_hat(Uh, g, state, geo, dealias)
         k2 = rhs_hat(Uh + 0.5 * dt * k1, g, state, geo, dealias)
         k3 = rhs_hat(Uh + 0.5 * dt * k2, g, state, geo, dealias)
         k4 = rhs_hat(Uh + dt * k3, g, state, geo, dealias)
         Uh = Uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return inv_real(g, Uh)
+    return inv_real(Uh)

@@ -47,9 +47,9 @@ def test_w1inf_controlled_by_besov(grid32, rng):
     # sampled form of the embedding W^{1,inf} <= c (B0 + B1)
     g = grid32
     for seed in range(3):
-        em = model.solenoidal_pair(g, seed, 1.0, 3 * 2 * np.pi / g.L,
-                                   1.0 * 2 * np.pi / g.L)
-        f = np.concatenate([em.B, em.D, em.B, em.D[:1]], axis=0)
+        B, Dv = model.solenoidal_pair(g, seed, 1.0, 3 * 2 * np.pi / g.L,
+                                      1.0 * 2 * np.pi / g.L)
+        f = np.concatenate([B, Dv, B, Dv[:1]], axis=0)
         f -= f.mean(axis=(1, 2, 3), keepdims=True)
         w = D.w1inf_norm(g, f)
         b0, b1 = D.besov_norms(g, f)

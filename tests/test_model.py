@@ -3,7 +3,9 @@ import pytest
 
 from abiwave import diagnostics, model
 from abiwave.fields import StateField
+from abiwave.grid import Grid
 from abiwave.state import AdmissibilityError, ConstantState
+import fullfft_reference as R
 
 
 def test_lift_of_vacuum(grid16):
@@ -25,11 +27,48 @@ def test_lift_manifold_identities(grid16, rng):
 
 
 def test_solenoidal_pair_divergence_free(grid32):
-    em = model.solenoidal_pair(grid32, seed=5, amplitude=0.1,
-                               k0=3 * 2 * np.pi / grid32.L,
-                               width=0.75 * 2 * np.pi / grid32.L)
-    db, dd = em.spectral_divergences()
-    assert db < 1e-13 and dd < 1e-13
+    g = grid32
+    pair = model.solenoidal_pair(g, seed=5, amplitude=0.1,
+                                 k0=3 * 2 * np.pi / g.L,
+                                 width=0.75 * 2 * np.pi / g.L)
+    for v in pair:
+        # the divergence is the trace of the gradient grad[i, j] = d_j v_i
+        assert np.max(np.abs(np.trace(g.gradient(g.rfwd(v))))) < 1e-13
+
+
+def test_band_half_spectrum_is_real_part_of_full_synthesis(grid16):
+    # the Hermitian part on the half spectrum synthesizes the real part
+    # of the full-lattice synthesis of the same draw
+    g = grid16
+    prof = model.band_profile(g, 3 * 2 * np.pi / g.L, 0.75 * 2 * np.pi / g.L)
+    for lead in ((), (3,)):
+        got = g.rinv(model._band_half_spectrum(g, model._philox(7), prof,
+                                               lead))
+        want = R.inv_real(R.band_draw(model._philox(7), prof, lead))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("kind", ["bi_lift", "chaplygin"])
+def test_generators_match_full_lattice(n, kind, manifold_bg):
+    g = Grid(N=n, L=2 * np.pi * n / 4)
+    st = manifold_bg if kind == "bi_lift" else ConstantState(tau0=1.0)
+    k0, width = 3 * 2 * np.pi / g.L, 0.75 * 2 * np.pi / g.L
+    # the bi_lift perturbation is a difference of O(1) lifted values, so
+    # it carries their round-off (2.2e-16) whatever the amplitude
+    amp = 0.1
+    for seed in (1234, 1, 5):
+        u = model.admissible_perturbation(seed, amp, st, g, k0, width, kind)
+        want = R.admissible_perturbation(seed, amp, st, g, k0, width, kind)
+        assert np.max(np.abs(u.data - want)) <= 1e-14 * amp
+        if kind == "bi_lift":
+            for v, w in zip(model.solenoidal_pair(g, seed, amp, k0, width),
+                            R.solenoidal_pair(g, seed, amp, k0, width)):
+                assert np.max(np.abs(v - w)) <= 1e-14 * amp
+        # deterministic in (seed, amplitude, profile)
+        again = model.admissible_perturbation(seed, amp, st, g, k0, width,
+                                              kind)
+        assert np.array_equal(u.data, again.data)
 
 
 def test_admissible_zero_amplitude(grid16, manifold_bg):

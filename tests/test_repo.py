@@ -1,5 +1,7 @@
-"""Repository hygiene: git tracks nothing that .gitignore excludes, and
-every function the benchmark tracer wraps exists in the package."""
+"""Repository hygiene: git tracks nothing that .gitignore excludes,
+every function the benchmark tracer wraps exists in the package, and
+the package transforms real fields with rfftn/irfftn only."""
+import ast
 import importlib
 import importlib.util
 import shutil
@@ -36,3 +38,46 @@ def test_tracer_functions_resolve():
     missing = [f"{module}.{attr}" for module, attr, *_ in tracer.FUNCTIONS
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+COMPLEX_FFTS = {f"{module}.{name}" for module in ("scipy.fft", "numpy.fft")
+                for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")}
+
+
+def _import_names(tree):
+    """Local name -> dotted module path, from a module's absolute imports."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                names[a.asname or a.name.split(".")[0]] = (
+                    a.name if a.asname else a.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for a in node.names:
+                names[a.asname or a.name] = f"{node.module}.{a.name}"
+    return names
+
+
+def _dotted(node, names):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(names.get(node.id, node.id))
+    return ".".join(reversed(parts))
+
+
+def test_src_uses_no_complex_full_lattice_fft():
+    # every field is real and lives on the half spectrum; a complex
+    # full-lattice transform would be a second transform pair
+    found = []
+    for path in sorted((ROOT / "src" / "abiwave").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = _import_names(tree)
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Attribute, ast.Name))
+                  and (name := _dotted(node, names)) in COMPLEX_FFTS]
+    assert found == []

@@ -31,8 +31,8 @@ def test_polynomial_text_and_arithmetic():
     assert p.degree == 2
     q = p * p
     assert q.degree == 4
-    assert q.evaluate_raw([1.5] + [0.5] * 17) == pytest.approx(
-        (1 + 3 * 1.5 ** 2 - 2 * 0.5) ** 2)
+    assert _kernel_py.evaluator([q.terms])([[1.5] + [0.5] * 17])[0, 0] \
+        == pytest.approx((1 + 3 * 1.5 ** 2 - 2 * 0.5) ** 2)
 
 
 def _rand_terms(rng, n=15, emax=2, cmax=40):
@@ -92,7 +92,7 @@ def test_reduce_soundness_on_resonant_samples(rng):
         for _ in range(10):
             p = IntPolynomial(_rand_terms(rng))
             d = p - ideal.reduce_poly(p, s)
-            vals = np.array([d.evaluate_raw(X[i]) for i in range(len(X))])
+            vals = _kernel_py.evaluator([d.terms])(X)
             scale = max(1.0, max(abs(c) for c in p.terms.values()) * 10)
             assert np.max(np.abs(vals)) <= 1e-8 * scale
 
@@ -120,9 +120,12 @@ def test_orientation_sign_matches_samplers():
     xi = np.array([0.6, -0.2, 0.9])
     X_same = ideal.numeric_embedding(xi, 0.4 * xi, STATE)
     X_opp = ideal.numeric_embedding(xi, 2.5 * xi, STATE)
-    assert abs(gens_p[6].evaluate_raw(X_same)) <= 1e-14
-    assert abs(gens_m[6].evaluate_raw(X_opp)) <= 1e-14
-    assert abs(gens_p[6].evaluate_raw(X_opp)) > 0.1
+    # at[point, generator] with points (X_same, X_opp)
+    at = _kernel_py.evaluator([gens_p[6].terms, gens_m[6].terms])(
+        [X_same, X_opp])
+    assert abs(at[0, 0]) <= 1e-14
+    assert abs(at[1, 1]) <= 1e-14
+    assert abs(at[1, 0]) > 0.1
 
 
 def test_cofactors_zero_poly_and_degree_bound(rng):

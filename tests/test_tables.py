@@ -40,7 +40,7 @@ def test_L0_matches_block_layout_with_table_signs(rng):
 def _spectrum_and_geometries(g, st, f, lattice):
     """A spectrum of ``f`` with the package and closed-form geometries."""
     if lattice == "full":
-        kvec, Uhat = g.kvec, g.fwd(f)
+        kvec, Uhat = g.kvec, R.fwd(f)
     else:
         kx, ky, kz = g.kvec
         kvec, Uhat = (kx, ky, kz[..., :g.n_half]), g.rfwd(f)
