@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Grid, fft_workers
-from .state import AdmissibilityError, ConstantState
+from .state import AdmissibilityError, ConstantState, bi_lift_constant
 from .fields import StateField
 
 EXIT_OK = 0
@@ -99,8 +99,8 @@ def parse_state(d: dict) -> ConstantState:
     _reject_unknown(d, {"tau0", "v0", "b0", "d0", "manifold_from"}, "state")
     if "manifold_from" in d:
         _reject_unknown(d["manifold_from"], {"B0", "D0"}, "state.manifold_from")
-        from .model import manifold_state
-        return manifold_state(d["manifold_from"]["B0"], d["manifold_from"]["D0"])
+        return bi_lift_constant(B0=d["manifold_from"]["B0"],
+                                D0=d["manifold_from"]["D0"])
     return ConstantState(
         tau0=d["tau0"], v0=d.get("v0", (0, 0, 0)),
         b0=d.get("b0", (0, 0, 0)), d0=d.get("d0", (0, 0, 0)))

@@ -67,15 +67,15 @@ def manifold_residual(field_abs: StateField):
 # norms
 # ----------------------------------------------------------------------
 
-def w1inf_norm(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
+def w1inf_norm(grid: Grid, data: np.ndarray,
                grad: np.ndarray | None = None) -> float:
     """sup |U| + sup |grad U| over components and points.
 
-    ``fh`` is the half spectrum of ``data`` and ``grad`` its
-    :meth:`Grid.gradient`; each is computed when not given.
+    ``grad`` is the :meth:`Grid.gradient` of ``data``, computed when not
+    given.
     """
     if grad is None:
-        grad = grid.gradient(grid.rfwd(data) if fh is None else fh)
+        grad = grid.gradient(grid.rfwd(data))
     return float(np.max(np.abs(data))) + float(np.max(np.abs(grad)))
 
 
@@ -90,7 +90,7 @@ def besov_norms(grid: Grid, data: np.ndarray,
     b0 = 0.0
     b1 = 0.0
     for j, mask in grid.shell_masks():
-        piece = grid.rinv(fh * mask[..., :grid.n_half])
+        piece = grid.rinv(fh * mask)
         sup = float(np.max(np.abs(piece)))
         b0 += sup
         b1 += 2.0 ** j * sup
@@ -174,7 +174,7 @@ def sample_diagnostics(field: StateField, state: ConstantState, t: float,
         H1_up=h1_wave,
         H1_um=h1_wave,
         H1_u0=g.sobolev_norm(parts.zero, 1),
-        W1inf_U=w1inf_norm(g, field.data, fh, grad),
+        W1inf_U=w1inf_norm(g, field.data, grad),
         B0inf1=b0n,
         B1inf1=b1n,
         res_divb_sup=r1["sup"],

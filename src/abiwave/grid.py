@@ -10,11 +10,21 @@ kz >= 0, i.e. last-axis indices 0..N//2 (``n_half`` entries).
 ``F[f](-k)`` is ``conj(F[f](k))``, so the other half carries no
 information.  ``scipy.fft.rfftn`` computes ``sum_x f(x) exp(-i k.x)``,
 the conjugate of the package transform; :meth:`Grid.rfwd` and
-:meth:`Grid.rinv` conjugate on the way in and out.  Lattice arrays
-(``kvec``, ``k_norm``, the masks) are defined on the full lattice,
-where :mod:`abiwave.model` draws its random modes; half-spectrum code
-slices them to ``[..., :n_half]``, which keeps fftfreq's sign: the
-last half-spectrum plane kz = N/2 carries ``k1d[N//2] = -pi N / L``.
+:meth:`Grid.rinv` conjugate on the way in and out.  Every lattice array
+(``kvec``, ``k_norm``, the masks, the shells) is built on the half
+spectrum, with shape (N, N, n_half) once broadcast; only
+:mod:`abiwave.model` draws its random modes on the full lattice, from
+``k1d``.
+
+The Nyquist planes are decided in ``kvec`` alone.  On axis j's Nyquist
+plane the indices N/2 and -N/2 are one lattice point, so an odd
+multiplier such as k_j or A0(k) maps a real field's spectrum to one only
+if it vanishes there: ``kvec[j]`` is 0 on that plane.  Every mode-wise
+operator built from ``kvec`` (the gradient, A0, the v0 transport, the
+projectors, for which P+(-k) = P-(k)) then maps half spectra of real
+fields to half spectra of real fields.  ``k_norm`` is even in k and
+keeps the true magnitude pi N / L there, so the Sobolev norms and the
+Besov shells count those modes at their full wavenumber.
 
 A quadratic quantity of a half spectrum sums each kz = 0 and kz = N/2
 mode once and every other mode twice (:meth:`Grid.sobolev_norm`).  That
@@ -61,53 +71,50 @@ class Grid:
 
     @cached_property
     def k1d(self) -> np.ndarray:
-        """Physical wavenumbers along one axis (fftfreq ordering)."""
+        """Physical wavenumbers along one axis of the full lattice
+        (fftfreq ordering, -pi N / L at index N/2)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
-
-    @cached_property
-    def kvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable wavenumber arrays (kx, ky, kz)."""
-        k = self.k1d
-        return (k[:, None, None], k[None, :, None], k[None, None, :])
-
-    @cached_property
-    def k_norm(self) -> np.ndarray:
-        kx, ky, kz = self.kvec
-        return np.sqrt(kx ** 2 + ky ** 2 + kz ** 2)
-
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """Resolved modes: the three self-conjugate Nyquist planes excluded.
-
-        Complex mode-wise multipliers are only Hermitian-consistent off
-        those planes, so real-field generators and propagators keep them
-        empty.
-        """
-        m = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        keep = m != -(self.N // 2)
-        return (keep[:, None, None] & keep[None, :, None]
-                & keep[None, None, :])
 
     @property
     def n_half(self) -> int:
         """Last-axis length of a half spectrum."""
         return self.N // 2 + 1
 
-    def strip_nyquist(self, fh: np.ndarray) -> np.ndarray:
-        """Zero the three Nyquist planes of a full or half spectrum.
+    def _half(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A per-axis array as three arrays broadcasting to (N, N, n_half)."""
+        return a[:, None, None], a[None, :, None], a[None, None, :self.n_half]
 
-        On a half spectrum the kz = N/2 plane is its last entry, which
-        the sliced mask zeroes together with the kx and ky planes.
-        """
-        return fh * self.nyquist_mask[..., :fh.shape[-1]]
+    @cached_property
+    def kvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Half-spectrum wavenumbers (kx, ky, kz); k_j = 0 on axis j's
+        Nyquist plane, the one place that plane is decided."""
+        k = self.k1d.copy()
+        k[self.N // 2] = 0.0
+        return self._half(k)
+
+    @cached_property
+    def k_norm(self) -> np.ndarray:
+        """|k| on the half spectrum; a Nyquist component counts pi N / L."""
+        kx, ky, kz = self._half(self.k1d)
+        return np.sqrt(kx ** 2 + ky ** 2 + kz ** 2)
+
+    @cached_property
+    def nyquist_mask(self) -> np.ndarray:
+        """Resolved modes: the three self-conjugate Nyquist planes excluded."""
+        m = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        kx, ky, kz = self._half(m != -(self.N // 2))
+        return kx & ky & kz
+
+    def strip_nyquist(self, fh: np.ndarray) -> np.ndarray:
+        """Zero the three Nyquist planes of a half spectrum."""
+        return fh * self.nyquist_mask
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule mask: keep integer modes |m_j| <= N//3."""
         m = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
-        keep = m <= self.N // 3
-        return (keep[:, None, None] & keep[None, :, None]
-                & keep[None, None, :])
+        kx, ky, kz = self._half(m <= self.N // 3)
+        return kx & ky & kz
 
     @cached_property
     def x1d(self) -> np.ndarray:
@@ -136,17 +143,15 @@ class Grid:
         Takes half spectra (..., N, N, n_half) and returns
         (..., 3, N, N, N) with ``out[..., j, :, :, :] = d_j f``.  The
         derivative along axis j is zero on that axis's Nyquist plane,
-        whose mode is real and self-conjugate (the value the real part
-        of a full-lattice synthesis gives).
+        where ``kvec[j]`` is 0 (the value the real part of a
+        full-lattice synthesis gives).
         """
         n = self.N
         c = np.conj(fh)
         dh = np.empty(fh.shape[:-3] + (3,) + fh.shape[-3:], dtype=c.dtype)
         for j, k in enumerate(self.kvec):
             # irfftn takes conjugates (see rinv): conj(-i k F) = i k conj(F)
-            ik = 1j * k[..., :fh.shape[-1]]
-            ik.flat[n // 2] = 0.0
-            np.multiply(ik, c, out=dh[..., j, :, :, :])
+            np.multiply(1j * k, c, out=dh[..., j, :, :, :])
         return scipy.fft.irfftn(dh, s=(n, n, n), axes=(-3, -2, -1),
                                 workers=fft_workers())
 
@@ -169,7 +174,7 @@ class Grid:
         """
         herm = np.full(self.n_half, 2.0)
         herm[[0, -1]] = 1.0
-        w = (1.0 + self.k_norm[..., :self.n_half] ** 2) ** s * herm
+        w = (1.0 + self.k_norm ** 2) ** s * herm
         return float(np.sqrt(self.spectral_weight
                              * np.sum(w * np.abs(fh) ** 2)))
 
@@ -179,7 +184,7 @@ class Grid:
     # -- helpers ----------------------------------------------------
 
     def shell_masks(self):
-        """Dyadic shell masks 2^j <= |k| < 2^{j+1} covering the lattice.
+        """Dyadic shell masks 2^j <= |k| < 2^{j+1} covering the half spectrum.
 
         Returns a list of (j, mask) pairs; the k = 0 mode belongs to no
         shell (homogeneous norms ignore the mean).

@@ -30,12 +30,14 @@ def _philox(seed: int) -> np.random.Generator:
 
 
 def band_profile(grid: Grid, k0: float, width: float) -> np.ndarray:
-    """Gaussian band |k| ~ k0, hard-cut at the dealiasing boundary."""
-    kn = grid.k_norm
+    """Gaussian band |k| ~ k0 on the full lattice, hard-cut at the
+    dealiasing boundary (which empties the Nyquist planes)."""
+    k = grid.k1d
+    kn = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2
+                 + k[None, None, :] ** 2)
     prof = np.exp(-0.5 * ((kn - k0) / width) ** 2)
     kcut = 2.0 * np.pi * (grid.N // 3) / grid.L
     prof *= kn <= kcut
-    prof *= grid.nyquist_mask
     prof[0, 0, 0] = 0.0
     return prof
 
@@ -68,10 +70,9 @@ def solenoidal_pair(grid: Grid, seed: int, amplitude: float,
     """
     rng = _philox(seed)
     prof = band_profile(grid, k0, width)
-    kx, ky, kz = grid.kvec
-    k = (kx, ky, kz[..., :grid.n_half])
-    k2 = kx ** 2 + ky ** 2 + k[2] ** 2
-    k2[0, 0, 0] = 1.0  # no 0/0: the profile empties the mean mode
+    k = grid.kvec
+    k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    k2[k2 == 0] = 1.0  # no 0/0: the profile empties k = 0 modes
     out = []
     for _ in range(2):
         vh = _band_half_spectrum(grid, rng, prof, (3,))
@@ -105,11 +106,6 @@ def abi_from_bi(B: np.ndarray, D: np.ndarray, grid: Grid) -> StateField:
     data[4:7] = tau * Barr
     data[7:10] = tau * Darr
     return StateField(grid, data)
-
-
-def manifold_state(B0, D0) -> ConstantState:
-    """Background on the algebraic manifold, lifted from constant (B0, D0)."""
-    return bi_lift_constant(B0, D0)
 
 
 def state_em_constants(state: ConstantState) -> tuple[np.ndarray, np.ndarray]:

@@ -83,7 +83,7 @@ def rhs(field: StateField, state: ConstantState, dealias: bool = True) -> StateF
 
 
 def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
-             dealias: bool, _check=True) -> np.ndarray:
+             dealias: bool) -> np.ndarray:
     """Spectral-side right-hand side: -i A0 U + advection + nonlinearity.
 
     ``Uhat`` and the result are half spectra (10, N, N, N//2+1).
@@ -93,11 +93,11 @@ def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
         kdotv0 = (geo.k[0] * state.v0[0] + geo.k[1] * state.v0[1]
                   + geo.k[2] * state.v0[2])
         out += 1j * kdotv0 * Uhat
-    mask = grid.dealias_mask[..., :grid.n_half]
+    mask = grid.dealias_mask
     Uhd = Uhat * mask if dealias else grid.strip_nyquist(Uhat)
     u = grid.rinv(Uhd)
     du = grid.gradient(Uhd)  # du[c, j] = d_j u_c
-    if _check and not np.all(np.isfinite(u)):
+    if not np.all(np.isfinite(u)):
         raise BlowUpError("non-finite field in a right-hand side")
     nlh = grid.rfwd(system.quadratic(system.EVOLUTION_TERMS, u, du))
     if dealias:

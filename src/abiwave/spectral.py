@@ -160,9 +160,10 @@ class _ModeGeometry:
     """Per-mode multipliers of A0 and the norm |k|_0 on a lattice.
 
     Built from a broadcastable wavenumber triple (kx, ky, kz) whose first
-    entry is the k = 0 mode: ``Grid.kvec`` for the full lattice, or its
-    slice to a half spectrum.  ``multipliers`` weigh ``A0_SYMBOL``;
-    ``inv_norm0`` is 1 on the mean mode, where A0 = 0, so P0 keeps it.
+    entry is the k = 0 mode, such as ``Grid.kvec``.  ``multipliers``
+    weigh ``A0_SYMBOL``; ``inv_norm0`` is 1 where k = 0 (the mean mode,
+    and the Nyquist corners of ``Grid.kvec``), where A0 = 0, so P0 keeps
+    those modes.
     """
 
     def __init__(self, kvec, state: ConstantState):
@@ -174,15 +175,14 @@ class _ModeGeometry:
 
 def _geometry(grid: Grid, state: ConstantState) -> _ModeGeometry:
     """Mode geometry on the half spectrum of ``grid``."""
-    kx, ky, kz = grid.kvec
-    return _ModeGeometry((kx, ky, kz[..., :grid.n_half]), state)
+    return _ModeGeometry(grid.kvec, state)
 
 
 def apply_projector(Uhat: np.ndarray, geo: _ModeGeometry, branch: int) -> np.ndarray:
     """Apply P^branch mode-wise to transformed components (10, ...).
 
-    The modes are those of ``geo`` (full lattice or half spectrum).  The
-    mean (k = 0) mode is routed wholly to the kernel branch.
+    The modes are those of ``geo``; those with k = 0 (the mean mode)
+    are routed wholly to the kernel branch.
     """
     AU = _apply_Ahat(Uhat, geo)
     if branch == 0:
@@ -246,8 +246,7 @@ def propagate_linear(field: StateField, state: ConstantState, t: float,
         raise ValueError("direction must be 'forward' or 'profile'")
     grid = field.grid
     geo = _geometry(grid, state)
-    # Complex per-mode phases are Hermitian-consistent only off the
-    # self-conjugate Nyquist planes; the flow is exact on the resolved space.
+    # the flow runs on the resolved space, the Nyquist planes left empty
     Uhat = grid.strip_nyquist(field.spectral())
     parts = decompose_spectral(Uhat, grid, state, geo)
     sign = -1.0 if direction == "forward" else +1.0

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from ..resonance import resonant_samples, sample_off_axis
 from . import _kernel_py
 from .ideal import (build_ideal_generators, extract_cofactors,
                     numeric_embedding, reduce_terms)
@@ -78,24 +79,11 @@ def _label(eps, which):
     return "'," + conv[eps[1]] + conv[eps[2]]
 
 
-def resonant_configurations(orientation: int, n: int, seed: int = 0):
-    """Random space-resonant (xi, eta) pairs of the given orientation."""
-    rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(n, 3)) * rng.uniform(0.5, 2.0, (n, 1))
-    if orientation == +1:
-        lam = rng.uniform(0.1, 0.9, (n, 1))
-    else:
-        lam = np.where(rng.uniform(size=(n, 1)) < 0.5,
-                       rng.uniform(1.1, 3.0, (n, 1)),
-                       rng.uniform(-3.0, -0.1, (n, 1)))
-    return xi, lam * xi
-
-
 def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
                            seed: int = 0) -> float:
     """Max |P_i(iota(xi,eta))| over resonant samples; must be tiny."""
     gens = build_ideal_generators(eps2, eps3)
-    xi, eta = resonant_configurations(eps2 * eps3, n, seed)
+    xi, eta = resonant_samples(eps2 * eps3, np.random.default_rng(seed), n)
     X = numeric_embedding(xi, eta, state)
     vals = _kernel_py.evaluator([g.terms for g in gens])(X)
     worst = float(np.max(np.abs(vals)))
@@ -108,7 +96,6 @@ def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
 def preflight_float_crosscheck(tensor: InteractionTensor, state,
                                n: int = 100, seed: int = 1) -> float:
     """Exact tensor vs floating composition at random off-axis points."""
-    from ..resonance import sample_off_axis
     from ..spectral import compose_interaction
 
     rng = np.random.default_rng(seed)

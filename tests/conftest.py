@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from abiwave.grid import Grid
-from abiwave.state import ConstantState
-from abiwave import model
+from abiwave.state import ConstantState, bi_lift_constant
 
 
 def random_state(rng, tau_range=(0.2, 2.0), bd_max=2.0) -> ConstantState:
@@ -38,4 +37,4 @@ def grid32():
 
 @pytest.fixture(scope="session")
 def manifold_bg():
-    return model.manifold_state(B0=(0.3, 0.0, 0.05), D0=(0.0, 0.2, 0.1))
+    return bi_lift_constant(B0=(0.3, 0.0, 0.05), D0=(0.0, 0.2, 0.1))

@@ -1,14 +1,17 @@
 """Reference implementations the package is tested against.
 
 Full-lattice complex FFT: the transform pair ``fwd``/``inv`` with the
-per-axis ``deriv`` and ``solenoidal_project``, which the package held
-before every field moved to the half spectrum, and what was computed
-with them: the right-hand side, the diagnostics row, the physical-space
+per-axis ``deriv`` and ``solenoidal_project`` and the lattice arrays
+``kvec``, ``k_norm``, ``nyquist_mask``, ``dealias_mask`` and
+``shell_masks``, which the package held before every field and lattice
+array moved to the half spectrum, and what was computed with them: the right-hand side, the diagnostics row, the physical-space
 branch fields ``decompose`` and the random generators
 ``solenoidal_pair`` and ``admissible_perturbation`` (bi_lift and
 chaplygin data).  Every real field is transformed on the full N^3
 lattice, one derivative per transform, and synthesized fields keep the
-real part.  ``tests/test_half_spectrum.py`` and ``tests/test_model.py``
+real part.  The lattice keeps fftfreq's -pi N / L on the Nyquist
+planes, where ``Grid.kvec`` has 0, so the two agree off those planes
+only.  ``tests/test_half_spectrum.py`` and ``tests/test_model.py``
 compare the package against them.
 
 Hand-written block layouts: ``assemble_A0``, ``assemble_L0``,
@@ -44,6 +47,46 @@ def inv_real(fh):
     return inv(fh).real
 
 
+def kvec(grid):
+    """Broadcastable full-lattice wavenumbers (kx, ky, kz)."""
+    k = grid.k1d
+    return (k[:, None, None], k[None, :, None], k[None, None, :])
+
+
+def k_norm(grid):
+    kx, ky, kz = kvec(grid)
+    return np.sqrt(kx ** 2 + ky ** 2 + kz ** 2)
+
+
+def _lattice_mask(keep):
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+
+
+def nyquist_mask(grid):
+    """Full-lattice modes off the three Nyquist planes."""
+    m = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    return _lattice_mask(m != -(grid.N // 2))
+
+
+def dealias_mask(grid):
+    """Two-thirds rule on the full lattice: integer modes |m_j| <= N//3."""
+    m = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N))
+    return _lattice_mask(m <= grid.N // 3)
+
+
+def shell_masks(grid):
+    """Dyadic shells 2^j <= |k| < 2^{j+1} on the full lattice."""
+    kn = k_norm(grid)
+    jlo = int(np.floor(np.log2(2.0 * np.pi / grid.L)))
+    jhi = int(np.ceil(np.log2(float(kn.max()))))
+    shells = []
+    for j in range(jlo, jhi + 1):
+        mask = (kn >= 2.0 ** j) & (kn < 2.0 ** (j + 1))
+        if mask.any():
+            shells.append((j, mask))
+    return shells
+
+
 def deriv(grid, fh, axis):
     """Spectral derivative along spatial axis 0, 1 or 2 (full lattice)."""
     shape = [1, 1, 1]
@@ -53,7 +96,7 @@ def deriv(grid, fh, axis):
 
 def solenoidal_project(grid, vh):
     """Project a transformed 3-vector field (3,N,N,N) onto div-free."""
-    kx, ky, kz = grid.kvec
+    kx, ky, kz = kvec(grid)
     k2 = kx ** 2 + ky ** 2 + kz ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         kdotv = (kx * vh[0] + ky * vh[1] + kz * vh[2]) / k2
@@ -296,7 +339,7 @@ def apply_projector(Uhat, geo, branch):
 
 
 def full_geometry(grid, state):
-    return _ModeGeometry(grid.kvec, state)
+    return _ModeGeometry(kvec(grid), state)
 
 
 def rhs_hat(Uhat, grid, state, geo, dealias):
@@ -306,7 +349,7 @@ def rhs_hat(Uhat, grid, state, geo, dealias):
         kdotv0 = (geo.k[0] * state.v0[0] + geo.k[1] * state.v0[1]
                   + geo.k[2] * state.v0[2])
         out += 1j * kdotv0 * Uhat
-    Uhd = Uhat * grid.dealias_mask if dealias else Uhat * grid.nyquist_mask
+    Uhd = Uhat * dealias_mask(grid) if dealias else Uhat * nyquist_mask(grid)
     u = inv_real(Uhd)
     du = np.empty((10, 3) + u.shape[1:])
     for c in range(10):
@@ -320,13 +363,13 @@ def rhs_hat(Uhat, grid, state, geo, dealias):
             nl[row] -= u[a] * du[c, j]
     nlh = fwd(nl)
     if dealias:
-        nlh *= grid.dealias_mask
+        nlh *= dealias_mask(grid)
     return out + nlh
 
 
 def sobolev_norm(grid, fh, s):
     """H^s norm from a full-lattice spectrum."""
-    w = (1.0 + grid.k_norm ** 2) ** s
+    w = (1.0 + k_norm(grid) ** 2) ** s
     return float(np.sqrt(grid.spectral_weight * np.sum(w * np.abs(fh) ** 2)))
 
 
@@ -370,7 +413,7 @@ def sample_diagnostics(field, state, t, sobolev_n):
     """The diagnostics row, all on the full lattice."""
     g = field.grid
     fh = fwd(field.data)
-    geo = ClosedFormGeometry(g.kvec, state)
+    geo = ClosedFormGeometry(kvec(g), state)
     plus, minus, zero = (apply_projector(fh, geo, br) for br in (1, -1, 0))
     r1, r2, r3 = constraint_residual(field, state)
     absolute = StateField(g, field.data
@@ -379,7 +422,7 @@ def sample_diagnostics(field, state, t, sobolev_n):
     dsup = max(float(np.max(np.abs(inv_real(deriv(g, fh, j)))))
                for j in range(3))
     b0 = b1 = 0.0
-    for j, mask in g.shell_masks():
+    for j, mask in shell_masks(g):
         sup = float(np.max(np.abs(inv_real(fh * mask))))
         b0 += sup
         b1 += 2.0 ** j * sup
@@ -407,7 +450,7 @@ def simulate_final(field, state, dt, nsteps, dealias):
     """RK4 on the full lattice; the physical field after ``nsteps``."""
     g = field.grid
     geo = full_geometry(g, state)
-    Uh = fwd(field.data) * g.nyquist_mask
+    Uh = fwd(field.data) * nyquist_mask(g)
     for _ in range(nsteps):
         k1 = rhs_hat(Uh, g, state, geo, dealias)
         k2 = rhs_hat(Uh + 0.5 * dt * k1, g, state, geo, dealias)

@@ -12,7 +12,7 @@ import pytest
 from abiwave import diagnostics as D
 from abiwave import model, resonance as R, simulate, spectral
 from abiwave.grid import Grid
-from abiwave.state import ConstantState, norm0
+from abiwave.state import ConstantState, bi_lift_constant, norm0
 from abiwave.symbolic import certify as certify_mod
 from abiwave.symbolic import ideal, tensors
 from conftest import random_state, random_xi
@@ -44,7 +44,7 @@ def grid32a():
 
 @pytest.fixture(scope="module")
 def bg():
-    return model.manifold_state(B0=(0.3, 0.0, 0.05), D0=(0.0, 0.2, 0.1))
+    return bi_lift_constant(B0=(0.3, 0.0, 0.05), D0=(0.0, 0.2, 0.1))
 
 
 @pytest.fixture(scope="module")

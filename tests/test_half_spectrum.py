@@ -1,12 +1,14 @@
 """Half-spectrum transforms, solver and diagnostics against the
 full-lattice complex-FFT reference in ``fullfft_reference.py``.
 
-Fields are Nyquist-free, as the solver keeps its state (``simulate``
-strips the Nyquist planes before the first sample and dealiasing keeps
-them empty).  On the Nyquist planes the full lattice gives every mode
-the wavenumber -pi N / L, so mode-wise multipliers there do not map a
-real field's spectrum to one; the half spectrum stores those planes as
-Hermitian, and the two representations differ there only.
+Fields are mostly Nyquist-free, as the solver keeps its state
+(``simulate`` strips the Nyquist planes before the first sample and
+dealiasing keeps them empty).  On the Nyquist planes the reference gives
+every mode the wavenumber -pi N / L, so its odd mode-wise multipliers
+there do not map a real field's spectrum to one; ``Grid.kvec`` is 0
+there, and the two differ on those planes only.  The round-trip tests
+check that the package's operators keep real fields real, Nyquist
+content included.
 """
 import numpy as np
 import pytest
@@ -73,7 +75,57 @@ def test_rhs_matches_full_lattice(grid16, manifold_bg, dealias):
         new = simulate._rhs_hat(u.spectral(), g, st,
                                 spectral._geometry(g, st), dealias)
         ref = R.rhs_hat(R.fwd(u.data), g, st, R.full_geometry(g, st), dealias)
-        assert _rel(new, ref[..., :g.n_half]) <= 1e-12
+        off = g.nyquist_mask  # the reference's Nyquist planes differ
+        assert _rel(new * off, ref[..., :g.n_half] * off) <= 1e-12
+
+
+def test_lattice_arrays_live_on_the_half_spectrum(grid16):
+    g = grid16
+    half, ny = (g.N, g.N, g.n_half), g.N // 2
+    shells = [m for _, m in g.shell_masks()]
+    for a in [*g.kvec, g.k_norm, g.nyquist_mask, g.dealias_mask, *shells]:
+        assert np.broadcast_shapes(a.shape, half) == half
+    for k in g.kvec:
+        # k_j is 0 on axis j's Nyquist plane and k1d elsewhere
+        line = k.ravel()
+        assert line[ny] == 0.0
+        assert np.array_equal(np.delete(line, ny),
+                              np.delete(g.k1d[:line.size], ny))
+    # |k| keeps the true magnitude pi N / L on the Nyquist planes
+    kabs = np.abs(g.k1d)
+    want = np.sqrt(kabs[:, None, None] ** 2 + kabs[None, :, None] ** 2
+                   + kabs[None, None, :g.n_half] ** 2)
+    assert np.array_equal(g.k_norm, want)
+    for idx in ((ny, 0, 0), (0, ny, 0), (0, 0, ny)):
+        assert g.k_norm[idx] == pytest.approx(np.pi * g.N / g.L, rel=1e-15)
+
+
+def _stays_real(g, out):
+    """Relative change of a half spectrum under rfwd(rinv(.))."""
+    return _rel(g.rfwd(g.rinv(out)), out)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_rhs_maps_real_fields_to_real_fields(grid16, manifold_bg, rng,
+                                             dealias):
+    # a generic real field, Nyquist content included
+    g, st = grid16, manifold_bg
+    assert np.any(st.v0)
+    fh = g.rfwd(1e-2 * rng.normal(size=(10,) + (g.N,) * 3))
+    out = simulate._rhs_hat(fh, g, st, spectral._geometry(g, st), dealias)
+    assert _stays_real(g, out) <= 1e-13
+
+
+def test_mode_wise_operators_map_real_fields_to_real_fields(grid16, rng):
+    g = grid16
+    st = random_state(rng).with_v0(rng.normal(size=3))
+    geo = spectral._geometry(g, st)
+    fh = g.rfwd(rng.normal(size=(10,) + (g.N,) * 3))
+    # A0 is real and odd in k: -i A0 is the real operator
+    flow = -1j * spectral.apply_A0(fh, geo)
+    A2U = spectral._apply_Ahat(spectral._apply_Ahat(fh, geo), geo)
+    for out in (flow, A2U):
+        assert _stays_real(g, out) <= 1e-13
 
 
 def test_run_without_dealiasing_matches_off_nyquist(grid16, manifold_bg):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from abiwave.resonance import resonant_samples
 from abiwave.state import ConstantState
 from abiwave.symbolic import _kernel_py
 from abiwave.symbolic.poly import IntPolynomial, pack, unpack
@@ -87,7 +88,7 @@ def test_reduce_idempotent_and_linear(seed, a, b, s):
 def test_reduce_soundness_on_resonant_samples(rng):
     # p - reduce(p) must vanish at the numeric embedding of resonant points
     for s in (1, -1):
-        xi, eta = C.resonant_configurations(s, 50, seed=3)
+        xi, eta = resonant_samples(s, np.random.default_rng(3), 50)
         X = ideal.numeric_embedding(xi, eta, STATE)
         for _ in range(10):
             p = IntPolynomial(_rand_terms(rng))
@@ -393,10 +394,10 @@ def test_certified_tensor_vanishes_on_resonant_configurations():
     # the factorization consequence: numeric symbol ~ 0 on the resonant set
     eps = (1, 1, 1)
     T = tensors.build_interaction_tensor(eps)
-    xi, eta = C.resonant_configurations(+1, 40, seed=9)
+    xi, eta = resonant_samples(+1, np.random.default_rng(9), 40)
     X = ideal.numeric_embedding(xi, eta, STATE)
     vals = T.evaluator()(X)
-    off_xi, off_eta = C.resonant_configurations(-1, 40, seed=9)
+    off_xi, off_eta = resonant_samples(-1, np.random.default_rng(9), 40)
     scale = np.max(np.abs(T.evaluator()(
         ideal.numeric_embedding(off_xi, off_eta, STATE))))
     assert np.max(np.abs(vals)) <= 1e-8 * scale

@@ -40,9 +40,9 @@ def test_L0_matches_block_layout_with_table_signs(rng):
 def _spectrum_and_geometries(g, st, f, lattice):
     """A spectrum of ``f`` with the package and closed-form geometries."""
     if lattice == "full":
-        kvec, Uhat = g.kvec, R.fwd(f)
+        kvec, Uhat = R.kvec(g), R.fwd(f)
     else:
-        kx, ky, kz = g.kvec
+        kx, ky, kz = R.kvec(g)
         kvec, Uhat = (kx, ky, kz[..., :g.n_half]), g.rfwd(f)
     return (Uhat, spectral._ModeGeometry(kvec, st),
             R.ClosedFormGeometry(kvec, st))
