@@ -11,18 +11,18 @@ bound is checked once where it is decided, not in the inner loops:
 * :func:`mul_add_into` trusts its caller:
   :func:`abiwave.symbolic.tensors.build_interaction_tensor` checks the
   factor degrees once per tensor;
-* :func:`stage1_substitute` and :func:`stage2_rewrite` trust
-  :func:`abiwave.symbolic.ideal.reduce_terms`, which checks each entry
-  once (stage one keeps the total degree, stage two never raises it).
+* :func:`abiwave.symbolic.ideal.reduce_terms` checks it once per
+  :class:`TermTable`, on the table's exponent array (stage one of the
+  reduction keeps the total degree, stage two never raises it).
 
 Reading many keys at once is vectorized.  A key of eighteen 7-bit
 fields splits into two ``int64`` halves of nine fields each
 (``key & (2**63 - 1)`` and ``key >> 63``), and NumPy shifts and masks
 unpack those halves into an ``(n, 18)`` exponent array
 (:func:`exponents`).  :func:`degree` is a row sum and max over that
-array; it is still called exactly where the bound is checked, as listed
-above.  :func:`evaluator` evaluates many polynomials at many float
-points through the same array.
+array.  A :class:`TermTable` holds many polynomials over one index of
+their distinct keys; the float gates (:func:`evaluator`), the tensor
+statistics and the exact reduction all read that one table.
 
 This is the only polynomial kernel; every symbolic module uses it.
 """
@@ -46,17 +46,6 @@ _LOW = (1 << _HALF_BITS) - 1
 _SHIFTS = np.arange(_HALF_FIELDS, dtype=np.int64) * BITS
 # below this many keys the bit loop costs less than the NumPy calls
 _VECTOR_MIN = 8
-
-# substitution targets for the first reduction stage:
-# X7 <- s X4, X8 <- s X5, X9 <- s X6, X16 <- X13, X17 <- s X14, X18 <- s X15
-# (0-based variable indices)
-_STAGE1 = ((6, 3, True), (7, 4, True), (8, 5, True),
-           (15, 12, False), (16, 13, True), (17, 14, True))
-
-# second stage: rewrite squares of the third component of each unit /
-# direction-cosine triple still present after stage one:
-# X3^2 -> 1 - X1^2 - X2^2 etc.  Entries: (var, partner_a, partner_b)
-_STAGE2 = ((2, 0, 1), (5, 3, 4), (11, 9, 10), (14, 12, 13))
 
 
 def pack(exps) -> int:
@@ -85,6 +74,21 @@ def exponents(keys: list) -> np.ndarray:
     halves[:, 0] = np.fromiter((k & _LOW for k in keys), np.int64, n)
     halves[:, 1] = np.fromiter((k >> _HALF_BITS for k in keys), np.int64, n)
     return ((halves[:, :, None] >> _SHIFTS) & MASK).reshape(n, NVARS)
+
+
+def pack_halves(exps: np.ndarray) -> np.ndarray:
+    """The (n, 2) int64 key halves of an (n, NVARS) exponent array.
+
+    Inverse of :func:`exponents`: row r is ``(key & (2**63 - 1),
+    key >> 63)`` of the key packed from row r, whose exponents must be
+    at most ``MAX_EXP``.
+    """
+    return (exps.reshape(-1, 2, _HALF_FIELDS) << _SHIFTS).sum(axis=2)
+
+
+def join_halves(halves: np.ndarray) -> list:
+    """The packed keys, as Python ints, of rows of :func:`pack_halves`."""
+    return [lo | (hi << _HALF_BITS) for lo, hi in halves.tolist()]
 
 
 def _key_degree(key: int) -> int:
@@ -160,109 +164,63 @@ def mul_add_into(acc: dict, c: int, p: dict, q: dict, r: dict) -> None:
                     del acc[k]
 
 
-def stage1_substitute(p: dict, s: int) -> dict:
-    """Eliminate the xi-eta slot variables using the collinearity relations.
+class TermTable:
+    """Many polynomials over one index of their distinct monomials.
 
-    Each monomial X7^a X8^b X9^c X16^d X17^e X18^f picks up the factor
-    s^(a+b+c+e+f) and moves those exponents onto X4, X5, X6, X13, X14,
-    X15 respectively.  Precondition: degree(p) <= MAX_EXP, checked by
-    the caller.
+    Built in one Python pass over an iterable of term dicts:
+
+    * ``keys``: the distinct packed keys, numbered on sight, and
+      ``exps``, their ``(K, NVARS)`` exponent array (``int8``: no
+      exponent of a packed key exceeds ``MAX_EXP`` = 127);
+    * ``rows`` and ``cols``: for every term, its polynomial (row) and
+      its key column; terms are stored row by row;
+    * ``coefs``: the exact coefficients, Python ints in an object array;
+    * ``sizes``: the number of terms of each row.
+
+    ``len(table)`` is the number of terms.
     """
-    out: dict = {}
-    for key, v in p.items():
-        sign_pow = 0
-        nk = key
-        for src, dst, signed in _STAGE1:
-            e = (key >> (BITS * src)) & MASK
-            if e:
-                nk -= e << (BITS * src)
-                nk += e << (BITS * dst)  # carry-free: merged exponent <= degree
-                if signed:
-                    sign_pow += e
-        if s < 0 and (sign_pow & 1):
-            v = -v
-        nv = out.get(nk, 0) + v
-        if nv:
-            out[nk] = nv
-        else:
-            del out[nk]
-    return out
+
+    def __init__(self, polys):
+        # key -> column, numbered on sight
+        index = defaultdict(count().__next__)
+        cols: list = []
+        coefs: list = []
+        sizes: list = []
+        for terms in polys:
+            cols.extend(map(index.__getitem__, terms))
+            coefs.extend(terms.values())
+            sizes.append(len(terms))
+        self.keys = list(index)
+        self.exps = exponents(self.keys).astype(np.int8)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.rows = np.repeat(np.arange(len(sizes), dtype=np.int64),
+                              self.sizes)
+        self.cols = np.array(cols, dtype=np.int64)
+        self.coefs = np.empty(len(coefs), dtype=object)
+        self.coefs[:] = coefs
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def degree(self) -> int:
+        """Largest total degree over all rows (0 for an empty table)."""
+        return int(self.exps.sum(axis=1).max(initial=0))
 
 
-_MULTINOM_CACHE: dict = {}
+def evaluator(table: TermTable):
+    """Batch float evaluator: (npoints, NVARS) -> (npoints, rows).
 
-
-def _trinomial_rows(m: int):
-    """Coefficients of (1 - A - B)^m as {(j, l): coeff} with A^j B^l."""
-    if m in _MULTINOM_CACHE:
-        return _MULTINOM_CACHE[m]
-    from math import comb
-    rows = {}
-    for j in range(m + 1):
-        for l in range(m + 1 - j):
-            c = comb(m, j) * comb(m - j, l)
-            if (j + l) & 1:
-                c = -c
-            rows[(j, l)] = c
-    _MULTINOM_CACHE[m] = rows
-    return rows
-
-
-def stage2_rewrite(p: dict) -> dict:
-    """Rewrite even powers of the four dependent variables.
-
-    X3^(2m+r) -> (1 - X1^2 - X2^2)^m X3^r and likewise for X6, X12,
-    X15; afterwards those variables appear with exponent zero or one.
-    Precondition: degree(p) <= MAX_EXP, checked by the caller.
+    The table's coefficients form a sparse (rows x monomials) matrix.
+    Evaluation reads each monomial's factors from a per-variable power
+    table ``X[:, v] ** e`` and contracts the monomial values with the
+    matrix.
     """
-    cur = p
-    for var, pa, pb in _STAGE2:
-        out: dict = {}
-        sh = BITS * var
-        for key, v in cur.items():
-            e = (key >> sh) & MASK
-            if e < 2:
-                nv = out.get(key, 0) + v
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-                continue
-            m, r = divmod(e, 2)
-            base = key - ((e - r) << sh)
-            for (j, l), c in _trinomial_rows(m).items():
-                nk = base + (2 * j << (BITS * pa)) + (2 * l << (BITS * pb))
-                nv = out.get(nk, 0) + c * v
-                if nv:
-                    out[nk] = nv
-                else:
-                    del out[nk]
-        cur = out
-    return cur
-
-
-def evaluator(polys):
-    """Batch float evaluator: (npoints, NVARS) -> (npoints, len(polys)).
-
-    ``polys`` is an iterable of term dicts, read once.  One pass over
-    their terms builds the index of distinct keys and a
-    sparse (polynomials x monomials) coefficient matrix.  Evaluation
-    reads each monomial's factors from a per-variable power table
-    ``X[:, v] ** e`` and contracts the monomial values with the matrix.
-    """
-    index = defaultdict(count().__next__)  # key -> column, numbered on sight
-    cols: list = []
-    coefs: list = []
-    indptr = [0]
-    for terms in polys:
-        cols.extend(map(index.__getitem__, terms))
-        coefs.extend(terms.values())
-        indptr.append(len(cols))
+    indptr = np.zeros(len(table.sizes) + 1, dtype=np.int64)
+    np.cumsum(table.sizes, out=indptr[1:])
     matrix = scipy.sparse.csr_matrix(
-        (np.array(coefs, dtype=float), np.array(cols, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, len(index)))
-    exps = exponents(list(index))
+        (table.coefs.astype(float), table.cols, indptr),
+        shape=(len(table.sizes), len(table.keys)))
+    exps = table.exps
     used = [(v, int(exps[:, v].max())) for v in range(NVARS)
             if exps[:, v].any()]
 
@@ -270,8 +228,8 @@ def evaluator(polys):
         points = np.asarray(points, dtype=float)
         mono = np.ones((len(exps), len(points)))
         for v, top in used:
-            table = points[:, v] ** np.arange(top + 1)[:, None]
-            mono *= table[exps[:, v]]
+            powers = points[:, v] ** np.arange(top + 1)[:, None]
+            mono *= powers[exps[:, v]]
         return (matrix @ mono).T
 
     return evaluate

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
@@ -38,6 +38,17 @@ class PreflightError(RuntimeError):
 
 @dataclass
 class Certificate:
+    """The residue status of one interaction tensor.
+
+    ``entries_total`` counts the nonempty entries that were reduced and
+    ``entries_nonzero`` those with a nonzero residue; ``witnesses``
+    names the first sixteen of them with their leading residue monomial.
+    ``max_degree`` and ``terms_max`` describe the *unreduced* tensor
+    (the largest total degree and the most terms of any of its entries,
+    the full tensor also for the chaplygin subsystem), read from the
+    tensor's term table; reduction does not change them.
+    """
+
     interaction: str
     which: str
     entries_total: int
@@ -85,7 +96,8 @@ def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
     gens = build_ideal_generators(eps2, eps3)
     xi, eta = resonant_samples(eps2 * eps3, np.random.default_rng(seed), n)
     X = numeric_embedding(xi, eta, state)
-    vals = _kernel_py.evaluator([g.terms for g in gens])(X)
+    table = _kernel_py.TermTable(g.terms for g in gens)
+    vals = _kernel_py.evaluator(table)(X)
     worst = float(np.max(np.abs(vals)))
     if worst > GATE_ANNIHILATION_TOL:
         raise PreflightError(
@@ -141,41 +153,39 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
         preflight_annihilation(eps[1], eps[2], state)
         preflight_float_crosscheck(tensor, state, n=float_checks)
     if mutate_entry is not None:
+        # a new tensor, so the mutated entries get a table of their own
         i, j, k = mutate_entry
-        terms = dict(tensor.entries[i][j][k])
+        entries = [[list(line) for line in plane] for plane in tensor.entries]
+        terms = dict(entries[i][j][k])
         terms[0] = terms.get(0, 0) + 1
-        tensor.entries[i][j][k] = terms
+        entries[i][j][k] = terms
+        tensor = replace(tensor, entries=entries)
 
-    row_limit = 4 if subsystem == "chaplygin" else None
+    if subsystem == "chaplygin":
+        block = [(idx, chaplygin_substitute(terms))
+                 for idx, terms in tensor.iter_entries()
+                 if _in_chaplygin_block(idx, which)]
+        index = [idx for idx, _ in block]
+        table = _kernel_py.TermTable(terms for _, terms in block)
+    else:
+        index = [idx for idx, _ in tensor.iter_entries()]
+        table = tensor.table
+    residues = reduce_terms(table, s)
     witnesses = []
-    total = 0
-    nonzero = 0
-    for (i, j, k), terms in tensor.iter_entries():
-        if row_limit is not None:
-            if which == "evolution" and i >= row_limit:
-                continue
-            if j >= row_limit or k >= row_limit:
-                continue
-            terms = chaplygin_substitute(terms)
-        if not terms:
-            continue
-        total += 1
-        residue = reduce_terms(terms, s)
-        if residue:
-            nonzero += 1
-            if len(witnesses) < 16:
-                lead = IntPolynomial(residue).leading_monomial()
-                witnesses.append({
-                    "entry": [i, j, k],
-                    "residue_terms": len(residue),
-                    "witness_monomial": {"exponents": list(lead[0]),
-                                         "coefficient": str(lead[1])},
-                })
+    for row in sorted(residues)[:16]:
+        residue = residues[row]
+        lead = IntPolynomial(residue).leading_monomial()
+        witnesses.append({
+            "entry": list(index[row]),
+            "residue_terms": len(residue),
+            "witness_monomial": {"exponents": list(lead[0]),
+                                 "coefficient": str(lead[1])},
+        })
     cert = Certificate(
         interaction=_label(eps, which),
         which="N" if which == "evolution" else "Nprime",
-        entries_total=total,
-        entries_nonzero=nonzero,
+        entries_total=int(np.count_nonzero(table.sizes)),
+        entries_nonzero=len(residues),
         witnesses=witnesses,
         max_degree=tensor.max_degree(),
         terms_max=tensor.term_counts()[0],
@@ -183,9 +193,15 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
         backend=kernel_backend(),
         subsystem=subsystem,
     )
-    if with_cofactors and nonzero == 0:
+    if with_cofactors and not residues:
         cert.cofactors = _sample_cofactors(tensor, eps)
     return cert
+
+
+def _in_chaplygin_block(idx, which: str) -> bool:
+    """Whether entry (i, j, k) lies in the four-component (tau, v) block."""
+    i, j, k = idx
+    return (which != "evolution" or i < 4) and j < 4 and k < 4
 
 
 def _sample_cofactors(tensor: InteractionTensor, eps, max_entries: int = 3):

@@ -14,16 +14,40 @@ with the orientation sign s = eps2 * eps3:
     P11,P12 = X14 - s X17, X15 - s X18.
 
 Reduction is a two-stage normal form: substitute away X7..X9 and
-X16..X18, then rewrite even powers of X3, X6, X12, X15.  It is exact,
-idempotent, Z-linear and independent of term order; an entry reduces to
-the empty polynomial iff it lies in the ideal generated this way.
+X16..X18, then rewrite even powers of X3, X6, X12, X15.  The stage-two
+leading terms X3^2, X6^2, X12^2, X15^2 are pairwise coprime, so they
+form a Groebner basis (Buchberger's first criterion; Cox-Little-O'Shea,
+*Ideals, Varieties, and Algorithms*, ch. 2) and the normal form is
+exact, idempotent, Z-linear and independent of term order; an entry
+reduces to the empty polynomial iff it lies in the ideal generated this
+way.  Because it is Z-linear, :func:`reduce_terms` rewrites each
+distinct monomial of a :class:`~abiwave.symbolic._kernel_py.TermTable`
+once and then sums coefficients with NumPy, instead of rewriting every
+term of every entry.
 """
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
 from . import _kernel_py
+from ._kernel_py import TermTable
 from .poly import IntPolynomial
+
+# stage one substitutes the collinearity relations:
+# X7 <- s X4, X8 <- s X5, X9 <- s X6, X16 <- X13, X17 <- s X14, X18 <- s X15
+# as (source, target, carries s) with 0-based variable indices
+_STAGE1 = ((6, 3, True), (7, 4, True), (8, 5, True),
+           (15, 12, False), (16, 13, True), (17, 14, True))
+_SOURCES = [src for src, _, _ in _STAGE1]
+_TARGETS = [dst for _, dst, _ in _STAGE1]
+_SIGNED = [src for src, _, signed in _STAGE1 if signed]
+
+# stage two rewrites squares of the third component of each unit /
+# direction-cosine triple still present after stage one:
+# X3^2 -> 1 - X1^2 - X2^2 etc.  Entries: (var, partner_a, partner_b)
+_STAGE2 = ((2, 0, 1), (5, 3, 4), (11, 9, 10), (14, 12, 13))
 
 
 def build_ideal_generators(eps2: int, eps3: int) -> list[IntPolynomial]:
@@ -48,22 +72,151 @@ def build_ideal_generators(eps2: int, eps3: int) -> list[IntPolynomial]:
     return gens
 
 
-def reduce_terms(terms: dict, s: int) -> dict:
-    """Normal form of a bare term-dict modulo the orientation-s ideal.
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges [start[i], start[i] + size[i]), concatenated."""
+    ends = np.cumsum(size)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(start - ends + size, size))
 
-    The packing bound is checked here, once: stage one keeps the total
-    degree and stage two never raises it.
+
+def _distinct(exps: np.ndarray):
+    """Distinct rows of an exponent array, and each row's index among them."""
+    halves = _kernel_py.pack_halves(exps)
+    order = np.lexsort(halves.T)
+    halves = halves[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (halves[1:] != halves[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return exps[order[new]], inverse
+
+
+def _merge(rows, monos, coefs, nmonos: int):
+    """Sum the coefficients of equal (row, monomial) pairs; drop zero sums.
+
+    Returns (rows, monomials, sums), sorted by row and then monomial.
     """
-    if _kernel_py.degree(terms) > _kernel_py.MAX_EXP:
+    code = rows * nmonos + monos
+    order = np.argsort(code)
+    code = code[order]
+    head = np.flatnonzero(np.diff(code, prepend=-1))
+    sums = np.add.reduceat(coefs[order], head) if len(head) else coefs[:0]
+    keep = sums != 0
+    code = code[head[keep]]
+    return code // nmonos, code % nmonos, sums[keep]
+
+
+def _trinomials(top: int):
+    """The terms c A^j B^l of (1 - A - B)^m for m = 0..top.
+
+    Returns the arrays j, l and c (Python ints) of all terms, m by m, and
+    each m's first term and term count.
+    """
+    j, l, c = [], [], []
+    for m in range(top + 1):
+        for a in range(m + 1):
+            for b in range(m + 1 - a):
+                j.append(a)
+                l.append(b)
+                c.append((-1) ** (a + b) * comb(m, a) * comb(m - a, b))
+    size = np.array([(m + 1) * (m + 2) // 2 for m in range(top + 1)],
+                    dtype=np.int64)
+    coefs = np.empty(len(c), dtype=object)
+    coefs[:] = c
+    return (np.array(j, dtype=np.int64), np.array(l, dtype=np.int64), coefs,
+            np.cumsum(size) - size, size)
+
+
+def _stage2(monos: np.ndarray):
+    """Stage two of each stage-one monomial: (owner, reduced exps, coefs).
+
+    X_v^(2m+r) -> (1 - X_a^2 - X_b^2)^m X_v^r for every (v, a, b) in
+    ``_STAGE2``.  Row n of the result is a term of the expansion of
+    ``monos[owner[n]]``; ``owner`` is sorted, and the reduced monomials
+    of one owner are distinct, since no partner is rewritten itself.
+    """
+    owner = np.arange(len(monos))
+    coefs = np.ones(len(monos), dtype=object)
+    top = int(monos[:, [v for v, _, _ in _STAGE2]].max(initial=0)) // 2
+    tri_j, tri_l, tri_c, tri_start, tri_size = _trinomials(top)
+    for var, pa, pb in _STAGE2:
+        m = monos[:, var] >> 1
+        if not m.any():
+            continue
+        size = tri_size[m]
+        at = _ranges(tri_start[m], size)
+        rep = np.repeat(np.arange(len(monos)), size)
+        monos = monos[rep]
+        monos[:, var] &= 1
+        monos[:, pa] += 2 * tri_j[at]
+        monos[:, pb] += 2 * tri_l[at]
+        coefs = coefs[rep] * tri_c[at]
+        owner = owner[rep]
+    return owner, monos, coefs
+
+
+def _stage1(table: TermTable, s: int):
+    """Stage one, merged: (stage-one monomials, rows, monomial, coefs)."""
+    exps = table.exps
+    moved = exps.copy()
+    moved[:, _TARGETS] += exps[:, _SOURCES]
+    moved[:, _SOURCES] = 0
+    monos, mono_of_key = _distinct(moved)
+    coefs = table.coefs
+    if s < 0:
+        flip = (exps[:, _SIGNED].sum(axis=1) & 1).astype(bool)[table.cols]
+        coefs = coefs.copy()
+        coefs[flip] = -coefs[flip]
+    return (monos,) + _merge(table.rows, mono_of_key[table.cols], coefs,
+                             len(monos))
+
+
+def reduce_terms(table: TermTable, s: int) -> dict:
+    """Normal forms of a term table's rows modulo the orientation-s ideal.
+
+    Returns ``{row: residue term dict}`` for the rows whose normal form
+    is nonzero.  The steps:
+
+    1. the packing bound is checked once, on ``table.exps``: stage one
+       keeps the total degree and stage two never raises it;
+    2. stage one moves exponent columns of the distinct monomials, and
+       the terms of monomials with an odd power of s change sign;
+    3. terms are merged by (row, stage-one monomial);
+    4. stage two expands each distinct stage-one monomial once;
+    5. each merged term is multiplied out against its monomial's
+       expansion, and the products are merged by (row, reduced monomial).
+    """
+    if table.degree() > _kernel_py.MAX_EXP:
         raise OverflowError("degree exceeds packing capacity")
-    return _kernel_py.stage2_rewrite(_kernel_py.stage1_substitute(terms, s))
+    if not len(table):
+        return {}
+    monos, rows, mono, coefs = _stage1(table, s)
+
+    owner, reduced, red_coefs = _stage2(monos)
+    reduced, red_id = _distinct(reduced)
+    count = np.bincount(owner, minlength=len(monos))
+    size = count[mono]
+    at = _ranges((np.cumsum(count) - count)[mono], size)
+    rep = np.repeat(np.arange(len(mono)), size)
+    coefs = coefs[rep]
+    red_coefs = red_coefs[at]
+    scaled = red_coefs != 1  # most expansions are the monomial itself
+    coefs[scaled] = coefs[scaled] * red_coefs[scaled]
+    rows, mono, coefs = _merge(rows[rep], red_id[at], coefs, len(reduced))
+
+    residues: dict = {}
+    keys = _kernel_py.join_halves(_kernel_py.pack_halves(reduced[mono]))
+    for row, key, c in zip(rows.tolist(), keys, coefs):
+        residues.setdefault(row, {})[key] = c
+    return residues
 
 
 def reduce_poly(p: IntPolynomial, s: int) -> IntPolynomial:
     """Normal form; zero result certifies membership in the ideal."""
     if s not in (1, -1):
         raise ValueError("orientation sign must be +1 or -1")
-    return IntPolynomial(reduce_terms(p.terms, s), p.scale_log2, p.i_power)
+    residue = reduce_terms(TermTable([p.terms]), s).get(0, {})
+    return IntPolynomial(residue, p.scale_log2, p.i_power)
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +254,7 @@ def extract_cofactors(p: IntPolynomial, eps2: int, eps3: int):
     # stage 1: for each substituted variable, p = sum_e X^e p_e and
     # X^e - (s X')^e = (X - s X') * sum_{m<e} X^m (s X')^{e-1-m};
     # the n-th substitution is generator P_{7+n}
-    for gi, (src, dst, signed) in enumerate(_kernel_py._STAGE1, start=6):
+    for gi, (src, dst, signed) in enumerate(_STAGE1, start=6):
         split = _split_variable(cur, src)
         new: dict = {}
         q_terms: dict = {}
@@ -128,7 +281,7 @@ def extract_cofactors(p: IntPolynomial, eps2: int, eps3: int):
 
     # stage 2: X_v^{2m+r} = (1 - A^2 - B^2)^m X_v^r + P * telescope,
     # where P is the unit-sum generator of the triple holding X_v
-    for var, pa, pb in _kernel_py._STAGE2:
+    for var, pa, pb in _STAGE2:
         gi = var // 3
         split = _split_variable(cur, var)
         new: dict = {}

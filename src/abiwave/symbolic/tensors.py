@@ -14,6 +14,7 @@ from the shared quadratic tables of :mod:`abiwave.system`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,27 +151,35 @@ class InteractionTensor:
         return IntPolynomial(self.entries[i][j][k], self.scale_log2,
                              self.i_power)
 
+    @cached_property
+    def table(self) -> _kernel_py.TermTable:
+        """The entries, in :meth:`iter_entries` order, as one term table.
+
+        Built on first use and kept with the tensor: the float
+        cross-check, the reduction and the statistics below all read it.
+        """
+        return _kernel_py.TermTable(t for _, t in self.iter_entries())
+
     def max_degree(self) -> int:
-        # entries share most monomials: each distinct key is scanned once
-        return _kernel_py.degree({key for _, t in self.iter_entries()
-                                  for key in t})
+        """Largest total degree of an entry (before reduction)."""
+        return self.table.degree()
 
     def term_counts(self) -> tuple[int, int]:
-        counts = [len(t) for _, t in self.iter_entries()]
-        return (max(counts, default=0), int(np.sum(counts)))
+        """(largest, total) term count of the entries, before reduction."""
+        sizes = self.table.sizes
+        return (int(sizes.max(initial=0)), int(sizes.sum()))
 
     def evaluator(self):
         """Batch numeric evaluator: (npoints, 18) -> (npoints, *shape).
 
-        Built on :func:`abiwave.symbolic._kernel_py.evaluator`: one pass
-        over the entries indexes the distinct monomials and fills a
-        sparse (entries x monomials) coefficient matrix.  Each call
-        evaluates every monomial once from a per-variable power table
-        and contracts with that matrix, so the float cross-check gate
-        is cheap.  The scale 2^-scale_log2 is included; the factor
-        i^i_power is not.
+        Built on :func:`abiwave.symbolic._kernel_py.evaluator` over
+        :attr:`table`: each call evaluates every distinct monomial once
+        from a per-variable power table and contracts with the sparse
+        (entries x monomials) coefficient matrix, so the float
+        cross-check gate is cheap.  The scale 2^-scale_log2 is included;
+        the factor i^i_power is not.
         """
-        evaluate = _kernel_py.evaluator(t for _, t in self.iter_entries())
+        evaluate = _kernel_py.evaluator(self.table)
         shape = self.shape
         scale = 2.0 ** self.scale_log2
 

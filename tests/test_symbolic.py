@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from abiwave.resonance import resonant_samples
 from abiwave.state import ConstantState
 from abiwave.symbolic import _kernel_py
+from abiwave.symbolic._kernel_py import TermTable
 from abiwave.symbolic.poly import IntPolynomial, pack, unpack
 from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic import certify as C
@@ -32,7 +33,7 @@ def test_polynomial_text_and_arithmetic():
     assert p.degree == 2
     q = p * p
     assert q.degree == 4
-    assert _kernel_py.evaluator([q.terms])([[1.5] + [0.5] * 17])[0, 0] \
+    assert _kernel_py.evaluator(TermTable([q.terms]))([[1.5] + [0.5] * 17])[0, 0] \
         == pytest.approx((1 + 3 * 1.5 ** 2 - 2 * 0.5) ** 2)
 
 
@@ -93,7 +94,7 @@ def test_reduce_soundness_on_resonant_samples(rng):
         for _ in range(10):
             p = IntPolynomial(_rand_terms(rng))
             d = p - ideal.reduce_poly(p, s)
-            vals = _kernel_py.evaluator([d.terms])(X)
+            vals = _kernel_py.evaluator(TermTable([d.terms]))(X)
             scale = max(1.0, max(abs(c) for c in p.terms.values()) * 10)
             assert np.max(np.abs(vals)) <= 1e-8 * scale
 
@@ -122,7 +123,8 @@ def test_orientation_sign_matches_samplers():
     X_same = ideal.numeric_embedding(xi, 0.4 * xi, STATE)
     X_opp = ideal.numeric_embedding(xi, 2.5 * xi, STATE)
     # at[point, generator] with points (X_same, X_opp)
-    at = _kernel_py.evaluator([gens_p[6].terms, gens_m[6].terms])(
+    at = _kernel_py.evaluator(TermTable([gens_p[6].terms,
+                                         gens_m[6].terms]))(
         [X_same, X_opp])
     assert abs(at[0, 0]) <= 1e-14
     assert abs(at[1, 1]) <= 1e-14
@@ -170,9 +172,10 @@ def test_mul_rejects_total_degree_128():
 
 
 def test_reduce_rejects_total_degree_128():
-    assert ideal.reduce_terms(_x1_x2(64, 63), 1) == _x1_x2(64, 63)
+    assert ideal.reduce_terms(TermTable([_x1_x2(64, 63)]), 1) \
+        == {0: _x1_x2(64, 63)}
     with pytest.raises(OverflowError):
-        ideal.reduce_terms(_x1_x2(64, 64), 1)
+        ideal.reduce_terms(TermTable([_x1_x2(64, 64)]), 1)
 
 
 def test_tensor_build_rejects_total_degree_128(monkeypatch):
@@ -253,13 +256,13 @@ def test_exponents_reject_keys_past_eighteen_fields():
 
 
 def test_reduce_rejects_total_degree_128_in_a_large_entry():
-    # more keys than _VECTOR_MIN: the bound is checked on the vectorized path
+    # a row of many keys: the bound is read off the table's exponent array
     terms = {pack([d, 1] + [0] * 16): 1 for d in range(20)}
     terms[pack([0] * 17 + [127])] = 1
-    assert ideal.reduce_terms(terms, 1)
+    assert ideal.reduce_terms(TermTable([terms]), 1)
     terms[pack([1] * 17 + [111])] = 1
     with pytest.raises(OverflowError):
-        ideal.reduce_terms(terms, 1)
+        ideal.reduce_terms(TermTable([terms]), 1)
 
 
 @settings(deadline=None, max_examples=40)
@@ -269,7 +272,7 @@ def test_kernel_evaluator_matches_dense(seed, npolys):
     polys = [_rand_terms(rng, n=int(rng.integers(0, 12)), emax=5)
              for _ in range(npolys)]
     points = rng.uniform(-1.2, 1.2, (7, 18))
-    got = _kernel_py.evaluator(polys)(points)
+    got = _kernel_py.evaluator(TermTable(polys))(points)
     want = _dense_evaluate(polys, points)
     assert got.shape == (7, npolys)
     bound = max((sum(abs(c) for c in t.values()) for t in polys), default=0)
