@@ -8,9 +8,10 @@ carry-free while every total degree stays at most ``MAX_EXP``.  The
 bound is checked once where it is decided, not in the inner loops:
 
 * :func:`mul` and :func:`pack` check their own inputs;
-* :func:`mul_add_into` trusts its caller:
-  :func:`abiwave.symbolic.tensors.build_interaction_tensor` checks the
-  factor degrees once per tensor;
+* :func:`mul_add_into` (``acc += c * p * q``) trusts its caller:
+  :func:`abiwave.symbolic.tensors.build_interaction_tensor` checks
+  deg P1 + deg P2 + 1 + deg P3 once per tensor, which bounds both of
+  its contraction stages;
 * :func:`abiwave.symbolic.ideal.reduce_terms` checks it once per
   :class:`TermTable`, on the table's exponent array (stage one of the
   reduction keeps the total degree, stage two never raises it).
@@ -143,25 +144,23 @@ def mul(p: dict, q: dict) -> dict:
     return out
 
 
-def mul_add_into(acc: dict, c: int, p: dict, q: dict, r: dict) -> None:
-    """acc += c * p * q * r for small factors (tensor contraction core).
+def mul_add_into(acc: dict, c: int, p: dict, q: dict) -> None:
+    """acc += c * p * q, dropping cancelled terms (tensor contraction core).
 
-    Precondition: degree(p) + degree(q) + degree(r) <= MAX_EXP.  It is
-    not checked here; the caller checks it once for all its factors.
+    Precondition: degree(p) + degree(q) <= MAX_EXP.  It is not checked
+    here; the caller checks it once for all its factors.
     """
-    if c == 0 or not p or not q or not r:
+    if c == 0 or not p or not q:
         return
     for k1, v1 in p.items():
+        v1 *= c
         for k2, v2 in q.items():
-            k12 = k1 + k2
-            v12 = c * v1 * v2
-            for k3, v3 in r.items():
-                k = k12 + k3
-                nv = acc.get(k, 0) + v12 * v3
-                if nv:
-                    acc[k] = nv
-                else:
-                    del acc[k]
+            k = k1 + k2
+            nv = acc.get(k, 0) + v1 * v2
+            if nv:
+                acc[k] = nv
+            else:
+                del acc[k]
 
 
 class TermTable:

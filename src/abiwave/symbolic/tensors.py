@@ -8,8 +8,10 @@ Each bilinear interaction (eps1, eps2 eps3) of the evolution is the
 normalized by one factor -i |xi - eta| so every entry is an integer
 polynomial in the eighteen layout variables (after clearing the halves
 carried by the wave projectors).  The constraint interactions drop the
-outer projector and have five rows.  Entries are built term by term
-from the shared quadratic tables of :mod:`abiwave.system`.
+outer projector and have five rows.  Entries are built from the shared
+quadratic tables of :mod:`abiwave.system` in two exact contractions:
+B.(P2 (x) P3) first, then the outer P1 (see
+:func:`build_interaction_tensor`).
 """
 from __future__ import annotations
 
@@ -203,7 +205,19 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     """Contract the quadratic table with the slot projectors, exactly.
 
     The differentiated factor sits in the xi - eta slot; its direction
-    index enters as the corresponding unit-vector variable X7..X9.
+    index enters as the corresponding unit-vector variable X7..X9.  The
+    contraction runs in two stages:
+
+    1. inner: ``inner[row][j][k] = sum sign * (P2[c][j] X_dir) * P3[a][k]``
+       over the table terms ``(row, a, c, dir, sign)``, i.e. B.(P2 (x) P3);
+    2. outer: ``entries[i][j][k] = sum_row P1[i][row] * inner[row][j][k]``.
+
+    By associativity of the exact polynomial product this is the same
+    sum as forming every P1 * (P2 * X_dir) * P3 term by term, so every
+    entry is identical; it is cheaper because the terms of each inner
+    sum are merged before the outer projector multiplies them.  The
+    constraint interactions have no outer projector: their entries are
+    the inner stage.
     """
     e1, e2, e3 = eps
     if which not in ("evolution", "constraint"):
@@ -213,40 +227,43 @@ def build_interaction_tensor(eps: tuple[int, int, int],
             raise ValueError("tensor build needs wave-branch signs only")
     P2 = projector_terms(e2, SLOT_W)
     P3 = projector_terms(e3, SLOT_ETA)
-    nrows = 10 if which == "evolution" else 5
-    terms_table = (system.EVOLUTION_TERMS if which == "evolution"
-                   else system.CONSTRAINT_TERMS)
-    entries = [[[dict() for _ in range(10)] for _ in range(10)]
-               for _ in range(nrows)]
     if which == "evolution":
         P1 = projector_terms(e1, SLOT_XI)
-        scale = 3
+        terms_table, nrows, scale = system.EVOLUTION_TERMS, 10, 3
     else:
         P1 = None
-        scale = 2
-    # every product below is P1 * (P2 * X_dir) * P3: check the packing
-    # bound once here, so the contraction loop need not
+        terms_table, nrows, scale = system.CONSTRAINT_TERMS, 5, 2
+    # every inner term has degree at most deg(P2 * X_dir) + deg P3 and
+    # every outer product adds deg P1: check the packing bound once here
     if (_max_degree(P1) + _max_degree(P2) + 1 + _max_degree(P3)
             > _kernel_py.MAX_EXP):
         raise OverflowError("product degree exceeds packing capacity")
 
+    inner = [[[dict() for _ in range(10)] for _ in range(10)]
+             for _ in range(nrows)]
     folded = {}  # (c_diff, jdir) -> nonzero (j, P2[c_diff][j] * X_dir)
     for row, a_undiff, c_diff, jdir, sign in terms_table:
         if (c_diff, jdir) not in folded:
             dvar = _var(SLOT_W[0] + jdir)
             folded[c_diff, jdir] = [(j, _kernel_py.mul(p2, dvar))
                                     for j, p2 in enumerate(P2[c_diff]) if p2]
-        # the constraint interactions have no outer projector
-        outer = ([(row, {0: 1})] if P1 is None else
-                 [(i, P1[i][row]) for i in range(10) if P1[i][row]])
+        p3_line = [(k, p3) for k, p3 in enumerate(P3[a_undiff]) if p3]
         for j, m2 in folded[c_diff, jdir]:
-            for k in range(10):
-                p3 = P3[a_undiff][k]
-                if not p3:
+            line = inner[row][j]
+            for k, p3 in p3_line:
+                _kernel_py.mul_add_into(line[k], sign, m2, p3)
+    if P1 is None:
+        entries = inner
+    else:
+        entries = [[[dict() for _ in range(10)] for _ in range(10)]
+                   for _ in range(10)]
+        for i in range(10):
+            for row, p1 in enumerate(P1[i]):
+                if not p1:
                     continue
-                for i, p1 in outer:
-                    _kernel_py.mul_add_into(entries[i][j][k], sign,
-                                            p1, m2, p3)
+                for j, line in enumerate(inner[row]):
+                    for k, q in enumerate(line):
+                        _kernel_py.mul_add_into(entries[i][j][k], 1, p1, q)
     return InteractionTensor(eps=(e1, e2, e3), which=which, entries=entries,
                              scale_log2=scale)
 

@@ -1,6 +1,7 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
-every function the benchmark tracer wraps exists in the package, and
-the package transforms real fields with rfftn/irfftn only."""
+every function the benchmark tracer wraps or counts exists in the
+package, and the package transforms real fields with rfftn/irfftn
+only."""
 import ast
 import importlib
 import importlib.util
@@ -37,6 +38,12 @@ def test_tracer_functions_resolve():
     spec.loader.exec_module(tracer)
     missing = [f"{module}.{attr}" for module, attr, *_ in tracer.FUNCTIONS
                if not hasattr(importlib.import_module(module), attr)]
+    # the kernel counters are installed with getattr, so a renamed kernel
+    # function would crash every traced run at install instead
+    kernel = importlib.import_module("abiwave.symbolic._kernel_py")
+    missing += [f"{kernel.__name__}.{attr}"
+                for attr, _ in tracer.KERNEL_COUNTERS
+                if not hasattr(kernel, attr)]
     assert missing == []
 
 

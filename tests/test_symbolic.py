@@ -151,13 +151,12 @@ def test_cofactors_zero_poly_and_degree_bound(rng):
 def test_mul_add_into_matches_mul_then_add(seed, c):
     rng = np.random.default_rng(seed)
     p, q, acc = _rand_terms(rng), _rand_terms(rng), _rand_terms(rng)
-    r = _rand_terms(rng, n=6)
     before = dict(acc)
     want = dict(acc)
-    _kernel_py.add_into(want, _kernel_py.mul(_kernel_py.mul(p, q), r), c)
-    _kernel_py.mul_add_into(acc, c, p, q, r)
+    _kernel_py.add_into(want, _kernel_py.mul(p, q), c)
+    _kernel_py.mul_add_into(acc, c, p, q)
     assert acc == want
-    _kernel_py.mul_add_into(acc, -c, p, q, r)  # cancelled terms are dropped
+    _kernel_py.mul_add_into(acc, -c, p, q)  # cancelled terms are dropped
     assert acc == before
 
 
@@ -441,3 +440,16 @@ def test_certificate_json_roundtrip(tmp_path):
     assert data["all_verified"] is True
     assert data["certificates"][0]["interaction"] == "+,++"
     assert data["certificates"][0]["entries_nonzero"] == 0
+
+
+@pytest.mark.parametrize("preflight", [True, False])
+def test_certificate_times_its_stages(preflight):
+    cert = C.certify((0, 1, -1), "constraint", STATE, preflight=preflight,
+                     float_checks=5)
+    stages = (cert.build_ms, cert.preflight_ms, cert.reduce_ms)
+    assert min(stages) >= 0.0
+    assert sum(stages) <= cert.millis
+    assert (cert.preflight_ms > 0.0) is preflight
+    out = cert.to_dict()
+    assert [out[k] for k in ("build_ms", "preflight_ms", "reduce_ms")] \
+        == list(stages)
