@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Grid, fft_workers
-from .state import AdmissibilityError, ConstantState, bi_lift_constant
+from .state import ConstantState, bi_lift_constant
 from .fields import StateField
 
 EXIT_OK = 0
@@ -56,6 +57,7 @@ class RunManifest:
             "seed": seed,
             "rng": "philox4x64",
             "threads": fft_workers(),
+            "threads_requested": os.environ.get("ABI_THREADS"),
             "started": _now(),
             "finished": None,
             "outputs": [],
@@ -90,6 +92,8 @@ SIM_SCHEMA = 1
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
@@ -98,6 +102,9 @@ def _reject_unknown(d: dict, allowed: set, where: str):
 def parse_state(d: dict) -> ConstantState:
     _reject_unknown(d, {"tau0", "v0", "b0", "d0", "manifold_from"}, "state")
     if "manifold_from" in d:
+        if set(d) != {"manifold_from"}:
+            raise ValueError(f"state.manifold_from excludes "
+                             f"{sorted(set(d) - {'manifold_from'})}")
         _reject_unknown(d["manifold_from"], {"B0", "D0"}, "state.manifold_from")
         return bi_lift_constant(B0=d["manifold_from"]["B0"],
                                 D0=d["manifold_from"]["D0"])
@@ -138,7 +145,7 @@ def parse_sim_config(d: dict):
         k0=(float(ic["k0"]) if ic.get("k0") is not None else None),
         width=(float(ic["width"]) if ic.get("width") is not None else None),
         seed=int(ic.get("seed", 1234)),
-        snapshots=tuple(outd.get("snapshots", ())),
+        snapshots=tuple(float(t) for t in outd.get("snapshots", ())),
     )
     mode = d.get("mode", "simulate")
     if mode not in ("simulate", "u0_probe"):
@@ -262,7 +269,7 @@ def cmd_simulate(ns) -> int:
     try:
         cfg, mode, probe = parse_sim_config(raw)
         cfg.resolved_dt()
-    except (ValueError, KeyError, AdmissibilityError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if ns.dry_run:
@@ -310,6 +317,7 @@ def cmd_decay_report(ns) -> int:
                               "output"}, "config")
         if raw.get("schema") != SIM_SCHEMA:
             raise ValueError(f"config schema must be {SIM_SCHEMA}")
+        _reject_unknown(raw["grid"], {"N", "L"}, "grid")
         grid = Grid(N=int(raw["grid"]["N"]), L=float(raw["grid"]["L"]))
         state = parse_state(raw["state"])
         bump = raw.get("bump", {})
@@ -318,7 +326,7 @@ def cmd_decay_report(ns) -> int:
         _reject_unknown(times, {"t1", "t2", "n"}, "times")
         tgrid = np.geomspace(float(times["t1"]), float(times["t2"]),
                              int(times.get("n", 12)))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if ns.dry_run:
@@ -464,7 +472,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return ns.func(ns)
-    except (ValueError, AdmissibilityError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

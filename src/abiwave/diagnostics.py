@@ -18,8 +18,7 @@ from . import system
 from .fields import StateField
 from .grid import Grid
 from .state import ConstantState, metric_matrix
-from .spectral import (_apply_Ahat, _geometry, _wave_parts, decompose_spectral,
-                       propagate_linear)
+from .spectral import _apply_Ahat, _geometry, decompose_spectral
 
 SERIES_COLUMNS = (
     "t", "H1_U", "H6_U", "HN_U", "H1_up", "H1_um", "H1_u0", "W1inf_U",
@@ -244,21 +243,22 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     if times and times[-1] >= tw:
         raise ValueError(f"requested time {times[-1]} >= wrap time {tw}")
     geo = _geometry(grid, state)
-    # decompose once; each snapshot is then a phase multiply + synthesis.
-    # No name holds the bump's spectrum or Ahat U: each dies after use.
-    plus, minus = _wave_parts(_apply_Ahat(grid.strip_nyquist(
-        gaussian_bump_field(grid, sigma, amplitude, component).spectral()), geo), geo)
+    # the kernel-free flow is cos(t|k|_0) Ahat^2 U - i sin(t|k|_0) Ahat U;
+    # no name holds the bump's spectrum, which dies before Ahat^2 U exists
+    AU = _apply_Ahat(grid.strip_nyquist(
+        gaussian_bump_field(grid, sigma, amplitude, component).spectral()), geo)
+    A2U = _apply_Ahat(AU, geo)
     # one component at a time, through one reused buffer: the peak holds
-    # plus and minus and a few single-component fields
-    buf = np.empty(plus.shape[1:], dtype=complex)
+    # Ahat U, Ahat^2 U and a few single-component fields
+    buf = np.empty(AU.shape[1:], dtype=complex)
     samples = []
     for t in times:
-        phase = np.exp(-1j * t * geo.norm0)
-        conj_phase = np.conj(phase)
+        cos = np.cos(t * geo.norm0)
+        minus_i_sin = -1j * np.sin(t * geo.norm0)
         sup = l2sq = 0.0
-        for p, m in zip(plus, minus):
-            np.multiply(phase, p, out=buf)
-            buf += conj_phase * m
+        for a, a2 in zip(AU, A2U):
+            np.multiply(cos, a2, out=buf)
+            buf += minus_i_sin * a
             evolved = grid.rinv(buf)
             sup = max(sup, grid.sup_norm(evolved))
             l2sq += grid.l2_norm(evolved) ** 2
@@ -268,14 +268,6 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     slope, ci = loglog_fit(ts, sups)
     return DecayReport(norm="sup", window=(times[0], times[-1]), t_wrap=tw,
                        exponent=slope, ci95=ci, samples=samples)
-
-
-def spectral_kernel_free(field: StateField, state: ConstantState, geo=None):
-    """Half spectrum of the field minus its kernel-branch part: Ahat^2 U."""
-    g = field.grid
-    geo = geo or _geometry(g, state)
-    fh = g.strip_nyquist(field.spectral())
-    return _apply_Ahat(_apply_Ahat(fh, geo), geo)
 
 
 def loglog_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -37,8 +37,9 @@ wave branch is not one: ``P+(-k) = P-(k)``, so the full-lattice sum of
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -46,10 +47,20 @@ import scipy.fft
 
 def fft_workers() -> int:
     """Worker cap for the FFT backend, from ABI_THREADS (default 1)."""
+    return _workers_from(os.environ.get("ABI_THREADS", "1"))
+
+
+@lru_cache(maxsize=None)
+def _workers_from(text: str) -> int:
+    """Parse an ABI_THREADS value; warn once per value that is not >= 1."""
     try:
-        return max(1, int(os.environ.get("ABI_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        print(f"warning: ABI_THREADS={text!r} is not a positive integer; "
+              f"using 1 FFT worker", file=sys.stderr)
+    return max(1, workers)
 
 
 @dataclass(frozen=True)

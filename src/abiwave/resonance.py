@@ -66,7 +66,6 @@ class InteractionSpec:
 
 ALL_WAVE_TRIPLES = tuple(InteractionSpec(a, b, c)
                          for a in SIGNS for b in SIGNS for c in SIGNS)
-ALL_WAVE_PAIRS = tuple((b, c) for b in SIGNS for c in SIGNS)
 
 
 def _as_points(x):

@@ -226,14 +226,23 @@ def write_snapshot(path, field: StateField, state: ConstantState, t: float):
 
 def read_snapshot(path) -> tuple[StateField, ConstantState, float]:
     path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as f:
+    sidecar = path.with_suffix(path.suffix + ".json")
+    with open(sidecar) as f:
         meta = json.load(f)
-    g = Grid(N=meta["N"], L=meta["L"])
+
+    def entry(key, convert):
+        try:
+            return convert(meta[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"snapshot sidecar {sidecar}: field {key!r} is "
+                             f"missing or malformed ({exc!r})") from None
+
+    g = Grid(N=entry("N", int), L=entry("L", float))
     want = 10 * g.N ** 3 * 8
     size = path.stat().st_size
     if size != want:
         raise ValueError(f"snapshot {path} holds {size} bytes; N = {g.N} "
                          f"needs 10 * N^3 * 8 = {want}")
     data = np.fromfile(path, dtype="<f8").reshape(10, g.N, g.N, g.N)
-    return (StateField(g, data), ConstantState.from_dict(meta["state"]),
-            float(meta["t"]))
+    return (StateField(g, data), entry("state", ConstantState.from_dict),
+            entry("t", float))

@@ -6,9 +6,11 @@ multipliers (tau0 xi, b0.xi, d0.xi), whose squares sum to |xi|_0^2; its
 five matrices ``A0_SYMBOL`` are read from the evolution table of
 :mod:`abiwave.system`.  The projectors onto the eigenspaces are
 polynomials in Ahat = A0 / |xi|_0: P+- = (Ahat^2 +- Ahat) / 2 and
-P0 = I - Ahat^2.  The 5x10 constraint operator L0(xi), the constraint
-table contracted with the background, annihilates the wave branches and
-is injective on the kernel branch.
+P0 = I - Ahat^2; so is the flow exp(-i t A0) = I + (cos t|xi|_0 - 1)
+Ahat^2 - i sin t|xi|_0 Ahat.  Every grid-level branch quantity is thus
+formed from the two fields Ahat U and Ahat^2 U.  The 5x10 constraint
+operator L0(xi), the constraint table contracted with the background,
+annihilates the wave branches and is injective on the kernel branch.
 
 Conventions (transform, propagator signs) are fixed in
 :mod:`abiwave.conventions`.
@@ -181,13 +183,15 @@ def _geometry(grid: Grid, state: ConstantState) -> _ModeGeometry:
 def apply_projector(Uhat: np.ndarray, geo: _ModeGeometry, branch: int) -> np.ndarray:
     """Apply P^branch mode-wise to transformed components (10, ...).
 
-    The modes are those of ``geo``; those with k = 0 (the mean mode)
-    are routed wholly to the kernel branch.
+    U - Ahat^2 U for the kernel branch, (Ahat^2 U +- Ahat U) / 2 for the
+    wave branches.  The modes are those of ``geo``; those with k = 0
+    (the mean mode) are routed wholly to the kernel branch.
     """
     AU = _apply_Ahat(Uhat, geo)
+    A2U = _apply_Ahat(AU, geo)
     if branch == 0:
-        return Uhat - _apply_Ahat(AU, geo)
-    return _wave_parts(AU, geo)[0 if branch > 0 else 1]
+        return Uhat - A2U
+    return 0.5 * (A2U + AU if branch > 0 else A2U - AU)
 
 
 def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry) -> np.ndarray:
@@ -211,14 +215,6 @@ def _apply_Ahat(Uhat: np.ndarray, geo: _ModeGeometry) -> np.ndarray:
     return np.multiply(out, geo.inv_norm0, out=out)
 
 
-def _wave_parts(AU: np.ndarray, geo: _ModeGeometry):
-    """(P+ U-hat, P- U-hat) from ``AU`` = Ahat U-hat, which is overwritten."""
-    A2U = _apply_Ahat(AU, geo)
-    AU *= 0.5
-    A2U *= 0.5
-    return A2U + AU, np.subtract(A2U, AU, out=A2U)
-
-
 BranchParts = namedtuple("BranchParts", ["plus", "minus", "zero"])
 
 
@@ -226,20 +222,29 @@ def decompose_spectral(Uhat: np.ndarray, grid: Grid, state: ConstantState,
                        geo: _ModeGeometry | None = None) -> BranchParts:
     """Branch parts of a spectrum; half spectra unless ``geo`` says otherwise.
 
-    On a half spectrum the wave parts are not half spectra of real
-    fields: P+(-k) = P-(k), so ``plus`` at k pairs with ``minus`` at -k.
+    ``plus`` and ``minus`` are (Ahat^2 U +- Ahat U) / 2 and ``zero`` is
+    U - Ahat^2 U.  On a half spectrum the wave parts are not half spectra
+    of real fields: P+(-k) = P-(k), so ``plus`` at k pairs with ``minus``
+    at -k.
     """
     geo = geo or _geometry(grid, state)
-    plus, minus = _wave_parts(_apply_Ahat(Uhat, geo), geo)
-    return BranchParts(plus=plus, minus=minus, zero=Uhat - plus - minus)
+    AU = _apply_Ahat(Uhat, geo)
+    A2U = _apply_Ahat(AU, geo)
+    plus = A2U + AU
+    minus = np.subtract(A2U, AU, out=AU)
+    plus *= 0.5
+    minus *= 0.5
+    return BranchParts(plus=plus, minus=minus,
+                       zero=np.subtract(Uhat, A2U, out=A2U))
 
 
 def propagate_linear(field: StateField, state: ConstantState, t: float,
                      direction: str = "forward") -> StateField:
     """Exact linear flow: each mode multiplied by exp(-+ i t A0(k)).
 
-    ``forward`` advances the solution (a + branch mode acquires the
-    phase exp(-i t |k|_0)); ``profile`` applies the inverse map, so
+    ``forward`` applies U + (cos t|k|_0 - 1) Ahat^2 U - i sin t|k|_0 Ahat U,
+    so a + branch mode acquires the phase exp(-i t |k|_0); ``profile``
+    flips the sign of the sine term, the inverse map, so
     profile(forward(U)) = U.  Unitary on L^2 mode by mode.
     """
     if direction not in ("forward", "profile"):
@@ -248,10 +253,11 @@ def propagate_linear(field: StateField, state: ConstantState, t: float,
     geo = _geometry(grid, state)
     # the flow runs on the resolved space, the Nyquist planes left empty
     Uhat = grid.strip_nyquist(field.spectral())
-    parts = decompose_spectral(Uhat, grid, state, geo)
+    AU = _apply_Ahat(Uhat, geo)
+    A2U = _apply_Ahat(AU, geo)
     sign = -1.0 if direction == "forward" else +1.0
-    phase_p = np.exp(sign * 1j * t * geo.norm0)
-    out = phase_p * parts.plus + np.conj(phase_p) * parts.minus + parts.zero
+    wt = t * geo.norm0
+    out = Uhat + (np.cos(wt) - 1.0) * A2U + (sign * 1j) * np.sin(wt) * AU
     return StateField(grid, grid.rinv(out))
 
 

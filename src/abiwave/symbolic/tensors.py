@@ -22,7 +22,6 @@ import numpy as np
 
 from .. import system
 from . import _kernel_py
-from .poly import IntPolynomial
 
 # variable bases per frequency slot: (unit-vector base, cosine base)
 SLOT_XI = (0, 9)
@@ -148,10 +147,6 @@ class InteractionTensor:
             for j, line in enumerate(plane):
                 for k, terms in enumerate(line):
                     yield (i, j, k), terms
-
-    def entry(self, i, j, k) -> IntPolynomial:
-        return IntPolynomial(self.entries[i][j][k], self.scale_log2,
-                             self.i_power)
 
     @cached_property
     def table(self) -> _kernel_py.TermTable:

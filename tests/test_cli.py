@@ -236,3 +236,82 @@ def test_bundled_configs_validate():
 def test_usage_error_exit_code():
     assert run_cli("simulate", "--config", "/nonexistent.json") == 1
     assert run_cli() == cli.EXIT_USAGE
+
+
+def _write(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _decay_config(tmp_path):
+    return {"schema": 1, "grid": {"N": 16, "L": 50.0},
+            "state": {"tau0": 1.0}, "times": {"t1": 1.0, "t2": 2.0},
+            "output": {"dir": str(tmp_path / "decay")}}
+
+
+def _set(section, key, value):
+    def edit(raw, tmp_path):
+        raw[section][key] = value
+        return raw
+    return edit
+
+
+def _replace(key, value):
+    def edit(raw, tmp_path):
+        raw[key] = value
+        return raw
+    return edit
+
+
+def _out_under_file(raw, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    raw["output"]["dir"] = str(blocker / "out")
+    return raw
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("simulate", lambda raw, tmp_path: []),
+    ("decay-report", lambda raw, tmp_path: []),
+    ("simulate", _replace("ic", 5)),
+    ("decay-report", _replace("grid", 5)),
+    ("simulate", _set("time", "t_end", None)),
+    ("simulate", _set("output", "snapshots", 5)),
+    ("simulate", _set("output", "snapshots", "abc")),
+    ("decay-report", _set("times", "t1", None)),
+    ("simulate", _set("state", "tau0", 1.0)),
+    ("simulate", _out_under_file),
+    ("decay-report", _out_under_file),
+], ids=["sim-list", "decay-list", "ic-int", "decay-grid-int", "t_end-null",
+        "snapshots-int", "snapshots-str", "t1-null", "manifold_from-and-tau0",
+        "sim-out-under-file", "decay-out-under-file"])
+def test_bad_config_or_output_exits_1_without_traceback(tmp_path, capsys,
+                                                         command, edit):
+    if command == "simulate":
+        _, raw = small_sim_config(tmp_path)
+    else:
+        raw = _decay_config(tmp_path)
+    path = _write(tmp_path, edit(raw, tmp_path))
+    assert run_cli(command, "--config", str(path)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_bad_abi_threads_warns_once_and_is_recorded(tmp_path, monkeypatch,
+                                                     capsys, grid16):
+    from abiwave import grid as grid_module
+
+    monkeypatch.setenv("ABI_THREADS", "abc")
+    grid_module._workers_from.cache_clear()
+    for _ in range(5):
+        grid16.rinv(grid16.rfwd(np.zeros((10,) + (grid16.N,) * 3)))
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert run_cli("projectors", "--xi", "1,0.5,0", "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: ABI_THREADS='abc'") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threads"] == 1
+    assert manifest["threads_requested"] == "abc"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abiwave import diagnostics as D
-from abiwave import model
+from abiwave import model, spectral
 from abiwave.fields import StateField
 from abiwave.grid import Grid
 from abiwave.state import ConstantState
@@ -98,7 +98,9 @@ def test_dispersion_probe_continuity_and_unitarity():
     g = Grid(N=32, L=2 * np.pi * 8)
     st = ConstantState(tau0=1.0)
     bump = D.gaussian_bump_field(g, sigma=1.5)
-    base = g.rinv(D.spectral_kernel_free(bump, st))
+    geo = spectral._geometry(g, st)
+    base = g.rinv(spectral._apply_Ahat(spectral._apply_Ahat(
+        g.strip_nyquist(bump.spectral()), geo), geo))  # Ahat^2 U
     rep = D.dispersion_probe(st, g, [1e-4, 2e-4, 4e-4], sigma=1.5)
     sup0 = float(np.max(np.abs(base)))
     assert rep.samples[0]["sup"] == pytest.approx(sup0, rel=1e-6)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -177,4 +179,21 @@ def test_truncated_snapshot_is_rejected(tmp_path, grid16, manifold_bg):
     with open(path, "r+b") as f:
         f.truncate(1000)
     with pytest.raises(ValueError, match=r"snap\.raw holds 1000 .*327680"):
+        simulate.read_snapshot(path)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda meta: meta.pop("N"), "'N'"),
+    (lambda meta: meta["state"].pop("tau0"), "'state'.*'tau0'"),
+    (lambda meta: meta.update(N=None), "'N'"),
+], ids=["missing-N", "missing-tau0", "null-N"])
+def test_malformed_snapshot_sidecar_is_rejected(tmp_path, grid16, manifold_bg,
+                                                edit, field):
+    path = tmp_path / "snap.raw"
+    simulate.write_snapshot(path, StateField.zeros(grid16), manifold_bg, t=0.0)
+    sidecar = tmp_path / "snap.raw.json"
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=rf"snap\.raw\.json: field {field}"):
         simulate.read_snapshot(path)
