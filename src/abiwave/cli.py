@@ -2,7 +2,8 @@
 
 Subcommands: verify-symbols, check-identities, simulate, decay-report,
 projectors.  Exit codes are a stable contract: 0 pass, 1 usage or
-configuration error, 2 verification failure, 3 numerical blow-up.
+configuration error, 2 verification failure, 3 numerical blow-up,
+130 interrupted (Ctrl-C).
 Every output directory receives a run manifest sufficient to reproduce
 it (bitwise at ABI_THREADS=1).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,13 +22,15 @@ import numpy as np
 
 from . import __version__
 from .grid import Grid, fft_workers
-from .state import ConstantState, bi_lift_constant
+from .model import IC_KINDS
+from .state import CERTIFICATION_BACKGROUND, ConstantState, bi_lift_constant
 from .fields import StateField
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_BLOWUP = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +93,7 @@ def _outdir(ns) -> Path:
 # ----------------------------------------------------------------------
 
 SIM_SCHEMA = 1
+_REQUIRED = object()
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -99,21 +104,94 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _read(d: dict, where: str, key: str, conv, default=_REQUIRED):
+    """``conv(d[key])``, with any error naming ``where.key``.
+
+    An absent key gives ``default``, and so does null when the default
+    is None (an optional key); without a default the key is required.
+    """
+    value = d.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{where}.{key} is missing")
+    if value is None and default is None:
+        return None
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}.{key}: {exc}") from None
+
+
+def _boolean(x) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError(f"must be true or false, got {x!r}")
+    return x
+
+
+def _text(x) -> str:
+    if not isinstance(x, str):
+        raise ValueError(f"must be a string, got {x!r}")
+    return x
+
+
+def _positive(x) -> float:
+    """A finite number > 0."""
+    if isinstance(x, (bool, str)) or not 0 < float(x) < math.inf:
+        raise ValueError(f"must be a finite number > 0, got {x!r}")
+    return float(x)
+
+
+def _seed(x) -> int:
+    """A JSON integer in [0, 2**64), the range of a Philox seed."""
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < 2 ** 64:
+        raise ValueError(f"must be an integer in [0, 2**64), got {x!r}")
+    return x
+
+
+def _ic_kind(x) -> str:
+    if x not in IC_KINDS:
+        raise ValueError(f"must be one of {list(IC_KINDS)}, got {x!r}")
+    return x
+
+
+def _three(x) -> list:
+    if not isinstance(x, list) or len(x) != 3:
+        raise ValueError(f"must be a list of three numbers, got {x!r}")
+    return [float(c) for c in x]
+
+
+def _two_positive(x) -> tuple:
+    if not isinstance(x, list) or len(x) != 2:
+        raise ValueError(f"must be a list of two numbers > 0, got {x!r}")
+    return tuple(_positive(a) for a in x)
+
+
 def parse_state(d: dict) -> ConstantState:
     _reject_unknown(d, {"tau0", "v0", "b0", "d0", "manifold_from"}, "state")
     if "manifold_from" in d:
         if set(d) != {"manifold_from"}:
             raise ValueError(f"state.manifold_from excludes "
                              f"{sorted(set(d) - {'manifold_from'})}")
-        _reject_unknown(d["manifold_from"], {"B0", "D0"}, "state.manifold_from")
-        return bi_lift_constant(B0=d["manifold_from"]["B0"],
-                                D0=d["manifold_from"]["D0"])
+        lift = d["manifold_from"]
+        _reject_unknown(lift, {"B0", "D0"}, "state.manifold_from")
+        return bi_lift_constant(
+            B0=_read(lift, "state.manifold_from", "B0", _three),
+            D0=_read(lift, "state.manifold_from", "D0", _three))
     return ConstantState(
-        tau0=d["tau0"], v0=d.get("v0", (0, 0, 0)),
-        b0=d.get("b0", (0, 0, 0)), d0=d.get("d0", (0, 0, 0)))
+        tau0=_read(d, "state", "tau0", float),
+        **{key: _read(d, "state", key, _three, [0.0] * 3)
+           for key in ("v0", "b0", "d0")})
+
+
+def parse_grid(d: dict) -> Grid:
+    _reject_unknown(d, {"N", "L"}, "grid")
+    return Grid(N=_read(d, "grid", "N", int), L=_read(d, "grid", "L", float))
 
 
 def parse_sim_config(d: dict):
+    """(SimConfig, mode, u0_probe section) of a simulate config.
+
+    This is the config schema; every rejection names its key.
+    """
     from .simulate import SimConfig
 
     _reject_unknown(d, {"schema", "mode", "grid", "state", "ic", "time",
@@ -121,8 +199,7 @@ def parse_sim_config(d: dict):
                     "config")
     if d.get("schema") != SIM_SCHEMA:
         raise ValueError(f"config schema must be {SIM_SCHEMA}")
-    _reject_unknown(d["grid"], {"N", "L"}, "grid")
-    grid = Grid(N=int(d["grid"]["N"]), L=float(d["grid"]["L"]))
+    grid = parse_grid(d["grid"])
     state = parse_state(d["state"])
     ic = d.get("ic", {})
     _reject_unknown(ic, {"kind", "amplitude", "k0", "width", "seed"}, "ic")
@@ -134,24 +211,27 @@ def parse_sim_config(d: dict):
     _reject_unknown(outd, {"dir", "snapshots"}, "output")
     cfg = SimConfig(
         grid=grid, state=state,
-        t_end=float(tm.get("t_end", 5.0)),
-        cfl=float(tm.get("cfl", 0.4)),
-        dt=(float(tm["dt"]) if tm.get("dt") is not None else None),
-        dealias=bool(d.get("dealias", True)),
-        cadence=float(diag.get("cadence", 0.5)),
-        sobolev_n=int(diag.get("sobolev_n", 8)),
-        ic_kind=ic.get("kind", "bi_lift"),
-        amplitude=float(ic.get("amplitude", 1e-2)),
-        k0=(float(ic["k0"]) if ic.get("k0") is not None else None),
-        width=(float(ic["width"]) if ic.get("width") is not None else None),
-        seed=int(ic.get("seed", 1234)),
-        snapshots=tuple(float(t) for t in outd.get("snapshots", ())),
+        t_end=_read(tm, "time", "t_end", float, 5.0),
+        cfl=_read(tm, "time", "cfl", float, 0.4),
+        dt=_read(tm, "time", "dt", float, None),
+        dealias=_read(d, "config", "dealias", _boolean, True),
+        cadence=_read(diag, "diagnostics", "cadence", float, 0.5),
+        sobolev_n=_read(diag, "diagnostics", "sobolev_n", int, 8),
+        ic_kind=_read(ic, "ic", "kind", _ic_kind, "bi_lift"),
+        amplitude=_read(ic, "ic", "amplitude", float, 1e-2),
+        k0=_read(ic, "ic", "k0", float, None),
+        width=_read(ic, "ic", "width", float, None),
+        seed=_read(ic, "ic", "seed", _seed, 1234),
+        snapshots=_read(outd, "output", "snapshots",
+                        lambda ts: tuple(float(t) for t in ts), ()),
     )
     mode = d.get("mode", "simulate")
     if mode not in ("simulate", "u0_probe"):
         raise ValueError(f"unknown mode {mode!r}")
     probe = d.get("u0_probe", {})
     _reject_unknown(probe, {"amplitudes"}, "u0_probe")
+    probe = {"amplitudes": _read(probe, "u0_probe", "amplitudes",
+                                 _two_positive, None)}
     return cfg, mode, probe
 
 
@@ -261,6 +341,12 @@ def cmd_check_identities(ns) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFICATION
 
 
+def _config_error(exc) -> int:
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    print(f"config error: {what}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_simulate(ns) -> int:
     from .simulate import simulate, u0_smallness_probe, write_snapshot
 
@@ -269,13 +355,13 @@ def cmd_simulate(ns) -> int:
     try:
         cfg, mode, probe = parse_sim_config(raw)
         cfg.resolved_dt()
+        outdir = Path(_read(raw.get("output", {}), "output", "dir", _text,
+                            ns.out))
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _config_error(exc)
     if ns.dry_run:
         print("config ok")
         return EXIT_OK
-    outdir = Path(raw.get("output", {}).get("dir", ns.out))
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("simulate", raw, seed=cfg.seed)
     if mode == "u0_probe":
@@ -308,7 +394,7 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_decay_report(ns) -> int:
-    from .diagnostics import dispersion_probe
+    from .diagnostics import dispersion_probe, wrap_time
 
     with open(ns.config) as f:
         raw = json.load(f)
@@ -317,28 +403,41 @@ def cmd_decay_report(ns) -> int:
                               "output"}, "config")
         if raw.get("schema") != SIM_SCHEMA:
             raise ValueError(f"config schema must be {SIM_SCHEMA}")
-        _reject_unknown(raw["grid"], {"N", "L"}, "grid")
-        grid = Grid(N=int(raw["grid"]["N"]), L=float(raw["grid"]["L"]))
+        grid = parse_grid(raw["grid"])
         state = parse_state(raw["state"])
         bump = raw.get("bump", {})
         _reject_unknown(bump, {"sigma", "amplitude", "component"}, "bump")
+        sigma = _read(bump, "bump", "sigma", _positive, 2.0)
+        amplitude = _read(bump, "bump", "amplitude", float, 1.0)
+        component = _read(bump, "bump", "component", int, 0)
+        if not 0 <= component < 10:
+            raise ValueError(f"bump.component must be in 0..9, "
+                             f"got {component}")
         times = raw["times"]
         _reject_unknown(times, {"t1", "t2", "n"}, "times")
-        tgrid = np.geomspace(float(times["t1"]), float(times["t2"]),
-                             int(times.get("n", 12)))
+        t1 = _read(times, "times", "t1", float)
+        t2 = _read(times, "times", "t2", float)
+        n = _read(times, "times", "n", int, 12)
+        # the fit's ci95 needs more than two points
+        if n < 3:
+            raise ValueError(f"times.n must be at least 3, got {n}")
+        tw = wrap_time(grid, state)
+        if not 0 < t1 < t2 < tw:
+            raise ValueError(f"times need 0 < t1 < t2 < wrap time {tw:.6g}, "
+                             f"got t1 = {t1}, t2 = {t2}")
+        outd = raw.get("output", {})
+        _reject_unknown(outd, {"dir"}, "output")
+        outdir = Path(_read(outd, "output", "dir", _text, ns.out))
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _config_error(exc)
     if ns.dry_run:
         print("config ok")
         return EXIT_OK
-    outdir = Path(raw.get("output", {}).get("dir", ns.out))
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("decay-report", raw)
-    report = dispersion_probe(
-        state, grid, tgrid, sigma=float(bump.get("sigma", 2.0)),
-        amplitude=float(bump.get("amplitude", 1.0)),
-        component=int(bump.get("component", 0)))
+    report = dispersion_probe(state, grid, np.geomspace(t1, t2, n),
+                              sigma=sigma, amplitude=amplitude,
+                              component=component)
     path = outdir / "decay_report.json"
     report.write_json(path)
     manifest.add_output(path)
@@ -354,10 +453,7 @@ def cmd_projectors(ns) -> int:
     from .state import norm0
 
     state = _state_from_flags(ns)
-    xi = np.array([float(x) for x in ns.xi.split(",")])
-    if xi.shape != (3,) or not np.linalg.norm(xi):
-        print("xi must be a nonzero 3-vector 'x,y,z'", file=sys.stderr)
-        return EXIT_USAGE
+    xi = np.array(ns.xi)
     out = {
         "xi": xi.tolist(),
         "state": state.to_dict(),
@@ -387,13 +483,7 @@ def cmd_projectors(ns) -> int:
 # ----------------------------------------------------------------------
 
 def _state_from_flags(ns) -> ConstantState:
-    def vec(text):
-        parts = [float(x) for x in text.split(",")]
-        if len(parts) == 1:
-            parts = parts * 3
-        return parts
-
-    return ConstantState(tau0=ns.tau0, b0=vec(ns.b0), d0=vec(ns.d0))
+    return ConstantState(tau0=ns.tau0, b0=ns.b0, d0=ns.d0)
 
 
 def vars_serializable(ns) -> dict:
@@ -401,14 +491,67 @@ def vars_serializable(ns) -> dict:
             if k != "func" and not k.startswith("_")}
 
 
+# flag converters: argparse reports their errors with the flag's name
+
+def _numbers(text: str) -> list:
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if not parts or not np.all(np.isfinite(parts)):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers, got {text!r}")
+    return parts
+
+
+def _vector(text: str) -> list:
+    """'x,y,z', or one number for all three components."""
+    parts = _numbers(text)
+    if len(parts) == 1:
+        parts = parts * 3
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected 1 or 3 numbers, "
+                                         f"got {text!r}")
+    return parts
+
+
+def _nonzero_xi(text: str) -> list:
+    parts = _numbers(text)
+    if len(parts) != 3 or not any(parts):
+        raise argparse.ArgumentTypeError(f"expected a nonzero 3-vector "
+                                         f"'x,y,z', got {text!r}")
+    return parts
+
+
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, "
+                                         f"got {text!r}")
+    return n
+
+
 def _add_state_flags(p):
-    p.add_argument("--tau0", type=float, default=0.8)
-    p.add_argument("--b0", default="0.6,0.2,-0.1")
-    p.add_argument("--d0", default="-0.3,0.5,0.2")
+    bg = CERTIFICATION_BACKGROUND
+    p.add_argument("--tau0", type=float, default=bg.tau0)
+    p.add_argument("--b0", type=_vector, default=bg.b0.tolist(),
+                   metavar="X,Y,Z")
+    p.add_argument("--d0", type=_vector, default=bg.d0.tolist(),
+                   metavar="X,Y,Z")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="abiwave",
         description="Spectral structure, exact non-resonance certification "
                     "and pseudo-spectral simulation for the augmented "
@@ -434,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-identities",
                        help="numeric verification of the phase identities")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--out", default=".")
@@ -457,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("projectors",
                        help="dump A0, L0 and the three projectors at one xi")
-    p.add_argument("--xi", required=True, metavar="X,Y,Z")
+    p.add_argument("--xi", type=_nonzero_xi, required=True, metavar="X,Y,Z")
     p.add_argument("--out", default=".")
     _add_state_flags(p)
     p.set_defaults(func=cmd_projectors)
@@ -475,6 +618,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

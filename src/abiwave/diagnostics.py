@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
@@ -199,11 +199,7 @@ class DecayReport:
     samples: list
 
     def to_dict(self) -> dict:
-        return {
-            "norm": self.norm, "window": list(self.window),
-            "t_wrap": self.t_wrap, "exponent": self.exponent,
-            "ci95": self.ci95, "samples": self.samples,
-        }
+        return asdict(self)
 
     def write_json(self, path):
         with open(path, "w") as f:

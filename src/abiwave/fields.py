@@ -12,7 +12,6 @@ TAU = 0
 V = slice(1, 4)
 B = slice(4, 7)
 D = slice(7, 10)
-COMPONENT_NAMES = ("tau", "v1", "v2", "v3", "b1", "b2", "b3", "d1", "d2", "d3")
 
 
 @dataclass

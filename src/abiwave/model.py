@@ -126,6 +126,10 @@ def state_em_constants(state: ConstantState) -> tuple[np.ndarray, np.ndarray]:
     return B0, D0
 
 
+# the kinds of initial data admissible_perturbation builds
+IC_KINDS = ("bi_lift", "chaplygin")
+
+
 def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
                             grid: Grid, k0: float | None = None,
                             width: float | None = None,
@@ -143,6 +147,8 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
 
     Deterministic given (seed, amplitude, profile).
     """
+    if kind not in IC_KINDS:
+        raise ValueError(f"unknown perturbation kind {kind!r}")
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     k0 = 3.0 * 2.0 * np.pi / grid.L if k0 is None else k0
@@ -177,8 +183,6 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
         if np.min(state.tau0 + data[0]) <= 0:
             raise AdmissibilityError("perturbation drives tau nonpositive")
         return StateField(grid, data)
-
-    raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
 def galilean_shift(field: StateField, v0, t: float) -> StateField:

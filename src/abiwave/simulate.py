@@ -9,6 +9,7 @@ in two transforms and analyses the products in a third.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
@@ -37,7 +38,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class SimConfig:
-    """Resolved simulation configuration (see from_dict for the schema)."""
+    """Resolved simulation configuration.
+
+    :func:`abiwave.cli.parse_sim_config` reads it from the JSON config
+    and holds the schema.
+    """
 
     grid: Grid
     state: ConstantState
@@ -59,10 +64,14 @@ class SimConfig:
             + float(np.linalg.norm(self.state.v0))
 
     def resolved_dt(self) -> float:
+        """The time step; rejects a bad t_end and a dt past the CFL bound."""
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be a finite number > 0, "
+                              f"got {self.t_end}")
         limit = 0.5 * self.grid.dx / self.max_speed()
         dt = self.dt if self.dt is not None else \
             self.cfl * self.grid.dx / self.max_speed()
-        if dt <= 0 or dt > limit * (1 + 1e-12):
+        if not 0 < dt <= limit * (1 + 1e-12):
             raise ConfigError(
                 f"dt = {dt} violates the CFL bound {limit} (cfl <= 0.5)")
         return dt

@@ -67,13 +67,17 @@ class ConstantState:
                    d.get("d0", (0, 0, 0)))
 
 
+# the background of the certification and of the CLI state flags
+CERTIFICATION_BACKGROUND = ConstantState(tau0=0.8, b0=(0.6, 0.2, -0.1),
+                                         d0=(-0.3, 0.5, 0.2))
+
+
 @dataclass(frozen=True)
 class Metric0:
     """The metric g0 = tau0^2 I + b0(x)b0 + d0(x)d0 and its inverse."""
 
     g: np.ndarray
     g_inv: np.ndarray
-    eig_min: float
     eig_max: float
 
     @property
@@ -96,8 +100,7 @@ def metric_matrix(state: ConstantState) -> Metric0:
     w = np.linalg.eigvalsh(g)
     if w[0] <= 0:
         raise AdmissibilityError("metric not positive definite")
-    return Metric0(g=g, g_inv=np.linalg.inv(g), eig_min=float(w[0]),
-                   eig_max=float(w[-1]))
+    return Metric0(g=g, g_inv=np.linalg.inv(g), eig_max=float(w[-1]))
 
 
 def norm0(xi, state: ConstantState):

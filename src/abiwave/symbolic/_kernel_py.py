@@ -1,7 +1,10 @@
 """Kernel for sparse exact-integer polynomial arithmetic.
 
-A polynomial in the eighteen layout variables is a dict mapping a
-packed monomial key to a nonzero Python integer.  Exponents occupy
+A polynomial in the eighteen layout variables is a *term dict*: a plain
+``dict`` mapping a packed monomial key to a nonzero Python integer, with
+``{}`` the zero polynomial.  It is the certifier's only polynomial type;
+the projectors, the tensor entries, the ideal generators, the residues
+and the cofactors are all term dicts.  Exponents occupy
 seven bits per variable inside one arbitrary-precision integer key, so
 monomial multiplication is a single integer addition.  That addition is
 carry-free while every total degree stays at most ``MAX_EXP``.  The
@@ -62,6 +65,27 @@ def pack(exps) -> int:
 def unpack(key: int) -> tuple:
     """Inverse of :func:`pack`."""
     return tuple((key >> (BITS * i)) & MASK for i in range(NVARS))
+
+
+def variable(index: int) -> dict:
+    """The polynomial X_{index+1} (zero-based index)."""
+    if not 0 <= index < NVARS:
+        raise ValueError("variable index out of range")
+    return {1 << (BITS * index): 1}
+
+
+def to_text(terms: dict) -> str:
+    """Canonical text 'c * X1^a1*...*X18^a18 +- ...', keys ascending."""
+    if not terms:
+        return "0"
+    parts = []
+    for key in sorted(terms):
+        c = terms[key]
+        mono = "*".join(f"X{i+1}^{e}" for i, e in enumerate(unpack(key)) if e)
+        body = f"{abs(c)}" + (f" * {mono}" if mono else "")
+        parts.append(("+ " if c > 0 else "- ") + body)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def exponents(keys: list) -> np.ndarray:

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import asdict, dataclass, field as dfield, replace
 
 import numpy as np
 
 from ..resonance import resonant_samples, sample_off_axis
+from ..state import CERTIFICATION_BACKGROUND
 from . import _kernel_py
 from .ideal import (build_ideal_generators, extract_cofactors,
                     numeric_embedding, reduce_terms)
-from .poly import IntPolynomial, kernel_backend
+from .poly import kernel_backend
 from .tensors import InteractionTensor, build_interaction_tensor, \
     chaplygin_substitute
 
@@ -77,23 +78,9 @@ class Certificate:
         return self.entries_nonzero == 0
 
     def to_dict(self) -> dict:
-        out = {
-            "interaction": self.interaction,
-            "which": self.which,
-            "entries_total": self.entries_total,
-            "entries_nonzero": self.entries_nonzero,
-            "witnesses": self.witnesses,
-            "max_degree": self.max_degree,
-            "terms_max": self.terms_max,
-            "millis": self.millis,
-            "build_ms": self.build_ms,
-            "preflight_ms": self.preflight_ms,
-            "reduce_ms": self.reduce_ms,
-            "backend": self.backend,
-            "subsystem": self.subsystem,
-        }
-        if self.cofactors is not None:
-            out["cofactors"] = self.cofactors
+        out = asdict(self)
+        if self.cofactors is None:
+            del out["cofactors"]
         return out
 
 
@@ -110,7 +97,7 @@ def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
     gens = build_ideal_generators(eps2, eps3)
     xi, eta = resonant_samples(eps2 * eps3, np.random.default_rng(seed), n)
     X = numeric_embedding(xi, eta, state)
-    table = _kernel_py.TermTable(g.terms for g in gens)
+    table = _kernel_py.TermTable(gens)
     vals = _kernel_py.evaluator(table)(X)
     worst = float(np.max(np.abs(vals)))
     if worst > GATE_ANNIHILATION_TOL:
@@ -151,10 +138,7 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
     ``mutate_entry=(i, j, k)`` adds one to that entry first, which must
     then be flagged - a self-test of the reduction's soundness.
     """
-    from ..state import ConstantState
-
-    state = state or ConstantState(tau0=0.8, b0=(0.6, 0.2, -0.1),
-                                   d0=(-0.3, 0.5, 0.2))
+    state = state or CERTIFICATION_BACKGROUND
     if mutate_entry is not None:
         shape = (10 if which == "evolution" else 5, 10, 10)
         if not all(0 <= x < n for x, n in zip(mutate_entry, shape)):
@@ -192,12 +176,12 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
     witnesses = []
     for row in sorted(residues)[:16]:
         residue = residues[row]
-        lead = IntPolynomial(residue).leading_monomial()
+        lead = max(residue)  # the largest packed key
         witnesses.append({
             "entry": list(index[row]),
             "residue_terms": len(residue),
-            "witness_monomial": {"exponents": list(lead[0]),
-                                 "coefficient": str(lead[1])},
+            "witness_monomial": {"exponents": list(_kernel_py.unpack(lead)),
+                                 "coefficient": str(residue[lead])},
         })
     cert = Certificate(
         interaction=_label(eps, which),
@@ -232,10 +216,10 @@ def _sample_cofactors(tensor: InteractionTensor, eps, max_entries: int = 3):
     for (i, j, k), terms in tensor.iter_entries():
         if not terms:
             continue
-        cof, residue = extract_cofactors(IntPolynomial(terms), eps[1], eps[2])
-        assert residue.is_zero()
-        out[f"{i},{j},{k}"] = {f"Q{n+1}": q.to_text()
-                               for n, q in enumerate(cof) if not q.is_zero()}
+        cof, residue = extract_cofactors(terms, eps[1], eps[2])
+        assert not residue
+        out[f"{i},{j},{k}"] = {f"Q{n+1}": _kernel_py.to_text(q)
+                               for n, q in enumerate(cof) if q}
         count += 1
         if count >= max_entries:
             break

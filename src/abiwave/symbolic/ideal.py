@@ -33,7 +33,6 @@ import numpy as np
 
 from . import _kernel_py
 from ._kernel_py import TermTable
-from .poly import IntPolynomial
 
 # stage one substitutes the collinearity relations:
 # X7 <- s X4, X8 <- s X5, X9 <- s X6, X16 <- X13, X17 <- s X14, X18 <- s X15
@@ -50,25 +49,23 @@ _SIGNED = [src for src, _, signed in _STAGE1 if signed]
 _STAGE2 = ((2, 0, 1), (5, 3, 4), (11, 9, 10), (14, 12, 13))
 
 
-def build_ideal_generators(eps2: int, eps3: int) -> list[IntPolynomial]:
-    """The twelve generators for an interaction of signs (eps2, eps3)."""
+def build_ideal_generators(eps2: int, eps3: int) -> list[dict]:
+    """The twelve generators, as term dicts, for signs (eps2, eps3)."""
     if eps2 not in (1, -1) or eps3 not in (1, -1):
         raise ValueError("generators need eps2, eps3 in {+1, -1}; "
                          "kernel-branch interactions have no orientation")
     s = eps2 * eps3
     gens = []
-    for base in range(6):
-        sq = IntPolynomial.const(-1)
+    for base in range(6):  # P1..P6: X_a^2 + X_b^2 + X_c^2 - 1
+        sq = {0: -1}
         for j in range(3):
-            v = IntPolynomial.variable(3 * base + j)
-            sq = sq + v * v
+            v = _kernel_py.variable(3 * base + j)
+            _kernel_py.add_into(sq, _kernel_py.mul(v, v), 1)
         gens.append(sq)
-    for j in range(3):  # P7..P9: eta vs xi-eta unit vectors
-        gens.append(IntPolynomial.variable(3 + j)
-                    - IntPolynomial.variable(6 + j, coeff=1) * s)
-    gens.append(IntPolynomial.variable(12) - IntPolynomial.variable(15))
-    gens.append(IntPolynomial.variable(13) - IntPolynomial.variable(16, 1) * s)
-    gens.append(IntPolynomial.variable(14) - IntPolynomial.variable(17, 1) * s)
+    for src, dst, signed in _STAGE1:  # P7..P12: X_dst - s X_src (P10: s = 1)
+        g = _kernel_py.variable(dst)
+        _kernel_py.add_into(g, _kernel_py.variable(src), -s if signed else -1)
+        gens.append(g)
     return gens
 
 
@@ -211,12 +208,11 @@ def reduce_terms(table: TermTable, s: int) -> dict:
     return residues
 
 
-def reduce_poly(p: IntPolynomial, s: int) -> IntPolynomial:
-    """Normal form; zero result certifies membership in the ideal."""
+def reduce_poly(p: dict, s: int) -> dict:
+    """Normal form of a term dict; ``{}`` certifies membership in the ideal."""
     if s not in (1, -1):
         raise ValueError("orientation sign must be +1 or -1")
-    residue = reduce_terms(TermTable([p.terms]), s).get(0, {})
-    return IntPolynomial(residue, p.scale_log2, p.i_power)
+    return reduce_terms(TermTable([p]), s).get(0, {})
 
 
 # ----------------------------------------------------------------------
@@ -239,17 +235,17 @@ def _var_power(var: int, e: int) -> dict:
     return {e << (_kernel_py.BITS * var): 1}
 
 
-def extract_cofactors(p: IntPolynomial, eps2: int, eps3: int):
+def extract_cofactors(p: dict, eps2: int, eps3: int):
     """Cofactors Q1..Q12 with p = reduce(p) + sum Q_i P_i, exactly.
 
-    Only available for entries whose normal form is zero (certified
-    residue-zero); the identity is re-verified by exact expansion
+    Takes a term dict and returns the twelve cofactors and the residue
+    as term dicts.  The identity is re-verified by exact expansion
     before returning.
     """
     s = eps2 * eps3
     gens = build_ideal_generators(eps2, eps3)
-    cof = [IntPolynomial.zero() for _ in range(12)]
-    cur = dict(p.terms)
+    cof = [{} for _ in range(12)]
+    cur = dict(p)
 
     # stage 1: for each substituted variable, p = sum_e X^e p_e and
     # X^e - (s X')^e = (X - s X') * sum_{m<e} X^m (s X')^{e-1-m};
@@ -276,7 +272,7 @@ def extract_cofactors(p: IntPolynomial, eps2: int, eps3: int):
                     _kernel_py.add_into(tele, part, coeff)
                 q = _kernel_py.mul(tele, pe)
                 _kernel_py.add_into(q_terms, q, -ssub)
-        cof[gi] = cof[gi] + IntPolynomial(q_terms)
+        cof[gi] = q_terms
         cur = new
 
     # stage 2: X_v^{2m+r} = (1 - A^2 - B^2)^m X_v^r + P * telescope,
@@ -311,17 +307,16 @@ def extract_cofactors(p: IntPolynomial, eps2: int, eps3: int):
                     _kernel_py.add_into(tele, part, 1)
                 q = _kernel_py.mul(_kernel_py.mul(tele, pe), _var_power(var, r))
                 _kernel_py.add_into(q_terms, q, 1)
-        cof[gi] = cof[gi] + IntPolynomial(q_terms)
+        cof[gi] = q_terms
         cur = new
 
-    residue = IntPolynomial(cur)
     # exact re-expansion check: p == residue + sum Q_i P_i
-    recon = residue
+    recon = dict(cur)
     for q, g in zip(cof, gens):
-        recon = recon + q * g
-    if recon.terms != p.terms:
+        _kernel_py.add_into(recon, _kernel_py.mul(q, g), 1)
+    if recon != p:
         raise AssertionError("cofactor re-expansion failed")
-    return cof, residue
+    return cof, cur
 
 
 def numeric_embedding(xi, eta, state) -> np.ndarray:

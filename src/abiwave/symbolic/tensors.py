@@ -12,6 +12,11 @@ outer projector and have five rows.  Entries are built from the shared
 quadratic tables of :mod:`abiwave.system` in two exact contractions:
 B.(P2 (x) P3) first, then the outer P1 (see
 :func:`build_interaction_tensor`).
+
+Every projector entry and every tensor entry is a term dict of
+:mod:`abiwave.symbolic._kernel_py` (packed monomial key -> nonzero
+integer); :class:`InteractionTensor` holds the scale and states the
+factor -i that the entries leave out.
 """
 from __future__ import annotations
 
@@ -29,12 +34,8 @@ SLOT_ETA = (3, 12)
 SLOT_W = (6, 15)  # xi - eta
 
 
-def _var(idx: int) -> dict:
-    return {1 << (_kernel_py.BITS * idx): 1}
-
-
 def projector_terms(branch: int, slot: tuple[int, int]):
-    """10x10 matrix of bare term-dicts for a projector at one slot.
+    """10x10 matrix of term dicts for a projector at one slot.
 
     Wave branches are returned doubled (the entries of 2 P^{+-}) so all
     coefficients are integers; the kernel branch is returned as is.
@@ -42,8 +43,8 @@ def projector_terms(branch: int, slot: tuple[int, int]):
     float projectors derive from A0, so the float cross-check is independent.
     """
     ub, cb = slot
-    u = [_var(ub + i) for i in range(3)]
-    al, be, de = _var(cb), _var(cb + 1), _var(cb + 2)
+    u = [_kernel_py.variable(ub + i) for i in range(3)]
+    al, be, de = (_kernel_py.variable(cb + i) for i in range(3))
 
     def m(*dicts, c=1):
         out = {0: c}
@@ -130,13 +131,19 @@ def projector_terms(branch: int, slot: tuple[int, int]):
 
 @dataclass
 class InteractionTensor:
-    """Exact projected tensor, its scale and the build provenance."""
+    """Exact projected tensor, its scale and the build provenance.
+
+    The tensor is ``-i * 2^-scale_log2 * entries``: the entries are
+    integer term dicts, the halves of the wave projectors are cleared
+    into ``scale_log2``, and the one factor -i of the single derivative
+    is held by no field, since it changes neither reduction nor
+    zero-ness.
+    """
 
     eps: tuple[int, int, int]  # (eps1, eps2, eps3); eps1 ignored for Nprime
     which: str                 # "evolution" or "constraint"
-    entries: list              # nested lists [i][j][k] of bare term-dicts
+    entries: list              # nested lists [i][j][k] of term dicts
     scale_log2: int            # cleared projector halves
-    i_power: int = 3           # one factor of -i from the single derivative
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -174,7 +181,7 @@ class InteractionTensor:
         from a per-variable power table and contracts with the sparse
         (entries x monomials) coefficient matrix, so the float
         cross-check gate is cheap.  The scale 2^-scale_log2 is included;
-        the factor i^i_power is not.
+        the factor -i is not.
         """
         evaluate = _kernel_py.evaluator(self.table)
         shape = self.shape
@@ -239,7 +246,7 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     folded = {}  # (c_diff, jdir) -> nonzero (j, P2[c_diff][j] * X_dir)
     for row, a_undiff, c_diff, jdir, sign in terms_table:
         if (c_diff, jdir) not in folded:
-            dvar = _var(SLOT_W[0] + jdir)
+            dvar = _kernel_py.variable(SLOT_W[0] + jdir)
             folded[c_diff, jdir] = [(j, _kernel_py.mul(p2, dvar))
                                     for j, p2 in enumerate(P2[c_diff]) if p2]
         p3_line = [(k, p3) for k, p3 in enumerate(P3[a_undiff]) if p3]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from abiwave import system
 from abiwave.symbolic import _kernel_py
-from abiwave.symbolic.tensors import (SLOT_ETA, SLOT_W, SLOT_XI, _var,
+from abiwave.symbolic._kernel_py import variable
+from abiwave.symbolic.tensors import (SLOT_ETA, SLOT_W, SLOT_XI,
                                       projector_terms)
 
 
@@ -44,7 +45,7 @@ def build_entries(eps: tuple[int, int, int], which: str = "evolution"):
     entries = [[[dict() for _ in range(10)] for _ in range(10)]
                for _ in range(nrows)]
     for row, a_undiff, c_diff, jdir, sign in terms_table:
-        dvar = _var(SLOT_W[0] + jdir)
+        dvar = variable(SLOT_W[0] + jdir)
         outer = ([(row, {0: 1})] if P1 is None else
                  [(i, P1[i][row]) for i in range(10) if P1[i][row]])
         for j in range(10):

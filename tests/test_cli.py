@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abiwave import cli
 
@@ -271,6 +275,14 @@ def _out_under_file(raw, tmp_path):
     return raw
 
 
+def _probe_amplitudes(value):
+    def edit(raw, tmp_path):
+        raw["mode"] = "u0_probe"
+        raw["u0_probe"] = {"amplitudes": value}
+        return raw
+    return edit
+
+
 @pytest.mark.parametrize("command, edit", [
     ("simulate", lambda raw, tmp_path: []),
     ("decay-report", lambda raw, tmp_path: []),
@@ -283,9 +295,23 @@ def _out_under_file(raw, tmp_path):
     ("simulate", _set("state", "tau0", 1.0)),
     ("simulate", _out_under_file),
     ("decay-report", _out_under_file),
+    ("simulate", _replace("dealias", "no")),
+    ("simulate", _probe_amplitudes(5)),
+    ("simulate", _probe_amplitudes([1e-2, 5e-3, 2e-3])),
+    ("simulate", _set("time", "t_end", -1)),
+    ("simulate", _set("time", "t_end", float("nan"))),
+    ("simulate", _set("ic", "seed", -1)),
+    ("simulate", _set("ic", "seed", 2 ** 70)),
+    ("simulate", _set("ic", "kind", 7)),
+    ("decay-report", _set("times", "n", 0)),
+    ("decay-report", _set("times", "n", 1)),
+    ("decay-report", _set("times", "t2", 1e4)),
 ], ids=["sim-list", "decay-list", "ic-int", "decay-grid-int", "t_end-null",
         "snapshots-int", "snapshots-str", "t1-null", "manifold_from-and-tau0",
-        "sim-out-under-file", "decay-out-under-file"])
+        "sim-out-under-file", "decay-out-under-file", "dealias-str",
+        "amplitudes-int", "amplitudes-three", "t_end-negative", "t_end-nan",
+        "seed-negative", "seed-2**70", "kind-int", "n-0", "n-1",
+        "t2-past-wrap"])
 def test_bad_config_or_output_exits_1_without_traceback(tmp_path, capsys,
                                                          command, edit):
     if command == "simulate":
@@ -293,10 +319,13 @@ def test_bad_config_or_output_exits_1_without_traceback(tmp_path, capsys,
     else:
         raw = _decay_config(tmp_path)
     path = _write(tmp_path, edit(raw, tmp_path))
-    assert run_cli(command, "--config", str(path)) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
+    runs = [()] if edit is _out_under_file else [("--dry-run",), ()]
+    for extra in runs:
+        assert run_cli(command, "--config", str(path), *extra) \
+            == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_bad_abi_threads_warns_once_and_is_recorded(tmp_path, monkeypatch,
@@ -315,3 +344,97 @@ def test_bad_abi_threads_warns_once_and_is_recorded(tmp_path, monkeypatch,
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["threads"] == 1
     assert manifest["threads_requested"] == "abc"
+
+
+def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(ns):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_projectors", interrupted)
+    assert cli.EXIT_INTERRUPTED == 130
+    assert run_cli("projectors", "--xi", "1,0,0") == cli.EXIT_INTERRUPTED
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("projectors", "--xi", "a,b,c"),
+    ("projectors", "--xi", "1,0"),
+    ("projectors", "--xi", "0,0,0"),
+    ("projectors", "--xi", "1,0,0", "--b0", "x"),
+    ("projectors", "--xi", "1,0,0", "--d0", "1,2"),
+    ("check-identities", "--samples", "0"),
+    ("check-identities", "--samples", "many"),
+], ids=["xi-str", "xi-two", "xi-zero", "b0-str", "d0-two", "samples-0",
+        "samples-str"])
+def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv):
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert f"argument {argv[-2]}:" in err
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
+                 .glob("*.json"))
+
+
+def _paths(node, prefix=()):
+    """Paths (key or index tuples) to every value inside a JSON value."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def _mutated_config(draw):
+    """(command, file text) of a bundled config with one mutation."""
+    path = draw(st.sampled_from(CONFIGS))
+    raw = json.loads(path.read_text())
+    command = "decay-report" if "bump" in raw else "simulate"
+    kind = draw(st.sampled_from(["drop", "retype", "number", "non-object",
+                                 "truncated"]))
+    if kind == "non-object":
+        return command, json.dumps(draw(st.sampled_from(
+            [None, 0, -1.5, "config", [], [raw]])))
+    text = json.dumps(raw)
+    if kind == "truncated":
+        return command, text[:draw(st.integers(0, len(text) - 1))]
+    paths = list(_paths(raw))
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(_at(raw, p[:-1]), dict)]
+    target = draw(st.sampled_from(paths))
+    parent = _at(raw, target[:-1])
+    if kind == "drop":
+        del parent[target[-1]]
+    elif kind == "retype":
+        parent[target[-1]] = draw(st.sampled_from(
+            [None, "abc", "", [], [1.0], {}, {"x": 1}]))
+    else:  # small enough that no grid or time array gets large
+        parent[target[-1]] = draw(st.integers(-3, 0)
+                                  | st.floats(-3.0, 0.0))
+    return command, json.dumps(raw)
+
+
+@settings(deadline=None, max_examples=120)
+@given(case=_mutated_config())
+def test_mutated_bundled_config_dry_run_exits_0_or_1(tmp_path_factory, case):
+    command, text = case
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(command, "--config", str(path), "--dry-run")
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) <= 1

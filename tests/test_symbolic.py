@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from abiwave.resonance import resonant_samples
 from abiwave.state import ConstantState
 from abiwave.symbolic import _kernel_py
-from abiwave.symbolic._kernel_py import TermTable
-from abiwave.symbolic.poly import IntPolynomial, pack, unpack
+from abiwave.symbolic._kernel_py import (TermTable, add_into, mul, pack,
+                                         to_text, unpack, variable)
 from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic import certify as C
 
@@ -24,17 +24,30 @@ def test_pack_roundtrip(exps):
     assert list(unpack(pack(exps))) == exps
 
 
+def _sum(polys, c=1):
+    out = {}
+    for p in polys:
+        add_into(out, p, c)
+    return out
+
+
 def test_polynomial_text_and_arithmetic():
-    x1 = IntPolynomial.variable(0)
-    x2 = IntPolynomial.variable(1)
-    p = x1 * x1 * 3 - x2 * 2 + IntPolynomial.const(1)
-    assert p.to_text() == "1 + 3 * X1^2 - 2 * X2^1"
-    assert (p - p).is_zero()
-    assert p.degree == 2
-    q = p * p
-    assert q.degree == 4
-    assert _kernel_py.evaluator(TermTable([q.terms]))([[1.5] + [0.5] * 17])[0, 0] \
+    x1, x2 = variable(0), variable(1)
+    p = {0: 1}
+    add_into(p, mul(x1, x1), 3)
+    add_into(p, x2, -2)
+    assert to_text(p) == "1 + 3 * X1^2 - 2 * X2^1"
+    assert to_text(_sum([p], -1)) == "-1 - 3 * X1^2 + 2 * X2^1"
+    assert to_text({}) == "0"
+    assert _sum([p, _sum([p], -1)]) == {}
+    assert _kernel_py.degree(p) == 2
+    q = mul(p, p)
+    assert _kernel_py.degree(q) == 4
+    assert _kernel_py.evaluator(TermTable([q]))([[1.5] + [0.5] * 17])[0, 0] \
         == pytest.approx((1 + 3 * 1.5 ** 2 - 2 * 0.5) ** 2)
+    assert variable(17) == {pack([0] * 17 + [1]): 1}
+    with pytest.raises(ValueError):
+        variable(18)
 
 
 def _rand_terms(rng, n=15, emax=2, cmax=40):
@@ -52,22 +65,19 @@ def _rand_terms(rng, n=15, emax=2, cmax=40):
 # ----------------------------------------------------------------------
 
 def test_reduce_fixed_examples():
-    one = IntPolynomial.const(1)
-    assert ideal.reduce_poly(one, 1).to_text() == "1"
-    sq = sum((IntPolynomial.variable(i) * IntPolynomial.variable(i)
-              for i in range(3)), IntPolynomial.zero())
-    assert ideal.reduce_poly(sq, 1).to_text() == "1"
-    dot = sum((IntPolynomial.variable(3 + i) * IntPolynomial.variable(6 + i)
-               for i in range(3)), IntPolynomial.zero())
-    assert ideal.reduce_poly(dot, +1).to_text() == "1"
-    assert ideal.reduce_poly(dot, -1).to_text() == "-1"
+    assert to_text(ideal.reduce_poly({0: 1}, 1)) == "1"
+    sq = _sum(mul(variable(i), variable(i)) for i in range(3))
+    assert to_text(ideal.reduce_poly(sq, 1)) == "1"
+    dot = _sum(mul(variable(3 + i), variable(6 + i)) for i in range(3))
+    assert to_text(ideal.reduce_poly(dot, +1)) == "1"
+    assert to_text(ideal.reduce_poly(dot, -1)) == "-1"
 
 
 def test_reduce_eliminates_dependent_variables(rng):
-    p = IntPolynomial(_rand_terms(rng))
+    p = _rand_terms(rng)
     for s in (1, -1):
         r = ideal.reduce_poly(p, s)
-        for key in r.terms:
+        for key in r:
             exps = unpack(key)
             assert all(exps[v] == 0 for v in (6, 7, 8, 15, 16, 17))
             assert all(exps[v] <= 1 for v in (2, 5, 11, 14))
@@ -78,12 +88,15 @@ def test_reduce_eliminates_dependent_variables(rng):
        b=st.integers(-10 ** 12, 10 ** 12), s=st.sampled_from([1, -1]))
 def test_reduce_idempotent_and_linear(seed, a, b, s):
     rng = np.random.default_rng(seed)
-    p = IntPolynomial(_rand_terms(rng))
-    q = IntPolynomial(_rand_terms(rng))
-    lin = ideal.reduce_poly(p * a + q * b, s)
-    split = ideal.reduce_poly(p, s) * a + ideal.reduce_poly(q, s) * b
-    assert lin.terms == split.terms
-    assert ideal.reduce_poly(lin, s).terms == lin.terms
+    p = _rand_terms(rng)
+    q = _rand_terms(rng)
+    pq = _sum([p], a)
+    add_into(pq, q, b)
+    lin = ideal.reduce_poly(pq, s)
+    split = _sum([ideal.reduce_poly(p, s)], a)
+    add_into(split, ideal.reduce_poly(q, s), b)
+    assert lin == split
+    assert ideal.reduce_poly(lin, s) == lin
 
 
 def test_reduce_soundness_on_resonant_samples(rng):
@@ -92,10 +105,11 @@ def test_reduce_soundness_on_resonant_samples(rng):
         xi, eta = resonant_samples(s, np.random.default_rng(3), 50)
         X = ideal.numeric_embedding(xi, eta, STATE)
         for _ in range(10):
-            p = IntPolynomial(_rand_terms(rng))
-            d = p - ideal.reduce_poly(p, s)
-            vals = _kernel_py.evaluator(TermTable([d.terms]))(X)
-            scale = max(1.0, max(abs(c) for c in p.terms.values()) * 10)
+            p = _rand_terms(rng)
+            d = dict(p)
+            add_into(d, ideal.reduce_poly(p, s), -1)
+            vals = _kernel_py.evaluator(TermTable([d]))(X)
+            scale = max(1.0, max(abs(c) for c in p.values()) * 10)
             assert np.max(np.abs(vals)) <= 1e-8 * scale
 
 
@@ -123,8 +137,7 @@ def test_orientation_sign_matches_samplers():
     X_same = ideal.numeric_embedding(xi, 0.4 * xi, STATE)
     X_opp = ideal.numeric_embedding(xi, 2.5 * xi, STATE)
     # at[point, generator] with points (X_same, X_opp)
-    at = _kernel_py.evaluator(TermTable([gens_p[6].terms,
-                                         gens_m[6].terms]))(
+    at = _kernel_py.evaluator(TermTable([gens_p[6], gens_m[6]]))(
         [X_same, X_opp])
     assert abs(at[0, 0]) <= 1e-14
     assert abs(at[1, 1]) <= 1e-14
@@ -132,14 +145,14 @@ def test_orientation_sign_matches_samplers():
 
 
 def test_cofactors_zero_poly_and_degree_bound(rng):
-    cof, res = ideal.extract_cofactors(IntPolynomial.zero(), 1, 1)
-    assert res.is_zero() and all(q.is_zero() for q in cof)
+    cof, res = ideal.extract_cofactors({}, 1, 1)
+    assert res == {} and cof == [{}] * 12
     for _ in range(5):
-        p = IntPolynomial(_rand_terms(rng, n=8))
+        p = _rand_terms(rng, n=8)
         cof, res = ideal.extract_cofactors(p, 1, -1)  # re-expansion asserted
         for q in cof:
-            if not q.is_zero():
-                assert q.degree <= p.degree
+            if q:
+                assert _kernel_py.degree(q) <= _kernel_py.degree(p)
 
 
 # ----------------------------------------------------------------------
@@ -341,14 +354,14 @@ def _chaplygin_hand_tensor(eps):
     -v.grad tau + tau div v with the derivative in the xi-eta slot.
     """
     def proj(sign, base):
-        u = [IntPolynomial.variable(base + i) for i in range(3)]
-        P = [[IntPolynomial.zero() for _ in range(4)] for _ in range(4)]
-        P[0][0] = IntPolynomial.const(1)
+        u = [variable(base + i) for i in range(3)]
+        P = [[{} for _ in range(4)] for _ in range(4)]
+        P[0][0] = {0: 1}
         for i in range(3):
-            P[0][1 + i] = u[i] * sign
-            P[1 + i][0] = u[i] * sign
+            P[0][1 + i] = mul(u[i], {0: sign})
+            P[1 + i][0] = mul(u[i], {0: sign})
             for j in range(3):
-                P[1 + i][1 + j] = u[i] * u[j]
+                P[1 + i][1 + j] = mul(u[i], u[j])
         return P
 
     terms = []
@@ -363,20 +376,19 @@ def _chaplygin_hand_tensor(eps):
     P1 = proj(eps[0], 0)
     P2 = proj(eps[1], 6)
     P3 = proj(eps[2], 3)
-    out = [[[IntPolynomial.zero() for _ in range(4)] for _ in range(4)]
-           for _ in range(4)]
+    out = [[[{} for _ in range(4)] for _ in range(4)] for _ in range(4)]
     for row, a_un, c_di, jdir, sg in terms:
-        dvar = IntPolynomial.variable(6 + jdir)
+        dvar = variable(6 + jdir)
         for i in range(4):
-            if P1[i][row].is_zero():
+            if not P1[i][row]:
                 continue
             for j in range(4):
-                if P2[c_di][j].is_zero():
+                if not P2[c_di][j]:
                     continue
-                m = P1[i][row] * P2[c_di][j] * dvar * sg
+                m = mul(mul(P1[i][row], P2[c_di][j]), dvar)
                 for k in range(4):
-                    if not P3[a_un][k].is_zero():
-                        out[i][j][k] = out[i][j][k] + m * P3[a_un][k]
+                    if P3[a_un][k]:
+                        add_into(out[i][j][k], mul(m, P3[a_un][k]), sg)
     return out
 
 
@@ -389,7 +401,7 @@ def test_chaplygin_subblock_matches_hand_oracle(eps):
         for j in range(4):
             for k in range(4):
                 got = tensors.chaplygin_substitute(T.entries[i][j][k])
-                assert got == hand[i][j][k].terms, (i, j, k)
+                assert got == hand[i][j][k], (i, j, k)
 
 
 def test_certified_tensor_vanishes_on_resonant_configurations():

@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abiwave.symbolic import certify as C
 from abiwave.symbolic import ideal, tensors
-from abiwave.symbolic._kernel_py import TermTable
-from abiwave.symbolic.poly import pack
+from abiwave.symbolic._kernel_py import TermTable, pack
 
 from ideal_reference import reduce_entry
 
