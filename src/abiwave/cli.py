@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: verify-symbols, check-identities, simulate, decay-report,
-projectors.  Exit codes are a stable contract: 0 pass, 1 usage or
-configuration error, 2 verification failure, 3 numerical blow-up,
-130 interrupted (Ctrl-C).
+projectors.  Each writes its outputs and then raises; :func:`main`
+alone turns an exception into an exit code, a stable contract: 0 pass,
+1 usage or configuration error, 2 verification failure, 3 numerical
+blow-up, 130 interrupted (Ctrl-C).
 Every output directory receives a run manifest sufficient to reproduce
 it (bitwise at ABI_THREADS=1).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -21,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import BlowUpError, ConfigError, VerificationError
 from .grid import Grid, fft_workers
 from .model import IC_KINDS
 from .state import CERTIFICATION_BACKGROUND, ConstantState, bi_lift_constant
-from .fields import StateField
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,10 +100,18 @@ _REQUIRED = object()
 
 def _reject_unknown(d: dict, allowed: set, where: str):
     if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object")
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _section(d: dict, key: str, allowed: set, required=False) -> dict:
+    """``d[key]``, a JSON object with no key outside ``allowed``, or {}."""
+    section = _read(d, "config", key, lambda s: s,
+                    _REQUIRED if required else {})
+    _reject_unknown(section, allowed, key)
+    return section
 
 
 def _read(d: dict, where: str, key: str, conv, default=_REQUIRED):
@@ -109,16 +119,19 @@ def _read(d: dict, where: str, key: str, conv, default=_REQUIRED):
 
     An absent key gives ``default``, and so does null when the default
     is None (an optional key); without a default the key is required.
+    A ConfigError from ``conv`` names its own key and passes unchanged.
     """
     value = d.get(key, default)
     if value is _REQUIRED:
-        raise ValueError(f"{where}.{key} is missing")
+        raise ConfigError(f"{where}.{key} is missing")
     if value is None and default is None:
         return None
     try:
         return conv(value)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}.{key}: {exc}") from None
+        raise ConfigError(f"{where}.{key}: {exc}") from None
 
 
 def _boolean(x) -> bool:
@@ -127,36 +140,49 @@ def _boolean(x) -> bool:
     return x
 
 
-def _text(x) -> str:
-    if not isinstance(x, str):
-        raise ValueError(f"must be a string, got {x!r}")
-    return x
+def _finite(x) -> float:
+    """A finite JSON number."""
+    if isinstance(x, (bool, str)) or not math.isfinite(float(x)):
+        raise ValueError(f"must be a finite number, got {x!r}")
+    return float(x)
 
 
 def _positive(x) -> float:
     """A finite number > 0."""
-    if isinstance(x, (bool, str)) or not 0 < float(x) < math.inf:
+    if not _finite(x) > 0:
         raise ValueError(f"must be a finite number > 0, got {x!r}")
     return float(x)
 
 
-def _seed(x) -> int:
-    """A JSON integer in [0, 2**64), the range of a Philox seed."""
-    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < 2 ** 64:
-        raise ValueError(f"must be an integer in [0, 2**64), got {x!r}")
-    return x
+def _nonnegative(x) -> float:
+    """A finite number >= 0."""
+    if not _finite(x) >= 0:
+        raise ValueError(f"must be a finite number >= 0, got {x!r}")
+    return float(x)
 
 
-def _ic_kind(x) -> str:
-    if x not in IC_KINDS:
-        raise ValueError(f"must be one of {list(IC_KINDS)}, got {x!r}")
-    return x
+def _integer(low: int, high=math.inf):
+    """Converter: a JSON integer in ``[low, high)``."""
+    def conv(x) -> int:
+        if type(x) is not int or not low <= x < high:
+            raise ValueError(f"must be an integer in [{low}, {high}), "
+                             f"got {x!r}")
+        return x
+    return conv
+
+
+def _one_of(options: tuple):
+    def conv(x):
+        if x not in options:
+            raise ValueError(f"must be one of {list(options)}, got {x!r}")
+        return x
+    return conv
 
 
 def _three(x) -> list:
     if not isinstance(x, list) or len(x) != 3:
         raise ValueError(f"must be a list of three numbers, got {x!r}")
-    return [float(c) for c in x]
+    return [_finite(c) for c in x]
 
 
 def _two_positive(x) -> tuple:
@@ -165,26 +191,50 @@ def _two_positive(x) -> tuple:
     return tuple(_positive(a) for a in x)
 
 
+def _times(x) -> tuple:
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"must be a list of numbers, got {x!r}")
+    return tuple(_finite(t) for t in x)
+
+
 def parse_state(d: dict) -> ConstantState:
     _reject_unknown(d, {"tau0", "v0", "b0", "d0", "manifold_from"}, "state")
     if "manifold_from" in d:
         if set(d) != {"manifold_from"}:
-            raise ValueError(f"state.manifold_from excludes "
-                             f"{sorted(set(d) - {'manifold_from'})}")
+            raise ConfigError(f"state.manifold_from excludes "
+                              f"{sorted(set(d) - {'manifold_from'})}")
         lift = d["manifold_from"]
         _reject_unknown(lift, {"B0", "D0"}, "state.manifold_from")
         return bi_lift_constant(
             B0=_read(lift, "state.manifold_from", "B0", _three),
             D0=_read(lift, "state.manifold_from", "D0", _three))
     return ConstantState(
-        tau0=_read(d, "state", "tau0", float),
-        **{key: _read(d, "state", key, _three, [0.0] * 3)
-           for key in ("v0", "b0", "d0")})
+        tau0=_read(d, "state", "tau0", _positive),
+        **{key: _read(d, "state", key, _three)
+           for key in ("v0", "b0", "d0") if key in d})
 
 
 def parse_grid(d: dict) -> Grid:
     _reject_unknown(d, {"N", "L"}, "grid")
     return Grid(N=_read(d, "grid", "N", int), L=_read(d, "grid", "L", float))
+
+
+# SimConfig field: (config section, key, converter).  An absent key takes
+# the field's default, and so does null where that default is None.
+_SIM_FIELDS = {
+    "t_end": ("time", "t_end", _positive),
+    "cfl": ("time", "cfl", float),
+    "dt": ("time", "dt", float),
+    "dealias": ("config", "dealias", _boolean),
+    "cadence": ("diagnostics", "cadence", _positive),
+    "sobolev_n": ("diagnostics", "sobolev_n", int),
+    "ic_kind": ("ic", "kind", _one_of(IC_KINDS)),
+    "amplitude": ("ic", "amplitude", _nonnegative),
+    "k0": ("ic", "k0", _finite),
+    "width": ("ic", "width", _positive),
+    "seed": ("ic", "seed", _integer(0, 2 ** 64)),  # a Philox seed
+    "snapshots": ("output", "snapshots", _times),
+}
 
 
 def parse_sim_config(d: dict):
@@ -197,49 +247,74 @@ def parse_sim_config(d: dict):
     _reject_unknown(d, {"schema", "mode", "grid", "state", "ic", "time",
                         "dealias", "diagnostics", "output", "u0_probe"},
                     "config")
-    if d.get("schema") != SIM_SCHEMA:
-        raise ValueError(f"config schema must be {SIM_SCHEMA}")
-    grid = parse_grid(d["grid"])
-    state = parse_state(d["state"])
-    ic = d.get("ic", {})
-    _reject_unknown(ic, {"kind", "amplitude", "k0", "width", "seed"}, "ic")
-    tm = d.get("time", {})
-    _reject_unknown(tm, {"t_end", "cfl", "dt"}, "time")
-    diag = d.get("diagnostics", {})
-    _reject_unknown(diag, {"cadence", "sobolev_n"}, "diagnostics")
-    outd = d.get("output", {})
-    _reject_unknown(outd, {"dir", "snapshots"}, "output")
+    _read(d, "config", "schema", _one_of((SIM_SCHEMA,)))
+    sections = {
+        "config": d,
+        "ic": _section(d, "ic", {"kind", "amplitude", "k0", "width", "seed"}),
+        "time": _section(d, "time", {"t_end", "cfl", "dt"}),
+        "diagnostics": _section(d, "diagnostics", {"cadence", "sobolev_n"}),
+        "output": _section(d, "output", {"dir", "snapshots"}),
+    }
+    default = {f.name: f.default for f in dataclasses.fields(SimConfig)}
     cfg = SimConfig(
-        grid=grid, state=state,
-        t_end=_read(tm, "time", "t_end", float, 5.0),
-        cfl=_read(tm, "time", "cfl", float, 0.4),
-        dt=_read(tm, "time", "dt", float, None),
-        dealias=_read(d, "config", "dealias", _boolean, True),
-        cadence=_read(diag, "diagnostics", "cadence", float, 0.5),
-        sobolev_n=_read(diag, "diagnostics", "sobolev_n", int, 8),
-        ic_kind=_read(ic, "ic", "kind", _ic_kind, "bi_lift"),
-        amplitude=_read(ic, "ic", "amplitude", float, 1e-2),
-        k0=_read(ic, "ic", "k0", float, None),
-        width=_read(ic, "ic", "width", float, None),
-        seed=_read(ic, "ic", "seed", _seed, 1234),
-        snapshots=_read(outd, "output", "snapshots",
-                        lambda ts: tuple(float(t) for t in ts), ()),
-    )
-    mode = d.get("mode", "simulate")
-    if mode not in ("simulate", "u0_probe"):
-        raise ValueError(f"unknown mode {mode!r}")
-    probe = d.get("u0_probe", {})
-    _reject_unknown(probe, {"amplitudes"}, "u0_probe")
-    probe = {"amplitudes": _read(probe, "u0_probe", "amplitudes",
-                                 _two_positive, None)}
-    return cfg, mode, probe
+        grid=_read(d, "config", "grid", parse_grid),
+        state=_read(d, "config", "state", parse_state),
+        **{name: _read(sections[where], where, key, conv, default[name])
+           for name, (where, key, conv) in _SIM_FIELDS.items()})
+    cfg.resolved_dt()
+    mode = _read(d, "config", "mode", _one_of(("simulate", "u0_probe")),
+                 "simulate")
+    probe = _section(d, "u0_probe", {"amplitudes"})
+    return cfg, mode, {"amplitudes": _read(probe, "u0_probe", "amplitudes",
+                                           _two_positive, None)}
+
+
+def parse_decay_config(d: dict):
+    """(grid, state, sample times, bump keywords) of a decay-report
+    config; an absent bump key takes the dispersion_probe default."""
+    from .diagnostics import wrap_time
+
+    _reject_unknown(d, {"schema", "grid", "state", "bump", "times",
+                        "output"}, "config")
+    _read(d, "config", "schema", _one_of((SIM_SCHEMA,)))
+    _section(d, "output", {"dir"})
+    grid = _read(d, "config", "grid", parse_grid)
+    state = _read(d, "config", "state", parse_state)
+    bump = _section(d, "bump", {"sigma", "amplitude", "component"})
+    bump = {key: _read(bump, "bump", key, conv)
+            for key, conv in (("sigma", _positive), ("amplitude", _finite),
+                              ("component", _integer(0, 10)))
+            if key in bump}
+    times = _section(d, "times", {"t1", "t2", "n"}, required=True)
+    t1, t2 = (_read(times, "times", key, float) for key in ("t1", "t2"))
+    # the fit's ci95 needs more than two points
+    n = _read(times, "times", "n", _integer(3), 12)
+    tw = wrap_time(grid, state)
+    if not 0 < t1 < t2 < tw:
+        raise ConfigError(f"times need 0 < t1 < t2 < wrap time {tw:.6g}, "
+                          f"got t1 = {t1}, t2 = {t2}")
+    return grid, state, np.geomspace(t1, t2, n), bump
+
+
+def _load_config(ns, parse):
+    """(parsed config, raw JSON, output dir) of ``--config``; every
+    config check runs before ``--dry-run`` reports."""
+    with open(ns.config) as f:
+        raw = json.load(f)
+    parsed = parse(raw)
+    outdir = _read(raw.get("output", {}), "output", "dir", Path, ns.out)
+    if ns.dry_run:
+        print("config ok")
+    else:
+        outdir.mkdir(parents=True, exist_ok=True)
+    return parsed, raw, outdir
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its outputs, then raises on failure
 # ----------------------------------------------------------------------
 
-def cmd_verify_symbols(ns) -> int:
+def cmd_verify_symbols(ns):
     from .symbolic import certify as C
 
     state = _state_from_flags(ns)
@@ -249,36 +324,22 @@ def cmd_verify_symbols(ns) -> int:
                          "--interactions, to name the tensor it mutates")
     outdir = _outdir(ns)
     manifest = RunManifest("verify-symbols", vars_serializable(ns))
-    try:
-        if ns.interactions:
-            from .resonance import InteractionSpec
-            certs = []
-            for lab in ns.interactions.split(";"):
-                spec = InteractionSpec.parse(lab)
-                which = "constraint" if ns.which == "Nprime" else "evolution"
-                certs.append(C.certify(
-                    (spec.eps1, spec.eps2, spec.eps3), which, state,
-                    preflight=not ns.skip_preflight, subsystem=ns.subsystem,
-                    with_cofactors=ns.cofactors, mutate_entry=mutate_entry))
-        else:
-            which_list = {"N": ("evolution",), "Nprime": ("constraint",),
-                          "both": ("evolution", "constraint")}[ns.which]
-            if mutate_entry:
-                eps, which = {"N": ((1, 1, 1), "evolution"),
-                              "Nprime": ((0, 1, 1), "constraint")}[ns.which]
-                certs = [C.certify(eps, which, state,
-                                   preflight=not ns.skip_preflight,
-                                   subsystem=ns.subsystem,
-                                   with_cofactors=ns.cofactors,
-                                   mutate_entry=mutate_entry)]
-            else:
-                certs = C.certify_all(which_list, state,
-                                      preflight=not ns.skip_preflight,
-                                      subsystem=ns.subsystem,
-                                      with_cofactors=ns.cofactors)
-    except C.PreflightError as exc:
-        print(f"preflight gate failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    opts = dict(preflight=not ns.skip_preflight, subsystem=ns.subsystem,
+                with_cofactors=ns.cofactors)
+    which = "constraint" if ns.which == "Nprime" else "evolution"
+    if ns.interactions:
+        from .resonance import InteractionSpec
+        specs = map(InteractionSpec.parse, ns.interactions.split(";"))
+        certs = [C.certify((s.eps1, s.eps2, s.eps3), which, state,
+                           mutate_entry=mutate_entry, **opts) for s in specs]
+    elif mutate_entry:
+        eps = (0, 1, 1) if which == "constraint" else (1, 1, 1)
+        certs = [C.certify(eps, which, state, mutate_entry=mutate_entry,
+                           **opts)]
+    else:
+        which_list = (which,) if ns.which != "both" else \
+            ("evolution", "constraint")
+        certs = C.certify_all(which_list, state, **opts)
     path = outdir / "certificates.json"
     C.write_certificates(certs, path)
     manifest.add_output(path)
@@ -287,7 +348,9 @@ def cmd_verify_symbols(ns) -> int:
         status = "zero" if c.verified else f"NONZERO ({c.entries_nonzero})"
         print(f"{c.which} {c.interaction}: residues {status} "
               f"[{c.millis:.0f} ms, degree <= {c.max_degree}]")
-    return EXIT_OK if all(c.verified for c in certs) else EXIT_VERIFICATION
+    bad = [f"{c.which} {c.interaction}" for c in certs if not c.verified]
+    if bad:
+        raise VerificationError(f"nonzero residues in {', '.join(bad)}")
 
 
 def _parse_entry(text):
@@ -301,7 +364,7 @@ def _parse_entry(text):
     return (i, j, k)
 
 
-def cmd_check_identities(ns) -> int:
+def cmd_check_identities(ns):
     from . import resonance as R
 
     state = _state_from_flags(ns)
@@ -336,36 +399,22 @@ def cmd_check_identities(ns) -> int:
         json.dump(report, f, indent=2)
     manifest.add_output(path)
     manifest.write(outdir)
+    if not report["pass"]:
+        raise VerificationError(f"worst identity residual {worst_all:.3e} "
+                                f"exceeds the tolerance {ns.tolerance:.1e}")
     print(f"worst residual {worst_all:.3e} (tolerance {ns.tolerance:.1e}): "
-          + ("pass" if report["pass"] else "FAIL"))
-    return EXIT_OK if report["pass"] else EXIT_VERIFICATION
+          "pass")
 
 
-def _config_error(exc) -> int:
-    what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    print(f"config error: {what}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def cmd_simulate(ns) -> int:
+def cmd_simulate(ns):
     from .simulate import simulate, u0_smallness_probe, write_snapshot
 
-    with open(ns.config) as f:
-        raw = json.load(f)
-    try:
-        cfg, mode, probe = parse_sim_config(raw)
-        cfg.resolved_dt()
-        outdir = Path(_read(raw.get("output", {}), "output", "dir", _text,
-                            ns.out))
-    except (ValueError, KeyError, TypeError) as exc:
-        return _config_error(exc)
+    (cfg, mode, probe), raw, outdir = _load_config(ns, parse_sim_config)
     if ns.dry_run:
-        print("config ok")
-        return EXIT_OK
-    outdir.mkdir(parents=True, exist_ok=True)
+        return
     manifest = RunManifest("simulate", raw, seed=cfg.seed)
     if mode == "u0_probe":
-        report = u0_smallness_probe(cfg, probe.get("amplitudes"))
+        report = u0_smallness_probe(cfg, probe["amplitudes"])
         path = outdir / "u0_probe.json"
         with open(path, "w") as f:
             json.dump(report, f, indent=2)
@@ -373,7 +422,7 @@ def cmd_simulate(ns) -> int:
         manifest.write(outdir)
         print(f"u0 ratio range [{report['ratio_min']:.3f}, "
               f"{report['ratio_max']:.3f}]")
-        return EXIT_OK
+        return
     res = simulate(cfg)
     series_path = outdir / "series.csv"
     res.series.write_csv(series_path)
@@ -383,61 +432,28 @@ def cmd_simulate(ns) -> int:
         write_snapshot(path, snap, cfg.state, t)
         manifest.add_output(path)
     manifest.write(outdir)
-    if res.series.blowup:
-        s = res.series
-        print(f"run terminated: numerical blow-up in step {s.blowup_step} "
-              f"(t = {s.blowup_t:g}); partial outputs kept", file=sys.stderr)
-        return EXIT_BLOWUP
-    print(f"completed t = {cfg.t_end}; {len(res.series.rows)} samples "
+    s = res.series
+    if s.blowup:
+        raise BlowUpError(f"numerical blow-up in step {s.blowup_step} "
+                          f"(t = {s.blowup_t:g}); partial outputs kept")
+    # the run returns the requested snapshots in time order as it reaches them
+    missed = sorted(cfg.snapshots)[len(res.snapshots):]
+    if missed:
+        print(f"warning: snapshot times {missed} are past t_end = "
+              f"{cfg.t_end:g}; not written", file=sys.stderr)
+    print(f"completed t = {cfg.t_end}; {len(s.rows)} samples "
           f"-> {series_path}")
-    return EXIT_OK
 
 
-def cmd_decay_report(ns) -> int:
-    from .diagnostics import dispersion_probe, wrap_time
+def cmd_decay_report(ns):
+    from .diagnostics import dispersion_probe
 
-    with open(ns.config) as f:
-        raw = json.load(f)
-    try:
-        _reject_unknown(raw, {"schema", "grid", "state", "bump", "times",
-                              "output"}, "config")
-        if raw.get("schema") != SIM_SCHEMA:
-            raise ValueError(f"config schema must be {SIM_SCHEMA}")
-        grid = parse_grid(raw["grid"])
-        state = parse_state(raw["state"])
-        bump = raw.get("bump", {})
-        _reject_unknown(bump, {"sigma", "amplitude", "component"}, "bump")
-        sigma = _read(bump, "bump", "sigma", _positive, 2.0)
-        amplitude = _read(bump, "bump", "amplitude", float, 1.0)
-        component = _read(bump, "bump", "component", int, 0)
-        if not 0 <= component < 10:
-            raise ValueError(f"bump.component must be in 0..9, "
-                             f"got {component}")
-        times = raw["times"]
-        _reject_unknown(times, {"t1", "t2", "n"}, "times")
-        t1 = _read(times, "times", "t1", float)
-        t2 = _read(times, "times", "t2", float)
-        n = _read(times, "times", "n", int, 12)
-        # the fit's ci95 needs more than two points
-        if n < 3:
-            raise ValueError(f"times.n must be at least 3, got {n}")
-        tw = wrap_time(grid, state)
-        if not 0 < t1 < t2 < tw:
-            raise ValueError(f"times need 0 < t1 < t2 < wrap time {tw:.6g}, "
-                             f"got t1 = {t1}, t2 = {t2}")
-        outd = raw.get("output", {})
-        _reject_unknown(outd, {"dir"}, "output")
-        outdir = Path(_read(outd, "output", "dir", _text, ns.out))
-    except (ValueError, KeyError, TypeError) as exc:
-        return _config_error(exc)
+    (grid, state, times, bump), raw, outdir = _load_config(
+        ns, parse_decay_config)
     if ns.dry_run:
-        print("config ok")
-        return EXIT_OK
-    outdir.mkdir(parents=True, exist_ok=True)
+        return
     manifest = RunManifest("decay-report", raw)
-    report = dispersion_probe(state, grid, np.geomspace(t1, t2, n),
-                              sigma=sigma, amplitude=amplitude,
-                              component=component)
+    report = dispersion_probe(state, grid, times, **bump)
     path = outdir / "decay_report.json"
     report.write_json(path)
     manifest.add_output(path)
@@ -445,10 +461,9 @@ def cmd_decay_report(ns) -> int:
     print(f"fitted sup-norm exponent {report.exponent:.3f} "
           f"(ci95 +-{report.ci95:.3f}, window {report.window}, "
           f"t_wrap {report.t_wrap:.1f})")
-    return EXIT_OK
 
 
-def cmd_projectors(ns) -> int:
+def cmd_projectors(ns):
     from .spectral import assemble_A0, assemble_L0, projector
     from .state import norm0
 
@@ -475,7 +490,6 @@ def cmd_projectors(ns) -> int:
         print(f"wrote {path}")
     else:
         print(text)
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +537,14 @@ def _nonzero_xi(text: str) -> list:
     return parts
 
 
+def _positive_number(text: str) -> float:
+    try:
+        return _positive(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, "
+                                         f"got {text!r}") from None
+
+
 def _count(text: str) -> int:
     try:
         n = int(text)
@@ -536,7 +558,7 @@ def _count(text: str) -> int:
 
 def _add_state_flags(p):
     bg = CERTIFICATION_BACKGROUND
-    p.add_argument("--tau0", type=float, default=bg.tau0)
+    p.add_argument("--tau0", type=_positive_number, default=bg.tau0)
     p.add_argument("--b0", type=_vector, default=bg.b0.tolist(),
                    metavar="X,Y,Z")
     p.add_argument("--d0", type=_vector, default=bg.d0.tolist(),
@@ -614,13 +636,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return ns.func(ns)
+        ns.func(ns)
+        return EXIT_OK
+    except ConfigError as exc:
+        code, line = EXIT_USAGE, f"config error: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, line = EXIT_USAGE, f"error: {exc}"
+    except VerificationError as exc:
+        code, line = EXIT_VERIFICATION, f"verification failed: {exc}"
+    except BlowUpError as exc:
+        code, line = EXIT_BLOWUP, f"run terminated: {exc}"
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        code, line = EXIT_INTERRUPTED, "interrupted"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

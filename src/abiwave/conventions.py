@@ -17,9 +17,7 @@ with the phase ``exp(-i t |k|0)``.  The forward propagator is
 
     exp(-i t A0(k)) = P0 + exp(-i t |k|0) P+ + exp(+i t |k|0) P-,
 
-and the profile (inverse) map is its conjugate.  ``PROPAGATOR_SIGN``
-below is the sign of the exponent multiplying ``+|k|0`` on the ``+``
-branch under forward propagation.
+and the profile (inverse) map is its conjugate.
 
 ``A0`` is the evolution table of :mod:`abiwave.system` contracted with
 the background in its rest frame, ``A0(k)[row, c] = sum sign * U0_a *
@@ -38,9 +36,3 @@ obey ``P+(-k) = P-(k)``: the + branch part of a real field is not a real
 field, and a norm of it over the full lattice pairs the half-spectrum
 values of ``P+ U`` and ``P- U`` (the pair rule).
 """
-
-# Forward propagation multiplies the + branch by exp(PROPAGATOR_SIGN * 1j * t * |k|0).
-PROPAGATOR_SIGN = -1.0
-
-# Differentiation multiplier: F[d_j f] = DERIV_SIGN * 1j * k_j * F[f].
-DERIV_SIGN = -1.0

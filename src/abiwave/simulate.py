@@ -17,23 +17,12 @@ import numpy as np
 
 from . import system
 from .diagnostics import DiagnosticsSeries, sample_diagnostics
+from .errors import BlowUpError, ConfigError
 from .fields import StateField
 from .grid import Grid
 from .model import admissible_perturbation
 from .spectral import _geometry, apply_A0
 from .state import ConstantState, metric_matrix
-
-
-class BlowUpError(RuntimeError):
-    """Raised when the solution leaves the finite range.
-
-    Raised where the time is not known; :func:`simulate` records the
-    time and step of the failed step on the series.
-    """
-
-
-class ConfigError(ValueError):
-    """Invalid simulation configuration."""
 
 
 @dataclass
@@ -46,7 +35,7 @@ class SimConfig:
 
     grid: Grid
     state: ConstantState
-    t_end: float
+    t_end: float = 5.0
     cfl: float = 0.4
     dt: float | None = None
     dealias: bool = True
@@ -190,17 +179,21 @@ def u0_smallness_probe(config: SimConfig, amplitudes=None) -> dict:
     Two runs differing only in amplitude; reports
     r(t) = ||u0||_{H1} / ||u+ + u-||_{H1} for both and their ratio,
     which quadratic scaling predicts to be near two when the amplitude
-    is halved.
+    is halved.  A blow-up in either run raises :class:`BlowUpError`
+    naming its amplitude, step and time.
     """
     from dataclasses import replace
     amplitudes = amplitudes or (config.amplitude, 0.5 * config.amplitude)
     a_big, a_small = amplitudes
     runs = []
     for a in (a_big, a_small):
-        res = simulate(replace(config, amplitude=a))
-        up = res.series.column("H1_up")
-        um = res.series.column("H1_um")
-        u0 = res.series.column("H1_u0")
+        s = simulate(replace(config, amplitude=a)).series
+        if s.blowup:
+            raise BlowUpError(f"numerical blow-up at amplitude {a:g} in "
+                              f"step {s.blowup_step} (t = {s.blowup_t:g})")
+        up = s.column("H1_up")
+        um = s.column("H1_um")
+        u0 = s.column("H1_u0")
         runs.append(u0 / (up + um))
     ratio = runs[0] / runs[1]
     return {
@@ -237,7 +230,11 @@ def read_snapshot(path) -> tuple[StateField, ConstantState, float]:
     path = Path(path)
     sidecar = path.with_suffix(path.suffix + ".json")
     with open(sidecar) as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"snapshot sidecar {sidecar} is not valid "
+                             f"JSON ({exc})") from None
 
     def entry(key, convert):
         try:
@@ -246,7 +243,11 @@ def read_snapshot(path) -> tuple[StateField, ConstantState, float]:
             raise ValueError(f"snapshot sidecar {sidecar}: field {key!r} is "
                              f"missing or malformed ({exc!r})") from None
 
-    g = Grid(N=entry("N", int), L=entry("L", float))
+    N, L = entry("N", int), entry("L", float)
+    try:
+        g = Grid(N=N, L=L)
+    except ValueError as exc:
+        raise ValueError(f"snapshot sidecar {sidecar}: {exc}") from None
     want = 10 * g.N ** 3 * 8
     size = path.stat().st_size
     if size != want:

@@ -1,8 +1,8 @@
 """Constant background states and the anisotropic frequency metric.
 
 A background is a constant solution ``(tau0, v0, b0, d0)`` of the
-ten-component system; it is admissible when ``tau0 > 0``.  The
-linearized wave speeds are governed by the metric
+ten-component system; it is admissible when it is finite and
+``tau0 > 0``.  The linearized wave speeds are governed by the metric
 
     g0 = tau0^2 I + b0 (x) b0 + d0 (x) d0
 
@@ -45,6 +45,9 @@ class ConstantState:
         object.__setattr__(self, "v0", _vec3(self.v0))
         object.__setattr__(self, "b0", _vec3(self.b0))
         object.__setattr__(self, "d0", _vec3(self.d0))
+        if not np.all(np.isfinite(self.as_vector())):
+            raise AdmissibilityError(f"a background must be finite, got "
+                                     f"{self.to_dict()}")
 
     def with_v0(self, v0) -> "ConstantState":
         return ConstantState(self.tau0, _vec3(v0), self.b0, self.d0)

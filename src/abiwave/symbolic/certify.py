@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field as dfield, replace
 
 import numpy as np
 
+from ..errors import VerificationError
 from ..resonance import resonant_samples, sample_off_axis
 from ..state import CERTIFICATION_BACKGROUND
 from . import _kernel_py
@@ -33,7 +34,7 @@ GATE_ANNIHILATION_TOL = 1e-10
 GATE_FLOAT_TOL = 1e-8
 
 
-class PreflightError(RuntimeError):
+class PreflightError(VerificationError):
     """A numeric gate failed; the symbolic layout cannot be trusted."""
 
 

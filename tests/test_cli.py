@@ -14,6 +14,13 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def _one_stderr_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
 def small_sim_config(tmp_path, **over):
     cfg = {
         "schema": 1,
@@ -59,16 +66,18 @@ def test_projectors_rejects_zero_xi():
     assert run_cli("projectors", "--xi", "0,0,0") == cli.EXIT_USAGE
 
 
-def test_check_identities_pass_and_fail(tmp_path):
+def test_check_identities_pass_and_fail(tmp_path, capsys):
     out = tmp_path / "ids"
     assert run_cli("check-identities", "--samples", "2000",
                    "--out", str(out)) == 0
     report = json.loads((out / "identities.json").read_text())
     assert report["pass"] and report["worst"] <= 1e-10
     assert (out / "manifest.json").exists()
+    capsys.readouterr()
     # unreachable tolerance must fail with exit 2
     assert run_cli("check-identities", "--samples", "500",
                    "--tolerance", "1e-30", "--out", str(out)) == 2
+    assert "exceeds the tolerance" in _one_stderr_line(capsys)
 
 
 def test_check_identities_isotropic_state(tmp_path):
@@ -77,21 +86,34 @@ def test_check_identities_isotropic_state(tmp_path):
                    "--out", str(tmp_path)) == 0
 
 
-def test_verify_symbols_single_and_mutated(tmp_path):
+def test_verify_symbols_single_and_mutated(tmp_path, capsys):
     out = tmp_path / "v"
     assert run_cli("verify-symbols", "--interactions", "+,-+",
                    "--out", str(out)) == 0
     certs = json.loads((out / "certificates.json").read_text())
     assert certs["all_verified"]
     assert certs["certificates"][0]["entries_total"] == 1000
+    capsys.readouterr()
     # mutated entry must be flagged and exit 2
     code = run_cli("verify-symbols", "--which", "N", "--mutate-entry", "3,4,5",
                    "--skip-preflight", "--out", str(out))
     assert code == 2
+    assert "nonzero residues in N +,++" in _one_stderr_line(capsys)
     certs = json.loads((out / "certificates.json").read_text())
     assert certs["certificates"][0]["interaction"] == "+,++"
     w = certs["certificates"][0]["witnesses"][0]
     assert w["entry"] == [3, 4, 5]
+
+
+def test_failed_preflight_gate_exits_2_with_one_line(tmp_path, monkeypatch,
+                                                     capsys):
+    from abiwave.symbolic import certify as C
+
+    monkeypatch.setattr(C, "GATE_ANNIHILATION_TOL", -1.0)
+    assert run_cli("verify-symbols", "--interactions", "+,-+",
+                   "--out", str(tmp_path)) == cli.EXIT_VERIFICATION
+    assert "annihilation gate failed" in _one_stderr_line(capsys)
+    assert not (tmp_path / "certificates.json").exists()
 
 
 def test_verify_symbols_mutates_a_constraint_tensor(tmp_path):
@@ -181,22 +203,46 @@ def test_simulate_config_errors(tmp_path):
     assert run_cli("simulate", "--config", str(path)) == cli.EXIT_USAGE
 
 
-def test_simulate_blowup_exit_code(tmp_path, monkeypatch, capsys):
+def _blowup_in_step_3(cfg, initial=None):
+    """A stand-in for ``simulate.simulate``: no samples, blow-up in step 3."""
     from abiwave import simulate as sim
     from abiwave.diagnostics import DiagnosticsSeries
+    from abiwave.fields import StateField
+
+    series = DiagnosticsSeries(sobolev_n=8)
+    series.mark_blowup(0.375, 3)
+    return sim.SimResult(config=cfg, series=series,
+                         final=StateField.zeros(cfg.grid), snapshots=[])
+
+
+def test_simulate_blowup_exit_code(tmp_path, monkeypatch, capsys):
+    from abiwave import simulate as sim
 
     path, _ = small_sim_config(tmp_path)
-
-    def fake_sim(cfg, initial=None):
-        series = DiagnosticsSeries(sobolev_n=8)
-        series.mark_blowup(0.375, 3)
-        from abiwave.fields import StateField
-        return sim.SimResult(config=cfg, series=series,
-                             final=StateField.zeros(cfg.grid), snapshots=[])
-
-    monkeypatch.setattr(sim, "simulate", fake_sim)
+    monkeypatch.setattr(sim, "simulate", _blowup_in_step_3)
     assert run_cli("simulate", "--config", str(path)) == cli.EXIT_BLOWUP
-    assert "blow-up in step 3 (t = 0.375)" in capsys.readouterr().err
+    assert "blow-up in step 3 (t = 0.375)" in _one_stderr_line(capsys)
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_u0_probe_blowup_exit_code(tmp_path, monkeypatch, capsys):
+    from abiwave import simulate as sim
+
+    path, _ = small_sim_config(tmp_path, mode="u0_probe")
+    monkeypatch.setattr(sim, "simulate", _blowup_in_step_3)
+    assert run_cli("simulate", "--config", str(path)) == cli.EXIT_BLOWUP
+    assert "amplitude 0.01 in step 3 (t = 0.375)" in _one_stderr_line(capsys)
+    assert not (tmp_path / "out" / "u0_probe.json").exists()
+
+
+def test_simulate_warns_of_snapshot_times_past_t_end(tmp_path, capsys):
+    _, raw = small_sim_config(tmp_path, grid={"N": 8, "L": 8 * np.pi})
+    raw["output"]["snapshots"] = [0.0, 5.0, 2.5]
+    path = _write(tmp_path, raw)
+    assert run_cli("simulate", "--config", str(path)) == cli.EXIT_OK
+    err = _one_stderr_line(capsys)
+    assert err.startswith("warning:") and "[2.5, 5.0]" in err
+    assert len(list((tmp_path / "out").glob("snapshot_*.raw"))) == 1
 
 
 def test_simulate_u0_probe_mode(tmp_path):
@@ -306,12 +352,18 @@ def _probe_amplitudes(value):
     ("decay-report", _set("times", "n", 0)),
     ("decay-report", _set("times", "n", 1)),
     ("decay-report", _set("times", "t2", 1e4)),
+    ("simulate", _set("ic", "width", 0)),
+    ("simulate", _set("ic", "amplitude", -1)),
+    ("simulate", _set("ic", "k0", float("nan"))),
+    ("simulate", _set("diagnostics", "cadence", float("nan"))),
+    ("simulate", _replace("state", {"tau0": float("nan")})),
 ], ids=["sim-list", "decay-list", "ic-int", "decay-grid-int", "t_end-null",
         "snapshots-int", "snapshots-str", "t1-null", "manifold_from-and-tau0",
         "sim-out-under-file", "decay-out-under-file", "dealias-str",
         "amplitudes-int", "amplitudes-three", "t_end-negative", "t_end-nan",
         "seed-negative", "seed-2**70", "kind-int", "n-0", "n-1",
-        "t2-past-wrap"])
+        "t2-past-wrap", "width-0", "amplitude-negative", "k0-nan",
+        "cadence-nan", "tau0-nan"])
 def test_bad_config_or_output_exits_1_without_traceback(tmp_path, capsys,
                                                          command, edit):
     if command == "simulate":
@@ -366,8 +418,9 @@ def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
     ("projectors", "--xi", "1,0,0", "--d0", "1,2"),
     ("check-identities", "--samples", "0"),
     ("check-identities", "--samples", "many"),
+    ("projectors", "--xi", "1,0,0", "--tau0", "nan"),
 ], ids=["xi-str", "xi-two", "xi-zero", "b0-str", "d0-two", "samples-0",
-        "samples-str"])
+        "samples-str", "tau0-nan"])
 def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv):
     assert run_cli(*argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err

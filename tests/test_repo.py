@@ -1,7 +1,7 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
 every function the benchmark tracer wraps or counts exists in the
-package, and the package transforms real fields with rfftn/irfftn
-only."""
+package, the package transforms real fields with rfftn/irfftn only,
+and only ``cli.main`` turns an exception into an exit code."""
 import ast
 import importlib
 import importlib.util
@@ -88,3 +88,17 @@ def test_src_uses_no_complex_full_lattice_fft():
                   if isinstance(node, (ast.Attribute, ast.Name))
                   and (name := _dotted(node, names)) in COMPLEX_FFTS]
     assert found == []
+
+
+def test_only_cli_main_decides_exit_codes():
+    # a subcommand writes its outputs and raises; main alone maps the
+    # exception to an exit code and one stderr line
+    tree = ast.parse((ROOT / "src" / "abiwave" / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    found = [f"{name}:{node.lineno}" for name, fn in functions.items()
+             if name.startswith("cmd_") for node in ast.walk(fn)
+             if isinstance(node, ast.ExceptHandler)
+             or isinstance(node, ast.Return) and node.value is not None]
+    assert found == []
+    assert "_config_error" not in functions

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abiwave import model, simulate, spectral
 from abiwave.fields import StateField
@@ -186,7 +187,8 @@ def test_truncated_snapshot_is_rejected(tmp_path, grid16, manifold_bg):
     (lambda meta: meta.pop("N"), "'N'"),
     (lambda meta: meta["state"].pop("tau0"), "'state'.*'tau0'"),
     (lambda meta: meta.update(N=None), "'N'"),
-], ids=["missing-N", "missing-tau0", "null-N"])
+    (lambda meta: meta["state"].update(tau0=float("nan")), "'state'.*finite"),
+], ids=["missing-N", "missing-tau0", "null-N", "nan-tau0"])
 def test_malformed_snapshot_sidecar_is_rejected(tmp_path, grid16, manifold_bg,
                                                 edit, field):
     path = tmp_path / "snap.raw"
@@ -197,3 +199,41 @@ def test_malformed_snapshot_sidecar_is_rejected(tmp_path, grid16, manifold_bg,
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=rf"snap\.raw\.json: field {field}"):
         simulate.read_snapshot(path)
+
+
+_SIDECAR_VALUES = [None, "abc", "", [], [1.0], {}, {"x": 1}, True, -1, 0, 3,
+                   8, 1e308, float("nan")]
+
+
+@settings(deadline=None, max_examples=50)
+@given(kind=st.sampled_from(["drop", "retype", "truncate", "non-object",
+                             "resize"]),
+       data=st.data())
+def test_damaged_snapshot_raises_naming_the_file(tmp_path_factory, kind,
+                                                 data):
+    path = tmp_path_factory.mktemp("snap") / "snap.raw"
+    simulate.write_snapshot(path, StateField.zeros(Grid(N=4, L=1.0)),
+                            ConstantState(tau0=0.8, b0=(0.1, 0.2, 0.0)), 0.5)
+    sidecar = path.with_suffix(".raw.json")
+    meta = json.loads(sidecar.read_text())
+    if kind == "resize":
+        path.write_bytes(bytes(data.draw(st.integers(0, 2 * 5120))))
+    elif kind == "non-object":
+        sidecar.write_text(json.dumps(data.draw(st.sampled_from(
+            [None, 0, "snap", [], [meta]]))))
+    elif kind == "truncate":
+        text = json.dumps(meta)
+        sidecar.write_text(text[:data.draw(st.integers(0, len(text) - 1))])
+    else:
+        parent, key = data.draw(st.sampled_from(
+            [(meta, k) for k in meta] + [(meta["state"], k)
+                                         for k in meta["state"]]))
+        if kind == "drop":
+            del parent[key]
+        else:
+            parent[key] = data.draw(st.sampled_from(_SIDECAR_VALUES))
+        sidecar.write_text(json.dumps(meta))
+    try:
+        simulate.read_snapshot(path)
+    except (ValueError, OSError) as exc:
+        assert str(path) in str(exc)

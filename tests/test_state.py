@@ -29,6 +29,12 @@ def test_inadmissible_background_rejected():
         ConstantState(tau0=0.0)
     with pytest.raises(AdmissibilityError):
         ConstantState(tau0=-1.0)
+    for bad in (dict(tau0=np.nan), dict(tau0=np.inf),
+                dict(tau0=1.0, v0=(np.nan, 0, 0)),
+                dict(tau0=1.0, b0=(0, np.inf, 0)),
+                dict(tau0=1.0, d0=(0, 0, -np.inf))):
+        with pytest.raises(AdmissibilityError, match="finite"):
+            ConstantState(**bad)
 
 
 def test_norm0_euclidean_case():
