@@ -216,7 +216,8 @@ def parse_state(d: dict) -> ConstantState:
 
 def parse_grid(d: dict) -> Grid:
     _reject_unknown(d, {"N", "L"}, "grid")
-    return Grid(N=_read(d, "grid", "N", int), L=_read(d, "grid", "L", float))
+    return Grid(N=_read(d, "grid", "N", _integer(1)),
+                L=_read(d, "grid", "L", float))
 
 
 # SimConfig field: (config section, key, converter).  An absent key takes
@@ -227,7 +228,7 @@ _SIM_FIELDS = {
     "dt": ("time", "dt", float),
     "dealias": ("config", "dealias", _boolean),
     "cadence": ("diagnostics", "cadence", _positive),
-    "sobolev_n": ("diagnostics", "sobolev_n", int),
+    "sobolev_n": ("diagnostics", "sobolev_n", _integer(0)),
     "ic_kind": ("ic", "kind", _one_of(IC_KINDS)),
     "amplitude": ("ic", "amplitude", _nonnegative),
     "k0": ("ic", "k0", _finite),
@@ -545,6 +546,14 @@ def _positive_number(text: str) -> float:
                                          f"got {text!r}") from None
 
 
+def _nonnegative_number(text: str) -> float:
+    try:
+        return _nonnegative(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, "
+                                         f"got {text!r}") from None
+
+
 def _count(text: str) -> int:
     try:
         n = int(text)
@@ -601,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeric verification of the phase identities")
     p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_nonnegative_number, default=1e-10)
     p.add_argument("--out", default=".")
     _add_state_flags(p)
     p.set_defaults(func=cmd_check_identities)

@@ -83,10 +83,12 @@ def assemble_A0(xi, state: ConstantState) -> np.ndarray:
 
     The evolution table contracted with the background in its rest
     frame: ``A0[row, c] = sum sign * U0_a * xi_j``.  The Fourier-side
-    flow is dU/dt = -i A0(xi) U; A0(0) = 0.
+    flow is dU/dt = -i A0(xi) U; A0(0) = 0.  An (..., 3) array of
+    frequencies gives one symbol each, shape (..., 10, 10).
     """
-    m = _multipliers(np.asarray(xi, dtype=float), state)  # v0 left out
-    return np.tensordot(m, A0_SYMBOL, axes=1)
+    xi = np.moveaxis(np.asarray(xi, dtype=float), -1, 0)
+    m = _multipliers(xi, state)  # v0 left out
+    return np.tensordot(m, A0_SYMBOL, axes=(0, 0))
 
 
 def eigen_basis(xi, state: ConstantState) -> dict:
@@ -129,14 +131,14 @@ def projector(xi, state: ConstantState, branch: int) -> np.ndarray:
 
     Idempotent, symmetric; P0 + P+ + P- = I.  The xi = 0 fiber is
     rejected (grid-level routines send the mean mode to the kernel
-    branch).
+    branch).  An (..., 3) array of frequencies gives one projector each.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
     n0 = norm0(xi, state)
-    if n0 == 0:
+    if np.any(n0 == 0):
         raise ValueError("projector undefined at xi = 0")
-    A = assemble_A0(xi, state) / n0
+    A = assemble_A0(xi, state) / np.asarray(n0)[..., None, None]
     A2 = A @ A
     return np.eye(10) - A2 if branch == 0 else 0.5 * (A2 + branch * A)
 
@@ -272,18 +274,21 @@ def compose_interaction(xi, eta, state: ConstantState, eps: tuple[int, int, int]
     For the evolution this is P^{e1}(xi) . B(u) . [P^{e2}(xi-eta) (x)
     P^{e3}(eta)] with u the Euclidean unit vector of xi - eta and one
     factor -i |xi - eta| stripped from B; the constraint variant drops
-    the outer projector (five rows).
+    the outer projector (five rows).  ``xi`` and ``eta`` may be (n, 3)
+    arrays of points, giving one tensor per point.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     w = xi - eta
-    unit = w / np.linalg.norm(w)
+    unit = w / np.linalg.norm(w, axis=-1, keepdims=True)
     e1, e2, e3 = eps
     Bt = system.bilinear_symbol(unit, which=which)
     P2 = projector(w, state, e2)
     P3 = projector(eta, state, e3)
-    inner = np.einsum("rcb,cj,bk->rjk", Bt, P2, P3)
+    # inner[..., r] = P2^T Bt[..., r] P3, one matrix product per row r
+    inner = (np.swapaxes(P2, -1, -2)[..., None, :, :] @ Bt
+             @ P3[..., None, :, :])
     if which == "evolution":
         P1 = projector(xi, state, e1)
-        return np.einsum("ir,rjk->ijk", P1, inner)
+        return np.einsum("...ir,...rjk->...ijk", P1, inner)
     return inner

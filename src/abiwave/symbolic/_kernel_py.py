@@ -3,18 +3,21 @@
 A polynomial in the eighteen layout variables is a *term dict*: a plain
 ``dict`` mapping a packed monomial key to a nonzero Python integer, with
 ``{}`` the zero polynomial.  It is the certifier's only polynomial type;
-the projectors, the tensor entries, the ideal generators, the residues
-and the cofactors are all term dicts.  Exponents occupy
-seven bits per variable inside one arbitrary-precision integer key, so
-monomial multiplication is a single integer addition.  That addition is
-carry-free while every total degree stays at most ``MAX_EXP``.  The
-bound is checked once where it is decided, not in the inner loops:
+the projectors, the ideal generators, the residues and the cofactors
+are all term dicts, and a tensor's entries are read as term dicts from
+its :class:`TermTable`.  Exponents occupy seven bits per variable
+inside one arbitrary-precision integer key, so monomial multiplication
+is a single integer addition.  That addition is carry-free while every
+total degree stays at most ``MAX_EXP``.  The bound is checked once
+where it is decided, not in the inner loops:
 
 * :func:`mul` and :func:`pack` check their own inputs;
-* :func:`mul_add_into` (``acc += c * p * q``) trusts its caller:
-  :func:`abiwave.symbolic.tensors.build_interaction_tensor` checks
-  deg P1 + deg P2 + 1 + deg P3 once per tensor, which bounds both of
-  its contraction stages;
+* :func:`mul_add_into` (``acc += c * p * q``) trusts its caller; no
+  module of the package calls it (the tensor build multiplies array
+  codes, see :mod:`abiwave.symbolic.tensors`), and it is kept because
+  the benchmark tracer counts its calls by name;
+* :func:`abiwave.symbolic.tensors.build_interaction_tensor` checks
+  deg P1 + deg P2 + 1 + deg P3 once per tensor;
 * :func:`abiwave.symbolic.ideal.reduce_terms` checks it once per
   :class:`TermTable`, on the table's exponent array (stage one of the
   reduction keeps the total degree, stage two never raises it).
@@ -25,14 +28,17 @@ fields splits into two ``int64`` halves of nine fields each
 unpack those halves into an ``(n, 18)`` exponent array
 (:func:`exponents`).  :func:`degree` is a row sum and max over that
 array.  A :class:`TermTable` holds many polynomials over one index of
-their distinct keys; the float gates (:func:`evaluator`), the tensor
-statistics and the exact reduction all read that one table.
+their distinct monomials; it is built from term dicts or straight from
+arrays (the tensor build), and the float gates (:func:`evaluator`), the
+tensor statistics and the exact reduction all read it.  :func:`merge`
+sums equal (row, monomial) terms of such arrays.
 
 This is the only polynomial kernel; every symbolic module uses it.
 """
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -169,10 +175,12 @@ def mul(p: dict, q: dict) -> dict:
 
 
 def mul_add_into(acc: dict, c: int, p: dict, q: dict) -> None:
-    """acc += c * p * q, dropping cancelled terms (tensor contraction core).
+    """acc += c * p * q, dropping cancelled terms.
 
-    Precondition: degree(p) + degree(q) <= MAX_EXP.  It is not checked
-    here; the caller checks it once for all its factors.
+    Nothing in the package calls it, and ``tests/test_repo.py`` keeps
+    it so: it stays because the benchmark tracer counts its calls by
+    name.  Precondition: degree(p) + degree(q) <= MAX_EXP, not checked
+    here.
     """
     if c == 0 or not p or not q:
         return
@@ -187,20 +195,47 @@ def mul_add_into(acc: dict, c: int, p: dict, q: dict) -> None:
                 del acc[k]
 
 
+def ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges [start[i], start[i] + size[i]), concatenated."""
+    ends = np.cumsum(size)
+    return (np.arange(ends[-1] if len(ends) else 0)
+            + np.repeat(start - ends + size, size))
+
+
+def merge(rows, monos, coefs, nmonos: int):
+    """Sum the coefficients of equal (row, monomial) pairs; drop zero sums.
+
+    ``rows`` and ``monos`` are int64 arrays with ``monos < nmonos`` and
+    ``rows * nmonos`` below 2**63; ``coefs`` is an int64 or object
+    array.  Returns (rows, monomials, sums), sorted by row and then
+    monomial.
+    """
+    code = rows * nmonos + monos
+    order = np.argsort(code)
+    code = code[order]
+    head = np.flatnonzero(np.diff(code, prepend=-1))
+    sums = np.add.reduceat(coefs[order], head) if len(head) else coefs[:0]
+    keep = sums != 0
+    code = code[head[keep]]
+    return code // nmonos, code % nmonos, sums[keep]
+
+
 class TermTable:
     """Many polynomials over one index of their distinct monomials.
 
-    Built in one Python pass over an iterable of term dicts:
-
-    * ``keys``: the distinct packed keys, numbered on sight, and
-      ``exps``, their ``(K, NVARS)`` exponent array (``int8``: no
-      exponent of a packed key exceeds ``MAX_EXP`` = 127);
+    * ``exps``: the ``(K, NVARS)`` exponent array of the distinct
+      monomials (``int8``: no exponent of a packed key exceeds
+      ``MAX_EXP`` = 127), and ``keys``, their packed keys as Python
+      ints, decoded from ``exps`` on first use;
     * ``rows`` and ``cols``: for every term, its polynomial (row) and
-      its key column; terms are stored row by row;
+      its monomial column; terms are stored row by row;
     * ``coefs``: the exact coefficients, Python ints in an object array;
     * ``sizes``: the number of terms of each row.
 
-    ``len(table)`` is the number of terms.
+    ``TermTable(polys)`` builds it in one Python pass over an iterable
+    of term dicts, numbering the keys on sight; :meth:`from_arrays`
+    takes the arrays as they are.  ``len(table)`` is the number of
+    terms, and :meth:`polys` reads the rows back as term dicts.
     """
 
     def __init__(self, polys):
@@ -213,8 +248,7 @@ class TermTable:
             cols.extend(map(index.__getitem__, terms))
             coefs.extend(terms.values())
             sizes.append(len(terms))
-        self.keys = list(index)
-        self.exps = exponents(self.keys).astype(np.int8)
+        self.exps = exponents(list(index)).astype(np.int8)
         self.sizes = np.array(sizes, dtype=np.int64)
         self.rows = np.repeat(np.arange(len(sizes), dtype=np.int64),
                               self.sizes)
@@ -222,12 +256,62 @@ class TermTable:
         self.coefs = np.empty(len(coefs), dtype=object)
         self.coefs[:] = coefs
 
+    @classmethod
+    def from_arrays(cls, exps, rows, cols, coefs, nrows: int) -> "TermTable":
+        """A table of ``nrows`` rows from its arrays, taken as they are.
+
+        ``rows`` must be sorted, each (row, column) pair may occur once
+        and every coefficient (a Python int) must be nonzero.
+        """
+        table = cls.__new__(cls)
+        table.exps, table.rows, table.cols, table.coefs = (exps, rows, cols,
+                                                           coefs)
+        table.sizes = np.bincount(rows, minlength=nrows)
+        return table
+
     def __len__(self) -> int:
         return len(self.cols)
+
+    @cached_property
+    def keys(self) -> list:
+        return join_halves(pack_halves(self.exps.astype(np.int64)))
 
     def degree(self) -> int:
         """Largest total degree over all rows (0 for an empty table)."""
         return int(self.exps.sum(axis=1).max(initial=0))
+
+    def polys(self):
+        """The rows, in order, as term dicts with Python int coefficients."""
+        keys = self.keys
+        terms = [keys[c] for c in self.cols.tolist()]
+        coefs = self.coefs.tolist()
+        start = 0
+        for stop in np.cumsum(self.sizes).tolist():
+            yield dict(zip(terms[start:stop], coefs[start:stop]))
+            start = stop
+
+    def plus_constant(self, row: int, c: int) -> "TermTable":
+        """A new table: this one with ``c`` added to one row's constant term."""
+        exps = self.exps
+        zero = np.flatnonzero(~exps.any(axis=1))
+        if len(zero):
+            col = int(zero[0])
+        else:
+            col = len(exps)
+            exps = np.vstack([exps, np.zeros((1, NVARS), dtype=exps.dtype)])
+        stop = int(self.sizes[:row + 1].sum())
+        start = stop - int(self.sizes[row])
+        hit = start + np.flatnonzero(self.cols[start:stop] == col)
+        rows, cols, coefs = self.rows, self.cols, self.coefs.copy()
+        if len(hit):
+            coefs[hit] += c
+            keep = coefs != 0
+            rows, cols, coefs = rows[keep], cols[keep], coefs[keep]
+        elif c:
+            rows = np.insert(rows, stop, row)
+            cols = np.insert(cols, stop, col)
+            coefs = np.insert(coefs, stop, c)
+        return TermTable.from_arrays(exps, rows, cols, coefs, len(self.sizes))
 
 
 def evaluator(table: TermTable):
@@ -242,7 +326,7 @@ def evaluator(table: TermTable):
     np.cumsum(table.sizes, out=indptr[1:])
     matrix = scipy.sparse.csr_matrix(
         (table.coefs.astype(float), table.cols, indptr),
-        shape=(len(table.sizes), len(table.keys)))
+        shape=(len(table.sizes), len(table.exps)))
     exps = table.exps
     used = [(v, int(exps[:, v].max())) for v in range(NVARS)
             if exps[:, v].any()]

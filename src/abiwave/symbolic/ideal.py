@@ -69,13 +69,6 @@ def build_ideal_generators(eps2: int, eps3: int) -> list[dict]:
     return gens
 
 
-def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The ranges [start[i], start[i] + size[i]), concatenated."""
-    ends = np.cumsum(size)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(start - ends + size, size))
-
-
 def _distinct(exps: np.ndarray):
     """Distinct rows of an exponent array, and each row's index among them."""
     halves = _kernel_py.pack_halves(exps)
@@ -86,21 +79,6 @@ def _distinct(exps: np.ndarray):
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return exps[order[new]], inverse
-
-
-def _merge(rows, monos, coefs, nmonos: int):
-    """Sum the coefficients of equal (row, monomial) pairs; drop zero sums.
-
-    Returns (rows, monomials, sums), sorted by row and then monomial.
-    """
-    code = rows * nmonos + monos
-    order = np.argsort(code)
-    code = code[order]
-    head = np.flatnonzero(np.diff(code, prepend=-1))
-    sums = np.add.reduceat(coefs[order], head) if len(head) else coefs[:0]
-    keep = sums != 0
-    code = code[head[keep]]
-    return code // nmonos, code % nmonos, sums[keep]
 
 
 def _trinomials(top: int):
@@ -141,7 +119,7 @@ def _stage2(monos: np.ndarray):
         if not m.any():
             continue
         size = tri_size[m]
-        at = _ranges(tri_start[m], size)
+        at = _kernel_py.ranges(tri_start[m], size)
         rep = np.repeat(np.arange(len(monos)), size)
         monos = monos[rep]
         monos[:, var] &= 1
@@ -164,8 +142,8 @@ def _stage1(table: TermTable, s: int):
         flip = (exps[:, _SIGNED].sum(axis=1) & 1).astype(bool)[table.cols]
         coefs = coefs.copy()
         coefs[flip] = -coefs[flip]
-    return (monos,) + _merge(table.rows, mono_of_key[table.cols], coefs,
-                             len(monos))
+    return (monos,) + _kernel_py.merge(table.rows, mono_of_key[table.cols],
+                                       coefs, len(monos))
 
 
 def reduce_terms(table: TermTable, s: int) -> dict:
@@ -193,13 +171,14 @@ def reduce_terms(table: TermTable, s: int) -> dict:
     reduced, red_id = _distinct(reduced)
     count = np.bincount(owner, minlength=len(monos))
     size = count[mono]
-    at = _ranges((np.cumsum(count) - count)[mono], size)
+    at = _kernel_py.ranges((np.cumsum(count) - count)[mono], size)
     rep = np.repeat(np.arange(len(mono)), size)
     coefs = coefs[rep]
     red_coefs = red_coefs[at]
     scaled = red_coefs != 1  # most expansions are the monomial itself
     coefs[scaled] = coefs[scaled] * red_coefs[scaled]
-    rows, mono, coefs = _merge(rows[rep], red_id[at], coefs, len(reduced))
+    rows, mono, coefs = _kernel_py.merge(rows[rep], red_id[at], coefs,
+                                         len(reduced))
 
     residues: dict = {}
     keys = _kernel_py.join_halves(_kernel_py.pack_halves(reduced[mono]))

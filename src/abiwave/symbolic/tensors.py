@@ -13,15 +13,18 @@ quadratic tables of :mod:`abiwave.system` in two exact contractions:
 B.(P2 (x) P3) first, then the outer P1 (see
 :func:`build_interaction_tensor`).
 
-Every projector entry and every tensor entry is a term dict of
-:mod:`abiwave.symbolic._kernel_py` (packed monomial key -> nonzero
-integer); :class:`InteractionTensor` holds the scale and states the
-factor -i that the entries leave out.
+The projector entries are term dicts of
+:mod:`abiwave.symbolic._kernel_py`.  The contractions run on NumPy
+arrays: every monomial is one int64 mixed-radix code, so a monomial
+product is a code sum, and the result is the tensor's
+:class:`~abiwave.symbolic._kernel_py.TermTable`, which
+:class:`InteractionTensor` holds with the scale; it states the factor
+-i that the entries leave out.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +49,16 @@ def projector_terms(branch: int, slot: tuple[int, int]):
     u = [_kernel_py.variable(ub + i) for i in range(3)]
     al, be, de = (_kernel_py.variable(cb + i) for i in range(3))
 
-    def m(*dicts, c=1):
-        out = {0: c}
-        for dd in dicts:
-            out = _kernel_py.mul(out, dd)
-        return out
+    def m(*factors, c=1):
+        """c times a product of monomials; {} if a factor is zero."""
+        key = 0
+        for f in factors:
+            if not f:
+                return {}
+            (k, v), = f.items()
+            key += k
+            c *= v
+        return {key: c}
 
     def cross(i, j):
         """Entries of the unit-vector cross matrix: C[i][j] x_j = (u ^ x)_i."""
@@ -133,36 +141,25 @@ def projector_terms(branch: int, slot: tuple[int, int]):
 class InteractionTensor:
     """Exact projected tensor, its scale and the build provenance.
 
-    The tensor is ``-i * 2^-scale_log2 * entries``: the entries are
-    integer term dicts, the halves of the wave projectors are cleared
-    into ``scale_log2``, and the one factor -i of the single derivative
-    is held by no field, since it changes neither reduction nor
-    zero-ness.
+    The tensor is ``-i * 2^-scale_log2 * entries``: the entries are the
+    rows of ``table``, entry (i, j, k) in row ``(i * 10 + j) * 10 + k``;
+    the halves of the wave projectors are cleared into ``scale_log2``,
+    and the one factor -i of the single derivative is held by no field,
+    since it changes neither reduction nor zero-ness.
     """
 
     eps: tuple[int, int, int]  # (eps1, eps2, eps3); eps1 ignored for Nprime
     which: str                 # "evolution" or "constraint"
-    entries: list              # nested lists [i][j][k] of term dicts
+    table: _kernel_py.TermTable  # the entries, one row each
     scale_log2: int            # cleared projector halves
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (len(self.entries), 10, 10)
+        return (len(self.table.sizes) // 100, 10, 10)
 
     def iter_entries(self):
-        for i, plane in enumerate(self.entries):
-            for j, line in enumerate(plane):
-                for k, terms in enumerate(line):
-                    yield (i, j, k), terms
-
-    @cached_property
-    def table(self) -> _kernel_py.TermTable:
-        """The entries, in :meth:`iter_entries` order, as one term table.
-
-        Built on first use and kept with the tensor: the float
-        cross-check, the reduction and the statistics below all read it.
-        """
-        return _kernel_py.TermTable(t for _, t in self.iter_entries())
+        """((i, j, k), term dict) of every entry, read from the table."""
+        return zip(np.ndindex(self.shape), self.table.polys())
 
     def max_degree(self) -> int:
         """Largest total degree of an entry (before reduction)."""
@@ -194,12 +191,37 @@ class InteractionTensor:
         return _eval
 
 
-def _max_degree(matrix) -> int:
-    """Largest total degree among a projector's entries (0 for None)."""
-    if matrix is None:
-        return 0
-    return _kernel_py.degree(key for line in matrix for t in line
-                             for key in t)
+class _Terms:
+    """A projector's terms as arrays, listed line by line.
+
+    Term n lies in entry ``[line[n]][col[n]]`` and has the exponent row
+    ``exps[n]`` and the Python int coefficient ``coefs[n]``; line r
+    holds the ``size[r]`` terms from ``start[r]`` on.
+    """
+
+    def __init__(self, matrix):
+        keys, coefs, line, col = [], [], [], []
+        for r, entries in enumerate(matrix):
+            for c, terms in enumerate(entries):
+                keys.extend(terms)
+                coefs.extend(terms.values())
+                line.extend([r] * len(terms))
+                col.extend([c] * len(terms))
+        self.line = np.array(line, dtype=np.int64)
+        self.col = np.array(col, dtype=np.int64)
+        self.size = np.bincount(self.line, minlength=len(matrix))
+        self.start = np.cumsum(self.size) - self.size
+        self.exps = _kernel_py.exponents(keys)
+        self.coefs = coefs
+        self.degree = int(self.exps.sum(axis=1).max(initial=0))
+        self.top = self.exps.max(axis=0, initial=0)
+
+    def abs_sums(self, groups, n: int) -> list:
+        """Sum of |coefficient| over the terms of each of ``n`` groups."""
+        out = [0] * n
+        for g, c in zip(groups.tolist(), self.coefs):
+            out[g] += abs(c)
+        return out
 
 
 def build_interaction_tensor(eps: tuple[int, int, int],
@@ -220,6 +242,23 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     sum are merged before the outer projector multiplies them.  The
     constraint interactions have no outer projector: their entries are
     the inner stage.
+
+    Each stage forms all its term products at once with NumPy.  A
+    monomial is the int64 code ``sum_v e_v * place_v`` of a mixed radix
+    whose digit for variable v is one more than the sum of the largest
+    exponents of v in P1, P2 * X_dir and P3.  No digit of a product can
+    reach its radix, so multiplying monomials adds codes.  A stage
+    merges its products by (entry, code) with
+    :func:`abiwave.symbolic._kernel_py.merge`, and only the distinct
+    monomials of the result are decoded.  Three bounds are checked once
+    per tensor, each raising OverflowError past it:
+
+    * the total degree of every product fits a packed key (``MAX_EXP``);
+    * entries times the number of codes is at most 2**63, so every
+      (entry, code) merge key is an int64;
+    * the sum of |coefficient| over every product of the direct triple
+      expansion is below 2**63.  It bounds every int64 partial sum of
+      both stages, so the coefficients are exact.
     """
     e1, e2, e3 = eps
     if which not in ("evolution", "constraint"):
@@ -227,46 +266,72 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     for e in ((e1, e2, e3) if which == "evolution" else (e2, e3)):
         if e not in (1, -1):
             raise ValueError("tensor build needs wave-branch signs only")
-    P2 = projector_terms(e2, SLOT_W)
-    P3 = projector_terms(e3, SLOT_ETA)
+    P2 = _Terms(projector_terms(e2, SLOT_W))
+    P3 = _Terms(projector_terms(e3, SLOT_ETA))
     if which == "evolution":
-        P1 = projector_terms(e1, SLOT_XI)
+        P1 = _Terms(projector_terms(e1, SLOT_XI))
         terms_table, nrows, scale = system.EVOLUTION_TERMS, 10, 3
     else:
         P1 = None
         terms_table, nrows, scale = system.CONSTRAINT_TERMS, 5, 2
-    # every inner term has degree at most deg(P2 * X_dir) + deg P3 and
-    # every outer product adds deg P1: check the packing bound once here
-    if (_max_degree(P1) + _max_degree(P2) + 1 + _max_degree(P3)
+    if ((P1.degree if P1 else 0) + P2.degree + 1 + P3.degree
             > _kernel_py.MAX_EXP):
         raise OverflowError("product degree exceeds packing capacity")
+    # each inner product counted once per P1 term of its row, and at
+    # least once: no stage's absolute product sum is larger
+    l1 = P1.abs_sums(P1.col, nrows) if P1 else [1] * nrows
+    l2 = P2.abs_sums(P2.line, 10)
+    l3 = P3.abs_sums(P3.line, 10)
+    if sum(max(l1[row], 1) * l2[c] * l3[a]
+           for row, a, c, _, _ in terms_table) >= 2 ** 63:
+        raise OverflowError("coefficient sums exceed int64")
 
-    inner = [[[dict() for _ in range(10)] for _ in range(10)]
-             for _ in range(nrows)]
-    folded = {}  # (c_diff, jdir) -> nonzero (j, P2[c_diff][j] * X_dir)
-    for row, a_undiff, c_diff, jdir, sign in terms_table:
-        if (c_diff, jdir) not in folded:
-            dvar = _kernel_py.variable(SLOT_W[0] + jdir)
-            folded[c_diff, jdir] = [(j, _kernel_py.mul(p2, dvar))
-                                    for j, p2 in enumerate(P2[c_diff]) if p2]
-        p3_line = [(k, p3) for k, p3 in enumerate(P3[a_undiff]) if p3]
-        for j, m2 in folded[c_diff, jdir]:
-            line = inner[row][j]
-            for k, p3 in p3_line:
-                _kernel_py.mul_add_into(line[k], sign, m2, p3)
-    if P1 is None:
-        entries = inner
-    else:
-        entries = [[[dict() for _ in range(10)] for _ in range(10)]
-                   for _ in range(10)]
-        for i in range(10):
-            for row, p1 in enumerate(P1[i]):
-                if not p1:
-                    continue
-                for j, line in enumerate(inner[row]):
-                    for k, q in enumerate(line):
-                        _kernel_py.mul_add_into(entries[i][j][k], 1, p1, q)
-    return InteractionTensor(eps=(e1, e2, e3), which=which, entries=entries,
+    row_t, a_t, c_t, dir_t, sign_t = np.array(terms_table, dtype=np.int64).T
+    dvar = SLOT_W[0] + dir_t
+    top = P2.top + P3.top + (P1.top if P1 else 0)
+    top[np.unique(dvar)] += 1
+    radix = top + 1
+    ncodes = math.prod(radix.tolist())
+    nentries = nrows * 100
+    if ncodes * nentries > 2 ** 63:
+        raise OverflowError("monomial codes exceed int64")
+    place = np.cumprod(np.concatenate(([1], radix[:-1])))
+
+    # inner products: every P2 term of line c with every P3 term of
+    # line a, for each table term t = (row, a, c, dir, sign)
+    count = P2.size[c_t] * P3.size[a_t]
+    t = np.repeat(np.arange(len(count)), count)
+    local = _kernel_py.ranges(np.zeros_like(count), count)
+    width = P3.size[a_t][t]
+    n2 = P2.start[c_t][t] + local // width
+    n3 = P3.start[a_t][t] + local % width
+    entry = (row_t[t] * 10 + P2.col[n2]) * 10 + P3.col[n3]
+    code = (P2.exps @ place)[n2] + place[dvar][t] + (P3.exps @ place)[n3]
+    coef = (sign_t[t] * np.array(P2.coefs, dtype=np.int64)[n2]
+            * np.array(P3.coefs, dtype=np.int64)[n3])
+    if P1 is not None:
+        entry, code, coef = _kernel_py.merge(entry, code, coef, ncodes)
+        size = np.bincount(entry // 100, minlength=nrows)
+        start = np.cumsum(size) - size
+        # P1 term n meets the inner terms of its column's row
+        count = size[P1.col]
+        n = _kernel_py.ranges(start[P1.col], count)
+        entry = np.repeat(P1.line * 100, count) + (entry % 100)[n]
+        code = np.repeat(P1.exps @ place, count) + code[n]
+        coef = np.repeat(np.array(P1.coefs, dtype=np.int64), count) * coef[n]
+    # merged monomial first, so equal codes are adjacent, then put back
+    # in entry order by a stable (radix) sort of the small entry numbers
+    code, entry, coef = _kernel_py.merge(code, entry, coef, nentries)
+    new = np.diff(code, prepend=-1) != 0
+    cols = np.cumsum(new) - 1
+    rest = code[new]
+    exps = np.empty((len(rest), _kernel_py.NVARS), dtype=np.int8)
+    for v, r in enumerate(radix.tolist()):  # digits low to high
+        rest, exps[:, v] = np.divmod(rest, r)
+    order = np.argsort(entry.astype(np.int16), kind="stable")
+    table = _kernel_py.TermTable.from_arrays(
+        exps, entry[order], cols[order], coef[order].astype(object), nentries)
+    return InteractionTensor(eps=(e1, e2, e3), which=which, table=table,
                              scale_log2=scale)
 
 

@@ -116,11 +116,13 @@ def bilinear_symbol(unit: np.ndarray, which: str = "evolution") -> np.ndarray:
     frequency slot.  Entry ``[row, c, a]`` multiplies (transform of the
     differentiated factor, component c) x (undifferentiated factor,
     component a); one factor of -i|k| has been stripped.  The symbol is
-    linear in ``unit``, which may be any frequency vector.
+    linear in ``unit``, which may be any frequency vector; an (..., 3)
+    array of them gives one symbol per vector, shape (..., rows, 10, 10).
     """
     terms = EVOLUTION_TERMS if which == "evolution" else CONSTRAINT_TERMS
     rows = 10 if which == "evolution" else 5
-    out = np.zeros((rows, 10, 10))
+    unit = np.asarray(unit)
+    out = np.zeros(unit.shape[:-1] + (rows, 10, 10))
     for row, a, c, j, sign in terms:
-        out[row, c, a] += sign * unit[j]
+        out[..., row, c, a] += sign * unit[..., j]
     return out

@@ -33,7 +33,8 @@ def _mul3_add_into(acc: dict, c: int, p: dict, q: dict, r: dict) -> None:
 
 
 def build_entries(eps: tuple[int, int, int], which: str = "evolution"):
-    """Nested lists [i][j][k] of term dicts, like ``tensor.entries``."""
+    """Nested lists [i][j][k] of term dicts, the entries that
+    ``tensor.iter_entries()`` reads from the table."""
     e1, e2, e3 = eps
     P2 = projector_terms(e2, SLOT_W)
     P3 = projector_terms(e3, SLOT_ETA)

@@ -357,13 +357,19 @@ def _probe_amplitudes(value):
     ("simulate", _set("ic", "k0", float("nan"))),
     ("simulate", _set("diagnostics", "cadence", float("nan"))),
     ("simulate", _replace("state", {"tau0": float("nan")})),
+    ("simulate", _set("grid", "N", 8.9)),
+    ("decay-report", _set("grid", "N", 8.9)),
+    ("simulate", _set("diagnostics", "sobolev_n", 8.9)),
+    ("simulate", _set("ic", "seed", 8.9)),
+    ("decay-report", _set("times", "n", 8.9)),
 ], ids=["sim-list", "decay-list", "ic-int", "decay-grid-int", "t_end-null",
         "snapshots-int", "snapshots-str", "t1-null", "manifold_from-and-tau0",
         "sim-out-under-file", "decay-out-under-file", "dealias-str",
         "amplitudes-int", "amplitudes-three", "t_end-negative", "t_end-nan",
         "seed-negative", "seed-2**70", "kind-int", "n-0", "n-1",
         "t2-past-wrap", "width-0", "amplitude-negative", "k0-nan",
-        "cadence-nan", "tau0-nan"])
+        "cadence-nan", "tau0-nan", "N-8.9", "decay-N-8.9", "sobolev_n-8.9",
+        "seed-8.9", "n-8.9"])
 def test_bad_config_or_output_exits_1_without_traceback(tmp_path, capsys,
                                                          command, edit):
     if command == "simulate":
@@ -419,8 +425,10 @@ def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
     ("check-identities", "--samples", "0"),
     ("check-identities", "--samples", "many"),
     ("projectors", "--xi", "1,0,0", "--tau0", "nan"),
+    ("check-identities", "--tolerance", "nan"),
+    ("check-identities", "--tolerance", "-1"),
 ], ids=["xi-str", "xi-two", "xi-zero", "b0-str", "d0-two", "samples-0",
-        "samples-str", "tau0-nan"])
+        "samples-str", "tau0-nan", "tolerance-nan", "tolerance-negative"])
 def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv):
     assert run_cli(*argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err

@@ -1,7 +1,8 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
 every function the benchmark tracer wraps or counts exists in the
 package, the package transforms real fields with rfftn/irfftn only,
-and only ``cli.main`` turns an exception into an exit code."""
+the dict contraction is no second tensor build, and only ``cli.main``
+turns an exception into an exit code."""
 import ast
 import importlib
 import importlib.util
@@ -87,6 +88,21 @@ def test_src_uses_no_complex_full_lattice_fft():
                   for node in ast.walk(tree)
                   if isinstance(node, (ast.Attribute, ast.Name))
                   and (name := _dotted(node, names)) in COMPLEX_FFTS]
+    assert found == []
+
+
+def test_src_never_uses_the_dict_contraction():
+    # the tensor build multiplies array codes; _kernel_py.mul_add_into
+    # stays for the tracer's counter only, not as a second build path
+    found = []
+    for path in sorted((ROOT / "src" / "abiwave").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if getattr(node, "id", getattr(node, "attr", None))
+                  == "mul_add_into"
+                  or isinstance(node, ast.alias)
+                  and node.name == "mul_add_into"]
     assert found == []
 
 

@@ -80,6 +80,25 @@ def test_drawn_tables_match_dict_oracle(rows, s):
     assert ideal.reduce_terms(table, s) == _oracle(rows, s)
 
 
+@settings(deadline=None, max_examples=80)
+@given(rows=st.lists(_row, min_size=1, max_size=5), data=st.data(),
+       c=st.integers(-3, 3))
+@example(rows=[{0: 2}, {_mono(X1=1): 1}], data=None, c=-2)
+@example(rows=[{_mono(X1=1): 1}, {0: _BIG}], data=None, c=1)
+def test_plus_constant_matches_the_dict_edit(rows, data, c):
+    row = data.draw(st.integers(0, len(rows) - 1)) if data else 0
+    want = [dict(t) for t in rows]
+    want[row][0] = want[row].get(0, 0) + c
+    if not want[row][0]:
+        del want[row][0]
+    table = TermTable(rows)
+    got = table.plus_constant(row, c)
+    assert list(got.polys()) == want
+    assert list(table.polys()) == rows  # the original is unchanged
+    assert np.array_equal(got.sizes, [len(t) for t in want])
+    assert got.degree() == TermTable(want).degree()
+
+
 def test_table_statistics_read_the_unreduced_entries():
     T = tensors.build_interaction_tensor((1, 1, 1))
     sizes = [len(t) for _, t in T.iter_entries()]
