@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +54,24 @@ def _code_version() -> str:
     return v
 
 
+@functools.cache
+def _library_versions() -> dict:
+    """Python, NumPy and SciPy versions, read once per process.
+
+    Read from the installed package metadata, so recording them imports
+    neither library; a package that is not installed records None.
+    """
+    from importlib import metadata
+
+    out = {"python": platform.python_version()}
+    for name in ("numpy", "scipy"):
+        try:
+            out[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
+            out[name] = None
+    return out
+
+
 class RunManifest:
     """Reproducibility record written alongside every output."""
 
@@ -60,6 +80,7 @@ class RunManifest:
             "command": command,
             "config": config,
             "code_version": _code_version(),
+            "versions": dict(_library_versions()),
             "seed": seed,
             "rng": "philox4x64",
             "threads": fft_workers(),
@@ -428,17 +449,23 @@ def cmd_simulate(ns):
     series_path = outdir / "series.csv"
     res.series.write_csv(series_path)
     manifest.add_output(series_path)
-    for t, snap in res.snapshots:
+    shared = []
+    for (t, snap), times in zip(res.snapshots, res.snapshot_times):
         path = outdir / f"snapshot_t{t:g}.raw"
         write_snapshot(path, snap, cfg.state, t)
         manifest.add_output(path)
+        if len(times) > 1:
+            shared.append(f"{times} share the sample at t = {t:g}")
     manifest.write(outdir)
     s = res.series
     if s.blowup:
         raise BlowUpError(f"numerical blow-up in step {s.blowup_step} "
                           f"(t = {s.blowup_t:g}); partial outputs kept")
-    # the run returns the requested snapshots in time order as it reaches them
-    missed = sorted(cfg.snapshots)[len(res.snapshots):]
+    if shared:
+        print(f"warning: snapshot times {'; '.join(shared)}; one snapshot "
+              f"written for each sample", file=sys.stderr)
+    # the run answers the requested times in time order as it reaches them
+    missed = sorted(cfg.snapshots)[sum(map(len, res.snapshot_times)):]
     if missed:
         print(f"warning: snapshot times {missed} are past t_end = "
               f"{cfg.t_end:g}; not written", file=sys.stderr)

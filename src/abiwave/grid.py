@@ -10,7 +10,9 @@ kz >= 0, i.e. last-axis indices 0..N//2 (``n_half`` entries).
 ``F[f](-k)`` is ``conj(F[f](k))``, so the other half carries no
 information.  ``scipy.fft.rfftn`` computes ``sum_x f(x) exp(-i k.x)``,
 the conjugate of the package transform; :meth:`Grid.rfwd` and
-:meth:`Grid.rinv` conjugate on the way in and out.  Every lattice array
+:meth:`Grid.rinv` conjugate on the way in and out.  ``scipy.fft`` is
+imported by the first transform, not with the module, so code that
+never transforms (the certifier) runs without SciPy.  Every lattice array
 (``kvec``, ``k_norm``, the masks, the shells) is built on the half
 spectrum, with shape (N, N, n_half) once broadcast; only
 :mod:`abiwave.model` draws its random modes on the full lattice, from
@@ -42,7 +44,18 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
+
+
+def _fft():
+    """The ``scipy.fft`` module, imported by the first transform.
+
+    Importing the package loads no SciPy; the certifier never
+    transforms.  Callers read ``_fft().<name>`` at every call, so a
+    function replaced on the module later (the benchmark tracer wraps
+    them) is the one that runs.
+    """
+    import scipy.fft
+    return scipy.fft
 
 
 def fft_workers() -> int:
@@ -139,14 +152,14 @@ class Grid:
         The package transform at kz >= 0; ``rfftn`` has the opposite
         sign in its exponent, hence the conjugate, taken in place.
         """
-        fh = scipy.fft.rfftn(f, axes=(-3, -2, -1), workers=fft_workers())
+        fh = _fft().rfftn(f, axes=(-3, -2, -1), workers=fft_workers())
         return np.conj(fh, out=fh)
 
     def rinv(self, fh: np.ndarray) -> np.ndarray:
         """Synthesis of real fields from their half spectra."""
         n = self.N
-        return scipy.fft.irfftn(np.conj(fh), s=(n, n, n), axes=(-3, -2, -1),
-                                workers=fft_workers())
+        return _fft().irfftn(np.conj(fh), s=(n, n, n), axes=(-3, -2, -1),
+                             workers=fft_workers())
 
     def gradient(self, fh: np.ndarray) -> np.ndarray:
         """All first derivatives of real fields, in one transform.
@@ -163,8 +176,8 @@ class Grid:
         for j, k in enumerate(self.kvec):
             # irfftn takes conjugates (see rinv): conj(-i k F) = i k conj(F)
             np.multiply(1j * k, c, out=dh[..., j, :, :, :])
-        return scipy.fft.irfftn(dh, s=(n, n, n), axes=(-3, -2, -1),
-                                workers=fft_workers())
+        return _fft().irfftn(dh, s=(n, n, n), axes=(-3, -2, -1),
+                             workers=fft_workers())
 
     # -- norms ------------------------------------------------------
 
@@ -183,11 +196,18 @@ class Grid:
         Hermitian weight: the kz = 0 and kz = N/2 planes count once,
         every other plane twice (for its mirror at -k).
         """
-        herm = np.full(self.n_half, 2.0)
-        herm[[0, -1]] = 1.0
-        w = (1.0 + self.k_norm ** 2) ** s * herm
+        w = self._sobolev_weights.get(s)
+        if w is None:
+            herm = np.full(self.n_half, 2.0)
+            herm[[0, -1]] = 1.0
+            w = self._sobolev_weights[s] = (1.0 + self.k_norm ** 2) ** s * herm
         return float(np.sqrt(self.spectral_weight
                              * np.sum(w * np.abs(fh) ** 2)))
+
+    @cached_property
+    def _sobolev_weights(self) -> dict:
+        """s -> the weight (1 + |k|^2)^s * herm of :meth:`sobolev_norm`."""
+        return {}
 
     def sup_norm(self, f: np.ndarray) -> float:
         return float(np.max(np.abs(f)))

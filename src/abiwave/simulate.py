@@ -117,10 +117,19 @@ def _step_rk4_hat(Uh, grid, state, geo, dt, dealias):
 
 @dataclass
 class SimResult:
+    """A run's diagnostics, final field and snapshots.
+
+    ``snapshots`` holds one (sample time, StateField) pair per sample
+    that answered a requested snapshot time; ``snapshot_times`` lists,
+    for each of them, the requested times it answers (more than one
+    when requested times round to one sample).
+    """
+
     config: SimConfig
     series: DiagnosticsSeries
     final: StateField
-    snapshots: list = dfield(default_factory=list)  # (t, StateField)
+    snapshots: list = dfield(default_factory=list)
+    snapshot_times: list = dfield(default_factory=list)
 
 
 def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
@@ -145,15 +154,20 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
         return SimResult(config=config, series=series, final=field,
                          snapshots=[])
     Uh = g.strip_nyquist(field.spectral())
-    snaps = []
-    snap_times = sorted(config.snapshots)
+    snaps, answered = [], []
+    pending = sorted(config.snapshots)
 
     def emit(t, Uh):
+        # a requested time is due at the first sample within half a step
         f = StateField(g, g.rinv(Uh))
         series.append(**sample_diagnostics(f, state, t, config.sobolev_n, geo))
-        while snap_times and t >= snap_times[0] - 0.5 * dt:
+        due = 0
+        while due < len(pending) and t >= pending[due] - 0.5 * dt:
+            due += 1
+        if due:
             snaps.append((t, f.copy()))
-            snap_times.pop(0)
+            answered.append(pending[:due])
+            del pending[:due]
         return f
 
     emit(0.0, Uh)
@@ -170,7 +184,8 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
         if n % per_sample == 0 or n == nsteps:
             emit(t, Uh)
     final = StateField(g, g.rinv(Uh))
-    return SimResult(config=config, series=series, final=final, snapshots=snaps)
+    return SimResult(config=config, series=series, final=final,
+                     snapshots=snaps, snapshot_times=answered)
 
 
 def u0_smallness_probe(config: SimConfig, amplitudes=None) -> dict:

@@ -42,7 +42,6 @@ from functools import cached_property
 from itertools import count
 
 import numpy as np
-import scipy.sparse
 
 NVARS = 18
 BITS = 7
@@ -56,6 +55,14 @@ _LOW = (1 << _HALF_BITS) - 1
 _SHIFTS = np.arange(_HALF_FIELDS, dtype=np.int64) * BITS
 # below this many keys the bit loop costs less than the NumPy calls
 _VECTOR_MIN = 8
+# (unit-vector base, cosine base) of the frequency slots xi, eta and
+# xi - eta: three variables from each base (see abiwave.symbolic.poly)
+SLOT_BASES = ((0, 9), (3, 12), (6, 15))
+_SLOT_VARS = tuple(np.array([u, u + 1, u + 2, c, c + 1, c + 2])
+                   for u, c in SLOT_BASES)
+_SLOT_SHIFTS = np.arange(6, dtype=np.int64) * BITS
+# size of the (points x terms) array that evaluator() works on at once
+_CHUNK_BYTES = 1 << 20
 
 
 def pack(exps) -> int:
@@ -317,26 +324,42 @@ class TermTable:
 def evaluator(table: TermTable):
     """Batch float evaluator: (npoints, NVARS) -> (npoints, rows).
 
-    The table's coefficients form a sparse (rows x monomials) matrix.
-    Evaluation reads each monomial's factors from a per-variable power
-    table ``X[:, v] ** e`` and contracts the monomial values with the
-    matrix.
+    A monomial is the product of three slot monomials, one per
+    frequency slot of the layout (xi: X1-X3 and X10-X12, eta: X4-X6
+    and X13-X15, xi - eta: X7-X9 and X16-X18; see
+    :mod:`abiwave.symbolic.poly`), and each slot has only a few dozen
+    distinct ones.  Evaluation computes those from the points, gathers
+    each monomial's three factors (three gathers in place of one per
+    variable), then gathers every term's monomial, scales it by the
+    coefficient and sums each row's terms with ``np.add.reduceat``.
+    The points go through in chunks whose (points x terms) array stays
+    near ``_CHUNK_BYTES``; an empty row evaluates to zero.
     """
-    indptr = np.zeros(len(table.sizes) + 1, dtype=np.int64)
-    np.cumsum(table.sizes, out=indptr[1:])
-    matrix = scipy.sparse.csr_matrix(
-        (table.coefs.astype(float), table.cols, indptr),
-        shape=(len(table.sizes), len(table.exps)))
-    exps = table.exps
-    used = [(v, int(exps[:, v].max())) for v in range(NVARS)
-            if exps[:, v].any()]
+    nrows = len(table.sizes)
+    slots = []
+    for var in _SLOT_VARS:
+        sub = table.exps[:, var].astype(np.int64)
+        _, first, inverse = np.unique((sub << _SLOT_SHIFTS).sum(axis=1),
+                                      return_index=True, return_inverse=True)
+        slots.append((var, sub[first], inverse))
+    cols = table.cols
+    coefs = table.coefs.astype(float)
+    full = np.flatnonzero(table.sizes)
+    starts = (np.cumsum(table.sizes) - table.sizes)[full]
+    step = max(1, _CHUNK_BYTES // (8 * max(len(cols), len(table.exps), 1)))
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        mono = np.ones((len(exps), len(points)))
-        for v, top in used:
-            powers = points[:, v] ** np.arange(top + 1)[:, None]
-            mono *= powers[exps[:, v]]
-        return (matrix @ mono).T
+        out = np.zeros((len(points), nrows))
+        for lo in range(0, len(points), step):
+            chunk = points[lo:lo + step, None, :]
+            mono = 1.0
+            for var, sub, inverse in slots:
+                mono = mono * np.prod(chunk[..., var] ** sub,
+                                      axis=2).take(inverse, axis=1)
+            terms = mono.take(cols, axis=1)
+            terms *= coefs
+            out[lo:lo + step, full] = np.add.reduceat(terms, starts, axis=1)
+        return out
 
     return evaluate

@@ -32,9 +32,7 @@ from .. import system
 from . import _kernel_py
 
 # variable bases per frequency slot: (unit-vector base, cosine base)
-SLOT_XI = (0, 9)
-SLOT_ETA = (3, 12)
-SLOT_W = (6, 15)  # xi - eta
+SLOT_XI, SLOT_ETA, SLOT_W = _kernel_py.SLOT_BASES  # SLOT_W: xi - eta
 
 
 def projector_terms(branch: int, slot: tuple[int, int]):
@@ -175,10 +173,9 @@ class InteractionTensor:
 
         Built on :func:`abiwave.symbolic._kernel_py.evaluator` over
         :attr:`table`: each call evaluates every distinct monomial once
-        from a per-variable power table and contracts with the sparse
-        (entries x monomials) coefficient matrix, so the float
-        cross-check gate is cheap.  The scale 2^-scale_log2 is included;
-        the factor -i is not.
+        from its three slot factors and sums each entry's terms, so the
+        float cross-check gate is cheap.  The scale 2^-scale_log2 is
+        included; the factor -i is not.
         """
         evaluate = _kernel_py.evaluator(self.table)
         shape = self.shape

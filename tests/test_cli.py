@@ -62,6 +62,19 @@ def test_manifest_threads_match_fft_workers(tmp_path, monkeypatch, value,
     assert manifest["threads"] == workers
 
 
+def test_manifest_records_library_versions(tmp_path):
+    import platform
+
+    import scipy
+
+    out = tmp_path / "proj"
+    assert run_cli("projectors", "--xi", "1,0.5,0", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
+
+
 def test_projectors_rejects_zero_xi():
     assert run_cli("projectors", "--xi", "0,0,0") == cli.EXIT_USAGE
 
@@ -243,6 +256,28 @@ def test_simulate_warns_of_snapshot_times_past_t_end(tmp_path, capsys):
     err = _one_stderr_line(capsys)
     assert err.startswith("warning:") and "[2.5, 5.0]" in err
     assert len(list((tmp_path / "out").glob("snapshot_*.raw"))) == 1
+
+
+def test_snapshot_times_sharing_a_sample_write_one_file(tmp_path, capsys):
+    # an 8^3 desk run of one step (dt = 1): 0.0 and 0.5 both round to
+    # the sample at t = 0, and 3.0 is past t_end
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "desk.json").read_text())
+    raw["grid"]["N"] = 8
+    raw["time"] = {"t_end": 1.0, "dt": 1.0}
+    raw["output"] = {"dir": str(tmp_path / "out"),
+                     "snapshots": [0.0, 0.5, 3.0]}
+    path = _write(tmp_path, raw)
+    assert run_cli("simulate", "--config", str(path)) == cli.EXIT_OK
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all(line.startswith("warning:") for line in err)
+    assert "[0.0, 0.5] share the sample at t = 0" in err[0]
+    assert "[3.0] are past t_end" in err[1]
+    outputs = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "outputs"]
+    snaps = [p for p in outputs if Path(p).name.startswith("snapshot_")]
+    assert snaps == [str(tmp_path / "out" / "snapshot_t0.raw")]
+    assert len(outputs) == len(set(outputs))
 
 
 def test_simulate_u0_probe_mode(tmp_path):

@@ -1,13 +1,16 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
 every function the benchmark tracer wraps or counts exists in the
 package, the package transforms real fields with rfftn/irfftn only,
-the dict contraction is no second tensor build, and only ``cli.main``
-turns an exception into an exit code."""
+the certifier runs without SciPy, the dict contraction is no second
+tensor build, and only ``cli.main`` turns an exception into an exit
+code."""
 import ast
 import importlib
 import importlib.util
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +92,29 @@ def test_src_uses_no_complex_full_lattice_fft():
                   if isinstance(node, (ast.Attribute, ast.Name))
                   and (name := _dotted(node, names)) in COMPLEX_FFTS]
     assert found == []
+
+
+_CERTIFY_WITHOUT_SCIPY = """
+import sys
+import abiwave, abiwave.cli
+from abiwave.symbolic.certify import certify
+cert = certify((0, 1, -1), "constraint", preflight=True)
+assert cert.verified
+abiwave.cli.RunManifest("verify-symbols", {}).write(sys.argv[1])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_certifier_loads_no_scipy(tmp_path):
+    # the certifier needs numpy only; scipy.fft loads at the first
+    # transform, which no import, certificate or manifest makes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_src_never_uses_the_dict_contraction():
