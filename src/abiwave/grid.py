@@ -198,9 +198,14 @@ class Grid:
         """
         w = self._sobolev_weights.get(s)
         if w is None:
+            # (1 + |k|^2)^s * herm, in place: one array per s is kept
             herm = np.full(self.n_half, 2.0)
             herm[[0, -1]] = 1.0
-            w = self._sobolev_weights[s] = (1.0 + self.k_norm ** 2) ** s * herm
+            w = self.k_norm ** 2
+            w += 1.0
+            w **= s
+            w *= herm
+            self._sobolev_weights[s] = w
         return float(np.sqrt(self.spectral_weight
                              * np.sum(w * np.abs(fh) ** 2)))
 
