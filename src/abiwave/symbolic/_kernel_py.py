@@ -60,7 +60,6 @@ _VECTOR_MIN = 8
 SLOT_BASES = ((0, 9), (3, 12), (6, 15))
 _SLOT_VARS = tuple(np.array([u, u + 1, u + 2, c, c + 1, c + 2])
                    for u, c in SLOT_BASES)
-_SLOT_SHIFTS = np.arange(6, dtype=np.int64) * BITS
 # size of the (points x terms) array that evaluator() works on at once
 _CHUNK_BYTES = 1 << 20
 
@@ -339,7 +338,7 @@ def evaluator(table: TermTable):
     slots = []
     for var in _SLOT_VARS:
         sub = table.exps[:, var].astype(np.int64)
-        _, first, inverse = np.unique((sub << _SLOT_SHIFTS).sum(axis=1),
+        _, first, inverse = np.unique((sub << _SHIFTS[:6]).sum(axis=1),
                                       return_index=True, return_inverse=True)
         slots.append((var, sub[first], inverse))
     cols = table.cols
