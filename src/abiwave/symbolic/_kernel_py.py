@@ -4,12 +4,13 @@ A polynomial in the eighteen layout variables is a *term dict*: a plain
 ``dict`` mapping a packed monomial key to a nonzero Python integer, with
 ``{}`` the zero polynomial.  It is the certifier's only polynomial type;
 the projectors, the ideal generators, the residues and the cofactors
-are all term dicts, and a tensor's entries are read as term dicts from
-its :class:`TermTable`.  Exponents occupy seven bits per variable
-inside one arbitrary-precision integer key, so monomial multiplication
-is a single integer addition.  That addition is carry-free while every
-total degree stays at most ``MAX_EXP``.  The bound is checked once
-where it is decided, not in the inner loops:
+are all term dicts.  A tensor's entries live in its :class:`TermTable`
+and are read back as term dicts only for the cofactors.  Exponents
+occupy seven bits per variable inside one arbitrary-precision integer
+key, so monomial multiplication is a single integer addition.  That
+addition is carry-free while every total degree stays at most
+``MAX_EXP``.  The bound is checked once where it is decided, not in
+the inner loops:
 
 * :func:`mul` and :func:`pack` check their own inputs;
 * :func:`mul_add_into` (``acc += c * p * q``) trusts its caller; no
@@ -30,8 +31,9 @@ unpack those halves into an ``(n, 18)`` exponent array
 array.  A :class:`TermTable` holds many polynomials over one index of
 their distinct monomials; it is built from term dicts or straight from
 arrays (the tensor build), and the float gates (:func:`evaluator`), the
-tensor statistics and the exact reduction all read it.  :func:`merge`
-sums equal (row, monomial) terms of such arrays.
+tensor statistics, the chaplygin block and the exact reduction all
+read it.  :func:`distinct` numbers the distinct rows of an exponent
+array, and :func:`merge` sums equal (row, monomial) terms.
 
 This is the only polynomial kernel; every symbolic module uses it.
 """
@@ -53,8 +55,6 @@ _HALF_FIELDS = NVARS // 2
 _HALF_BITS = BITS * _HALF_FIELDS
 _LOW = (1 << _HALF_BITS) - 1
 _SHIFTS = np.arange(_HALF_FIELDS, dtype=np.int64) * BITS
-# below this many keys the bit loop costs less than the NumPy calls
-_VECTOR_MIN = 8
 # (unit-vector base, cosine base) of the frequency slots xi, eta and
 # xi - eta: three variables from each base (see abiwave.symbolic.poly)
 SLOT_BASES = ((0, 9), (3, 12), (6, 15))
@@ -128,26 +128,14 @@ def join_halves(halves: np.ndarray) -> list:
     return [lo | (hi << _HALF_BITS) for lo, hi in halves.tolist()]
 
 
-def _key_degree(key: int) -> int:
-    d = 0
-    while key:
-        d += key & MASK
-        key >>= BITS
-    return d
-
-
 def degree(terms) -> int:
     """Total degree (0 for the zero polynomial).
 
     Takes a term dict or any iterable of packed keys, so the largest
-    degree over many polynomials costs one call.  It is the row sum and
-    max of :func:`exponents`; fewer than ``_VECTOR_MIN`` keys are summed
-    field by field instead, where NumPy's fixed cost would dominate.
+    degree over many polynomials costs one call: the row sum and max of
+    :func:`exponents`.
     """
-    keys = list(terms)
-    if len(keys) < _VECTOR_MIN:
-        return max(map(_key_degree, keys), default=0)
-    return int(exponents(keys).sum(axis=1).max())
+    return int(exponents(list(terms)).sum(axis=1).max(initial=0))
 
 
 def add_into(acc: dict, p: dict, c: int) -> None:
@@ -206,6 +194,18 @@ def ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     ends = np.cumsum(size)
     return (np.arange(ends[-1] if len(ends) else 0)
             + np.repeat(start - ends + size, size))
+
+
+def distinct(exps: np.ndarray):
+    """Distinct rows of an exponent array, and each row's index among them."""
+    halves = pack_halves(exps)
+    order = np.lexsort(halves.T)
+    halves = halves[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (halves[1:] != halves[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return exps[order[new]], inverse
 
 
 def merge(rows, monos, coefs, nmonos: int):

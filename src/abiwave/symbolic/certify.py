@@ -27,8 +27,8 @@ from . import _kernel_py
 from .ideal import (build_ideal_generators, extract_cofactors,
                     numeric_embedding, reduce_terms)
 from .poly import kernel_backend
-from .tensors import InteractionTensor, build_interaction_tensor, \
-    chaplygin_substitute
+from .tensors import (CHAPLYGIN_SHAPES, InteractionTensor,
+                      build_interaction_tensor)
 
 GATE_ANNIHILATION_TOL = 1e-10
 GATE_FLOAT_TOL = 1e-8
@@ -54,8 +54,8 @@ class Certificate:
     ``build_ms`` times the tensor build (its term table included),
     ``preflight_ms`` the float gates it ran (0 when they are skipped;
     :func:`certify_all` runs the annihilation gate in the first
-    certificate of each (eps2, eps3) only) and ``reduce_ms`` the exact
-    reduction of the table; all four are read from
+    certificate of each orientation eps2 eps3 only) and ``reduce_ms``
+    the exact reduction of the table; all four are read from
     ``time.perf_counter``.  The rest of ``millis`` is a mutation, the
     chaplygin block's table and the statistics.
     """
@@ -109,7 +109,7 @@ def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
 
 
 def preflight_float_crosscheck(tensor: InteractionTensor, state,
-                               n: int = 100, seed: int = 1) -> float:
+                               n: int = 30, seed: int = 1) -> float:
     """Exact tensor vs floating composition at random off-axis points."""
     from ..spectral import compose_interaction
 
@@ -130,24 +130,28 @@ def preflight_float_crosscheck(tensor: InteractionTensor, state,
 def certify(eps: tuple[int, int, int], which: str = "evolution",
             state=None, preflight: bool = True, subsystem: str = "full",
             with_cofactors: bool = False, mutate_entry=None,
-            float_checks: int = 30,
             annihilation_gate: bool = True) -> Certificate:
     """Reduce every entry of one interaction tensor; report residues.
 
     ``subsystem='chaplygin'`` restricts to the four-component block
-    (alpha = 1, beta = delta = 0 and tau/v rows and slots only).
+    (alpha = 1, beta = delta = 0 and tau/v rows and slots only; see
+    :meth:`InteractionTensor.chaplygin_block`).
     ``mutate_entry=(i, j, k)`` adds one to that entry first, which must
-    then be flagged - a self-test of the reduction's soundness.
+    then be flagged - a self-test of the reduction's soundness; it must
+    lie in the tensor, and in the block for the chaplygin subsystem.
     ``preflight`` runs both float gates; ``annihilation_gate=False``
-    leaves out the first, which depends on (eps2, eps3) only, for a
-    caller that has run it for this pair.
+    leaves out the first, which depends on s = eps2 eps3 only, for a
+    caller that has run it for this orientation.
     """
     state = state or CERTIFICATION_BACKGROUND
     if mutate_entry is not None:
-        shape = (10 if which == "evolution" else 5, 10, 10)
+        if subsystem == "chaplygin":
+            shape, part = CHAPLYGIN_SHAPES[which], "chaplygin (tau, v) block"
+        else:
+            shape, part = (10 if which == "evolution" else 5, 10, 10), "tensor"
         if not all(0 <= x < n for x, n in zip(mutate_entry, shape)):
             raise ValueError(f"mutate_entry {tuple(mutate_entry)} is outside "
-                             f"the {which} tensor, whose shape is {shape}")
+                             f"the {which} {part}, whose shape is {shape}")
     t0 = time.perf_counter()
     tensor = build_interaction_tensor(eps, which)
     t_build = time.perf_counter()
@@ -155,7 +159,7 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
     if preflight:
         if annihilation_gate:
             preflight_annihilation(eps[1], eps[2], state)
-        preflight_float_crosscheck(tensor, state, n=float_checks)
+        preflight_float_crosscheck(tensor, state)
     t_preflight = time.perf_counter()
     if mutate_entry is not None:
         i, j, k = mutate_entry
@@ -163,14 +167,9 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
             (i * 10 + j) * 10 + k, 1))
 
     if subsystem == "chaplygin":
-        block = [(idx, chaplygin_substitute(terms))
-                 for idx, terms in tensor.iter_entries()
-                 if _in_chaplygin_block(idx, which)]
-        index = [idx for idx, _ in block]
-        table = _kernel_py.TermTable(terms for _, terms in block)
+        index, table = tensor.chaplygin_block()
     else:
-        index = list(np.ndindex(tensor.shape))
-        table = tensor.table
+        index, table = list(np.ndindex(tensor.shape)), tensor.table
     t_reduce = time.perf_counter()
     residues = reduce_terms(table, s)
     reduce_ms = (time.perf_counter() - t_reduce) * 1e3
@@ -204,12 +203,6 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
     return cert
 
 
-def _in_chaplygin_block(idx, which: str) -> bool:
-    """Whether entry (i, j, k) lies in the four-component (tau, v) block."""
-    i, j, k = idx
-    return (which != "evolution" or i < 4) and j < 4 and k < 4
-
-
 def _sample_cofactors(tensor: InteractionTensor, eps, max_entries: int = 3):
     """Cofactor decompositions for a few nonzero entries (text format)."""
     out = {}
@@ -232,8 +225,9 @@ def certify_all(which_list=("evolution", "constraint"), state=None,
                 with_cofactors: bool = False) -> list[Certificate]:
     """All 8 evolution and 4 constraint interactions (the full claim).
 
-    With ``preflight`` the annihilation gate runs once per (eps2, eps3),
-    in the first certificate of that pair.
+    With ``preflight`` the annihilation gate runs once per orientation
+    s = eps2 eps3, in the first certificate of that orientation: its
+    generators and resonant samples depend on s alone.
     """
     jobs = []
     if "evolution" in which_list:
@@ -245,10 +239,10 @@ def certify_all(which_list=("evolution", "constraint"), state=None,
     certs = []
     gated = set()
     for eps, which in jobs:
+        s = eps[1] * eps[2]
         certs.append(certify(eps, which, state, preflight, subsystem,
-                             with_cofactors,
-                             annihilation_gate=eps[1:] not in gated))
-        gated.add(eps[1:])
+                             with_cofactors, annihilation_gate=s not in gated))
+        gated.add(s)
     return certs
 
 

@@ -49,6 +49,10 @@ _SIGNED = [src for src, _, signed in _STAGE1 if signed]
 _STAGE2 = ((2, 0, 1), (5, 3, 4), (11, 9, 10), (14, 12, 13))
 
 
+def _var_power(var: int, e: int) -> dict:
+    return {e << (_kernel_py.BITS * var): 1}
+
+
 def build_ideal_generators(eps2: int, eps3: int) -> list[dict]:
     """The twelve generators, as term dicts, for signs (eps2, eps3)."""
     if eps2 not in (1, -1) or eps3 not in (1, -1):
@@ -59,26 +63,13 @@ def build_ideal_generators(eps2: int, eps3: int) -> list[dict]:
     for base in range(6):  # P1..P6: X_a^2 + X_b^2 + X_c^2 - 1
         sq = {0: -1}
         for j in range(3):
-            v = _kernel_py.variable(3 * base + j)
-            _kernel_py.add_into(sq, _kernel_py.mul(v, v), 1)
+            _kernel_py.add_into(sq, _var_power(3 * base + j, 2), 1)
         gens.append(sq)
     for src, dst, signed in _STAGE1:  # P7..P12: X_dst - s X_src (P10: s = 1)
         g = _kernel_py.variable(dst)
         _kernel_py.add_into(g, _kernel_py.variable(src), -s if signed else -1)
         gens.append(g)
     return gens
-
-
-def _distinct(exps: np.ndarray):
-    """Distinct rows of an exponent array, and each row's index among them."""
-    halves = _kernel_py.pack_halves(exps)
-    order = np.lexsort(halves.T)
-    halves = halves[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (halves[1:] != halves[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return exps[order[new]], inverse
 
 
 def _trinomials(top: int):
@@ -136,7 +127,7 @@ def _stage1(table: TermTable, s: int):
     moved = exps.copy()
     moved[:, _TARGETS] += exps[:, _SOURCES]
     moved[:, _SOURCES] = 0
-    monos, mono_of_key = _distinct(moved)
+    monos, mono_of_key = _kernel_py.distinct(moved)
     coefs = table.coefs
     if s < 0:
         flip = (exps[:, _SIGNED].sum(axis=1) & 1).astype(bool)[table.cols]
@@ -168,7 +159,7 @@ def reduce_terms(table: TermTable, s: int) -> dict:
     monos, rows, mono, coefs = _stage1(table, s)
 
     owner, reduced, red_coefs = _stage2(monos)
-    reduced, red_id = _distinct(reduced)
+    reduced, red_id = _kernel_py.distinct(reduced)
     count = np.bincount(owner, minlength=len(monos))
     size = count[mono]
     at = _kernel_py.ranges((np.cumsum(count) - count)[mono], size)
@@ -208,10 +199,6 @@ def _split_variable(terms: dict, var: int):
         rest = key - (e << (bits * var))
         out.setdefault(e, {})[rest] = v
     return out
-
-
-def _var_power(var: int, e: int) -> dict:
-    return {e << (_kernel_py.BITS * var): 1}
 
 
 def extract_cofactors(p: dict, eps2: int, eps3: int):
@@ -304,14 +291,9 @@ def numeric_embedding(xi, eta, state) -> np.ndarray:
 
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    w = xi - eta
     out = np.empty(xi.shape[:-1] + (18,))
-    out[..., 0:3] = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
-    out[..., 3:6] = eta / np.linalg.norm(eta, axis=-1, keepdims=True)
-    out[..., 6:9] = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    for base, vec in ((9, xi), (12, eta), (15, w)):
-        a, b, d = alpha_beta_delta(vec, state)
-        out[..., base] = a
-        out[..., base + 1] = b
-        out[..., base + 2] = d
+    for (u, c), vec in zip(_kernel_py.SLOT_BASES, (xi, eta, xi - eta)):
+        out[..., u:u + 3] = vec / np.linalg.norm(vec, axis=-1, keepdims=True)
+        out[..., c], out[..., c + 1], out[..., c + 2] = \
+            alpha_beta_delta(vec, state)
     return out

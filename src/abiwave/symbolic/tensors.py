@@ -19,7 +19,8 @@ arrays: every monomial is one int64 mixed-radix code, so a monomial
 product is a code sum, and the result is the tensor's
 :class:`~abiwave.symbolic._kernel_py.TermTable`, which
 :class:`InteractionTensor` holds with the scale; it states the factor
--i that the entries leave out.
+-i that the entries leave out, and cuts the (tau, v) block of the
+chaplygin subsystem from it (:meth:`InteractionTensor.chaplygin_block`).
 """
 from __future__ import annotations
 
@@ -33,6 +34,11 @@ from . import _kernel_py
 
 # variable bases per frequency slot: (unit-vector base, cosine base)
 SLOT_XI, SLOT_ETA, SLOT_W = _kernel_py.SLOT_BASES  # SLOT_W: xi - eta
+# the (tau, v) block of a tensor: entries (i, j, k) with j, k < 4, and
+# i < 4 for the evolution; a constraint tensor keeps its five rows
+CHAPLYGIN_SHAPES = {"evolution": (4, 4, 4), "constraint": (5, 4, 4)}
+_ALPHA = [c for _, c in _kernel_py.SLOT_BASES]
+_BETA_DELTA = [c + n for _, c in _kernel_py.SLOT_BASES for n in (1, 2)]
 
 
 def projector_terms(branch: int, slot: tuple[int, int]):
@@ -158,6 +164,31 @@ class InteractionTensor:
     def iter_entries(self):
         """((i, j, k), term dict) of every entry, read from the table."""
         return zip(np.ndindex(self.shape), self.table.polys())
+
+    def chaplygin_block(self):
+        """The (tau, v) subsystem of the entries, as (index, table).
+
+        Row r of the table is entry ``index[r]`` of the block
+        ``CHAPLYGIN_SHAPES[which]``, in order, evaluated at alpha = 1 and
+        beta = delta = 0 in every slot: terms with a beta or delta
+        exponent are dropped, alpha exponents are set to zero and equal
+        (row, monomial) terms are merged.
+        """
+        shape = CHAPLYGIN_SHAPES[self.which]
+        t = self.table
+        i, j, k = np.unravel_index(t.rows, self.shape)
+        alive = ~t.exps[:, _BETA_DELTA].any(axis=1)
+        keep = ((i < shape[0]) & (j < shape[1]) & (k < shape[2])
+                & alive[t.cols])
+        exps = t.exps[t.cols[keep]]
+        exps[:, _ALPHA] = 0
+        monos, mono = _kernel_py.distinct(exps)
+        rows = np.ravel_multi_index((i[keep], j[keep], k[keep]), shape)
+        rows, cols, coefs = _kernel_py.merge(rows, mono, t.coefs[keep],
+                                             len(monos))
+        table = _kernel_py.TermTable.from_arrays(monos, rows, cols, coefs,
+                                                 math.prod(shape))
+        return list(np.ndindex(shape)), table
 
     def max_degree(self) -> int:
         """Largest total degree of an entry (before reduction)."""
@@ -330,30 +361,3 @@ def build_interaction_tensor(eps: tuple[int, int, int],
         exps, entry[order], cols[order], coef[order].astype(object), nentries)
     return InteractionTensor(eps=(e1, e2, e3), which=which, table=table,
                              scale_log2=scale)
-
-
-def chaplygin_substitute(terms: dict) -> dict:
-    """Evaluate alpha = 1, beta = delta = 0 in every slot.
-
-    This is the four-component (tau, v) subsystem reduction: monomials
-    containing any beta or delta variable vanish, alpha exponents drop.
-    """
-    bits = _kernel_py.BITS
-    mask = _kernel_py.MASK
-    out: dict = {}
-    alphas = (9, 12, 15)
-    zeroed = (10, 11, 13, 14, 16, 17)
-    for key, v in terms.items():
-        if any((key >> (bits * z)) & mask for z in zeroed):
-            continue
-        nk = key
-        for a in alphas:
-            e = (nk >> (bits * a)) & mask
-            if e:
-                nk -= e << (bits * a)
-        nv = out.get(nk, 0) + v
-        if nv:
-            out[nk] = nv
-        else:
-            del out[nk]
-    return out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from abiwave import model, simulate
 from abiwave.grid import Grid
 from abiwave.state import ConstantState, bi_lift_constant
 
@@ -38,3 +39,19 @@ def grid32():
 @pytest.fixture(scope="session")
 def manifold_bg():
     return bi_lift_constant(B0=(0.3, 0.0, 0.05), D0=(0.0, 0.2, 0.1))
+
+
+@pytest.fixture(scope="session")
+def rk4_finals(grid32, manifold_bg):
+    """Final fields of one perturbed manifold run at dt = 0.5, 0.25, 0.125.
+
+    The RK4 self-convergence trio, shared by the solver test and the
+    acceptance criterion: seed 5, amplitude 1e-2, t_end = 2.
+    """
+    ic = model.admissible_perturbation(5, 1e-2, manifold_bg, grid32)
+    finals = []
+    for dt in (0.5, 0.25, 0.125):
+        cfg = simulate.SimConfig(grid=grid32, state=manifold_bg, t_end=2.0,
+                                 dt=dt, cadence=2.0)
+        finals.append(simulate.simulate(cfg, initial=ic.copy()).final.data)
+    return finals

@@ -6,7 +6,10 @@ contraction into an inner B.(P2 (x) P3) stage and an outer P1 stage:
 every product P1 * (P2 * X_dir) * P3 is expanded term by term straight
 into the entry it lands in, with its own three-factor loop.  It is the
 differential oracle of the two-stage build: entries must be equal as
-term dicts.
+term dicts.  :func:`chaplygin_block` is the (tau, v) subsystem as the
+certifier formed it from term dicts, one entry at a time, before
+:meth:`abiwave.symbolic.tensors.InteractionTensor.chaplygin_block`
+read it off the term table.
 """
 from __future__ import annotations
 
@@ -60,3 +63,42 @@ def build_entries(eps: tuple[int, int, int], which: str = "evolution"):
                 for i, p1 in outer:
                     _mul3_add_into(entries[i][j][k], sign, p1, m2, p3)
     return entries
+
+
+def chaplygin_substitute(terms: dict) -> dict:
+    """Evaluate alpha = 1, beta = delta = 0 in every slot.
+
+    This is the four-component (tau, v) subsystem reduction: monomials
+    containing any beta or delta variable vanish, alpha exponents drop.
+    """
+    bits = _kernel_py.BITS
+    mask = _kernel_py.MASK
+    out: dict = {}
+    alphas = (9, 12, 15)
+    zeroed = (10, 11, 13, 14, 16, 17)
+    for key, v in terms.items():
+        if any((key >> (bits * z)) & mask for z in zeroed):
+            continue
+        nk = key
+        for a in alphas:
+            e = (nk >> (bits * a)) & mask
+            if e:
+                nk -= e << (bits * a)
+        nv = out.get(nk, 0) + v
+        if nv:
+            out[nk] = nv
+        else:
+            del out[nk]
+    return out
+
+
+def chaplygin_block(entries, which: str):
+    """(index, term dicts) of the (tau, v) block of ((i, j, k), terms) pairs.
+
+    Keeps, in order, the entries with j, k < 4 (and i < 4 for the
+    evolution) and substitutes each one with :func:`chaplygin_substitute`.
+    """
+    block = [((i, j, k), chaplygin_substitute(terms))
+             for (i, j, k), terms in entries
+             if (which != "evolution" or i < 4) and j < 4 and k < 4]
+    return [idx for idx, _ in block], [terms for _, terms in block]

@@ -279,13 +279,8 @@ def test_criterion_9_energy_law(grid32a, bg, narrow_band):
 # 10. scheme convergence
 # ----------------------------------------------------------------------
 
-def test_criterion_10_rk4_self_convergence(grid32a, bg):
-    ic = model.admissible_perturbation(5, 1e-2, bg, grid32a)
-    finals = []
-    for dt in (0.5, 0.25, 0.125):
-        cfg = simulate.SimConfig(grid=grid32a, state=bg, t_end=2.0, dt=dt,
-                                 cadence=2.0)
-        finals.append(simulate.simulate(cfg, initial=ic.copy()).final.data)
+def test_criterion_10_rk4_self_convergence(rk4_finals):
+    finals = rk4_finals
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
     order = float(np.log2(e1 / e2))

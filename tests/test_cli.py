@@ -146,11 +146,14 @@ def test_verify_symbols_mutates_a_constraint_tensor(tmp_path):
     (("--which", "N", "--mutate-entry=-1,0,0"), "outside the evolution"),
     (("--which", "N", "--mutate-entry", "1,2"), "three integers"),
     (("--which", "N", "--mutate-entry", "a,b,c"), "three integers"),
+    (("--which", "N", "--interactions", "+,++", "--subsystem", "chaplygin",
+      "--mutate-entry", "5,5,5"), "outside the evolution chaplygin"),
 ])
 def test_verify_symbols_rejects_bad_mutation(tmp_path, capsys, args, message):
     assert run_cli("verify-symbols", *args, "--skip-preflight",
                    "--out", str(tmp_path)) == cli.EXIT_USAGE
-    assert message in capsys.readouterr().err
+    assert message in _one_stderr_line(capsys)
+    assert not (tmp_path / "certificates.json").exists()
 
 
 def test_verify_symbols_which_nprime(tmp_path):

@@ -41,7 +41,7 @@ def _check(table, points):
 
 @pytest.fixture(scope="module")
 def crosscheck_points():
-    # the float cross-check's points (certify's float_checks = 30, seed 1)
+    # the float cross-check's points (its default n = 30, seed 1)
     xi, eta = sample_off_axis(np.random.default_rng(1), 30)
     return ideal.numeric_embedding(xi, eta, CERTIFICATION_BACKGROUND)
 

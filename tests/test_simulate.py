@@ -73,13 +73,8 @@ def test_linearized_mode_phase(grid16):
     assert np.max(np.abs(got - want)) / amp <= 1e-6
 
 
-def test_rk4_self_convergence_order(grid32, manifold_bg):
-    ic = model.admissible_perturbation(5, 1e-2, manifold_bg, grid32)
-    finals = []
-    for dt in (0.5, 0.25, 0.125):
-        cfg = simulate.SimConfig(grid=grid32, state=manifold_bg, t_end=2.0,
-                                 dt=dt, cadence=2.0)
-        finals.append(simulate.simulate(cfg, initial=ic.copy()).final.data)
+def test_rk4_self_convergence_order(rk4_finals):
+    finals = rk4_finals
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
     order = np.log2(e1 / e2)

@@ -248,8 +248,7 @@ _exps = st.lists(st.integers(0, 127), min_size=18, max_size=18)
 @example([[0] * 17 + [127]] * 9 + [[127] * 18])
 @example([])
 def test_exponents_and_degree_match_bit_loop(rows):
-    # rows with a nonzero exponent in X10..X18 pack to keys >= 2^63;
-    # lists below and above _VECTOR_MIN take both paths of degree
+    # rows with a nonzero exponent in X10..X18 pack to keys >= 2^63
     keys = [pack(r) for r in rows]
     got = _kernel_py.exponents(keys)
     assert got.shape == (len(keys), 18) and got.dtype == np.int64
@@ -395,13 +394,11 @@ def _chaplygin_hand_tensor(eps):
 @pytest.mark.parametrize("eps", [(1, 1, 1), (1, -1, 1), (-1, 1, -1),
                                  (1, 1, -1)])
 def test_chaplygin_subblock_matches_hand_oracle(eps):
-    entries = dict(tensors.build_interaction_tensor(eps).iter_entries())
+    index, table = tensors.build_interaction_tensor(eps).chaplygin_block()
     hand = _chaplygin_hand_tensor(eps)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                got = tensors.chaplygin_substitute(entries[i, j, k])
-                assert got == hand[i][j][k], (i, j, k)
+    assert index == list(np.ndindex(4, 4, 4))
+    for (i, j, k), got in zip(index, table.polys()):
+        assert got == hand[i][j][k], (i, j, k)
 
 
 def test_certified_tensor_vanishes_on_resonant_configurations():
@@ -422,7 +419,7 @@ def test_certified_tensor_vanishes_on_resonant_configurations():
 # ----------------------------------------------------------------------
 
 def test_certify_single_interaction_and_mutation():
-    cert = C.certify((1, -1, -1), "evolution", STATE, float_checks=20)
+    cert = C.certify((1, -1, -1), "evolution", STATE)
     assert cert.verified and cert.entries_total == 1000
     bad = C.certify((1, -1, -1), "evolution", STATE, preflight=False,
                     mutate_entry=(3, 4, 5))
@@ -432,7 +429,7 @@ def test_certify_single_interaction_and_mutation():
 
 
 def test_certify_constraint_interaction():
-    cert = C.certify((0, 1, 1), "constraint", STATE, float_checks=20)
+    cert = C.certify((0, 1, 1), "constraint", STATE)
     assert cert.verified
     assert cert.which == "Nprime"
 
@@ -441,6 +438,52 @@ def test_certify_chaplygin_subsystem():
     cert = C.certify((1, 1, 1), "evolution", STATE, preflight=False,
                      subsystem="chaplygin")
     assert cert.verified and cert.entries_total > 0
+
+
+def test_chaplygin_certificate_never_reads_term_dicts(monkeypatch):
+    # the block is cut from the term table; no entry becomes a term dict
+    def refuse(*args):
+        raise AssertionError("term dicts read")
+
+    monkeypatch.setattr(TermTable, "polys", refuse)
+    monkeypatch.setattr(tensors.InteractionTensor, "iter_entries", refuse)
+    cert = C.certify((1, -1, 1), "evolution", STATE, subsystem="chaplygin")
+    assert cert.verified and cert.entries_total > 0
+    bad = C.certify((1, -1, 1), "evolution", STATE, preflight=False,
+                    subsystem="chaplygin", mutate_entry=(1, 2, 3))
+    assert bad.entries_nonzero == 1
+    assert bad.witnesses[0]["entry"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("eps,which,entry",
+                         [((1, 1, 1), "evolution", (5, 5, 5)),
+                          ((1, 1, 1), "evolution", (4, 0, 0)),
+                          ((0, 1, -1), "constraint", (0, 4, 0))])
+def test_chaplygin_rejects_mutation_outside_block(monkeypatch, eps, which,
+                                                  entry):
+    # the block would drop the mutated entry, so its +1 would go unseen
+    def refuse(*args):
+        raise AssertionError("tensor built")
+
+    monkeypatch.setattr(C, "build_interaction_tensor", refuse)
+    with pytest.raises(ValueError, match="outside the .* chaplygin"):
+        C.certify(eps, which, STATE, preflight=False, subsystem="chaplygin",
+                  mutate_entry=entry)
+
+
+def test_certify_all_gates_each_orientation_once(monkeypatch):
+    # the gate depends on s = eps2 eps3 alone: one run per sign
+    real = C.preflight_annihilation
+    orientations = []
+
+    def counted(eps2, eps3, *args, **kwargs):
+        orientations.append(eps2 * eps3)
+        return real(eps2, eps3, *args, **kwargs)
+
+    monkeypatch.setattr(C, "preflight_annihilation", counted)
+    certs = C.certify_all(state=STATE)
+    assert len(certs) == 12 and all(c.verified for c in certs)
+    assert orientations == [1, -1]
 
 
 def test_certificate_json_roundtrip(tmp_path):
@@ -456,8 +499,7 @@ def test_certificate_json_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("preflight", [True, False])
 def test_certificate_times_its_stages(preflight):
-    cert = C.certify((0, 1, -1), "constraint", STATE, preflight=preflight,
-                     float_checks=5)
+    cert = C.certify((0, 1, -1), "constraint", STATE, preflight=preflight)
     stages = (cert.build_ms, cert.preflight_ms, cert.reduce_ms)
     assert min(stages) >= 0.0
     assert sum(stages) <= cert.millis

@@ -6,7 +6,7 @@ from abiwave.symbolic import certify as C
 from abiwave.symbolic import tensors
 from abiwave.symbolic._kernel_py import TermTable, pack
 
-from tensors_reference import build_entries
+from tensors_reference import build_entries, chaplygin_block
 
 INTERACTIONS = ([((e1, e2, e3), "evolution") for e1 in (1, -1)
                  for e2 in (1, -1) for e3 in (1, -1)]
@@ -23,11 +23,18 @@ def test_every_tensor_entry_matches_triple_product_oracle(eps, which):
     assert got == {(i, j, k): t for i, plane in enumerate(want)
                    for j, line in enumerate(plane) for k, t in enumerate(line)}
 
-    block = [idx for idx in got if C._in_chaplygin_block(idx, which)]
-    assert len(block) == (4 if which == "evolution" else 5) * 4 * 4
-    for i, j, k in block:
-        assert (tensors.chaplygin_substitute(got[i, j, k])
-                == tensors.chaplygin_substitute(want[i][j][k]))
+    # the block cut from the table equals the dict substitution of the
+    # oracle's entries
+    index, table = T.chaplygin_block()
+    want_index, want_rows = chaplygin_block(
+        (((i, j, k), want[i][j][k]) for i, j, k in np.ndindex(T.shape)),
+        which)
+    assert len(index) == (4 if which == "evolution" else 5) * 4 * 4
+    assert index == want_index
+    assert list(table.polys()) == want_rows
+    assert np.all(np.diff(table.rows) >= 0)
+    assert len(set(table.keys)) == len(table.keys)
+    assert all(type(c) is int and c for c in table.coefs)
 
 
 def _terms(table):

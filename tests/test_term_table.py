@@ -8,6 +8,7 @@ from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic._kernel_py import TermTable, pack
 
 from ideal_reference import reduce_entry
+from tensors_reference import chaplygin_block
 
 INTERACTIONS = ([((e1, e2, e3), "evolution") for e1 in (1, -1)
                  for e2 in (1, -1) for e3 in (1, -1)]
@@ -46,12 +47,11 @@ def test_every_tensor_entry_matches_dict_oracle(eps, which):
     entries[row][key] = entries[row].get(key, 0) + 2 ** 70
     s = eps[1] * eps[2]
 
-    index = [idx for idx, _ in T.iter_entries()]
-    block = [C._in_chaplygin_block(idx, which) for idx in index]
-    assert sum(block) == (4 if which == "evolution" else 5) * 4 * 4
-    chaplygin = [tensors.chaplygin_substitute(t)
-                 for t, inside in zip(entries, block) if inside]
-    for polys, flagged in ((entries, row), (chaplygin, sum(block[:row]))):
+    index, chaplygin = chaplygin_block(
+        zip(np.ndindex(T.shape), entries), which)
+    assert len(index) == (4 if which == "evolution" else 5) * 4 * 4
+    for polys, flagged in ((entries, row),
+                           (chaplygin, index.index((1, 2, 3)))):
         want = _oracle(polys, s)
         assert list(want) == [flagged]
         assert ideal.reduce_terms(TermTable(polys), s) == want
