@@ -344,7 +344,6 @@ def cmd_verify_symbols(ns):
     if mutate_entry and not ns.interactions and ns.which == "both":
         raise ValueError("--mutate-entry needs --which N or Nprime, or "
                          "--interactions, to name the tensor it mutates")
-    outdir = _outdir(ns)
     manifest = RunManifest("verify-symbols", vars_serializable(ns))
     opts = dict(preflight=not ns.skip_preflight, subsystem=ns.subsystem,
                 with_cofactors=ns.cofactors)
@@ -362,6 +361,8 @@ def cmd_verify_symbols(ns):
         which_list = (which,) if ns.which != "both" else \
             ("evolution", "constraint")
         certs = C.certify_all(which_list, state, **opts)
+    # created once the certificates exist: a rejected input leaves no directory
+    outdir = _outdir(ns)
     path = outdir / "certificates.json"
     C.write_certificates(certs, path)
     manifest.add_output(path)
@@ -446,6 +447,7 @@ def cmd_simulate(ns):
               f"{report['ratio_max']:.3f}]")
         return
     res = simulate(cfg)
+    manifest.data["stats"] = res.stats
     series_path = outdir / "series.csv"
     res.series.write_csv(series_path)
     manifest.add_output(series_path)

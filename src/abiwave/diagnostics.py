@@ -4,7 +4,8 @@ Constraint residuals are evaluated in full variables (background plus
 perturbation); the manifold residuals expect absolute fields.  Norms
 mix spectral (Sobolev) and physical (sup, Besov) computations on the
 same grid.  Spectra are half spectra of real fields (:mod:`abiwave.grid`);
-one sample transforms the field once and synthesizes its gradient once.
+one sample transforms the field once and synthesizes its gradient one
+component at a time, in the run's workspace.
 """
 from __future__ import annotations
 
@@ -32,21 +33,28 @@ SERIES_COLUMNS = (
 # ----------------------------------------------------------------------
 
 def constraint_residual(field: StateField, state: ConstantState,
-                        grad: np.ndarray | None = None):
+                        derivative=None, full: np.ndarray | None = None):
     """Sup and L2 norms of the three constraint residual fields.
 
     The constraint rows of :data:`abiwave.system.CONSTRAINT_TERMS`
     evaluated on the full variables (background plus perturbation):
     -tau div b + b.grad tau, -tau div d + d.grad tau and
     -tau curl v + b.grad d - d.grad b.  The background has no gradient,
-    so ``grad`` is that of the perturbation,
-    ``field.grid.gradient(field.spectral())`` when the caller has it.
+    so ``derivative(c)``, the three derivatives of component c as
+    :func:`abiwave.system.quadratic` takes them, is that of the
+    perturbation; by default it synthesizes them from
+    ``field.spectral()`` one component at a time.  ``full`` is
+    ``field.data`` plus the background when the caller has it.
     """
     g = field.grid
-    if grad is None:
-        grad = g.gradient(field.spectral())  # grad[c, j] = d_j U_c
-    full = field.data + state.as_vector().reshape(10, 1, 1, 1)
-    r = system.quadratic(system.CONSTRAINT_TERMS, full, grad)
+    if derivative is None:
+        fh = field.spectral()
+
+        def derivative(c):
+            return g.gradient(fh[c])
+    if full is None:
+        full = field.data + state.as_vector().reshape(10, 1, 1, 1)
+    r = system.quadratic(system.CONSTRAINT_TERMS, full, derivative)
 
     def norms(r):
         return {"sup": float(np.max(np.abs(r))), "l2": g.l2_norm(r)}
@@ -67,30 +75,36 @@ def manifold_residual(field_abs: StateField):
 # ----------------------------------------------------------------------
 
 def w1inf_norm(grid: Grid, data: np.ndarray,
-               grad: np.ndarray | None = None) -> float:
+               grad_sup: float | None = None) -> float:
     """sup |U| + sup |grad U| over components and points.
 
-    ``grad`` is the :meth:`Grid.gradient` of ``data``, computed when not
-    given.
+    ``grad_sup`` is the second term, synthesized one component at a
+    time when not given.
     """
-    if grad is None:
-        grad = grid.gradient(grid.rfwd(data))
-    return float(np.max(np.abs(data))) + float(np.max(np.abs(grad)))
+    if grad_sup is None:
+        fh = grid.rfwd(data)
+        grad_sup = max(float(np.max(np.abs(grid.gradient(c)))) for c in fh)
+    return float(np.max(np.abs(data))) + grad_sup
 
 
-def besov_norms(grid: Grid, data: np.ndarray,
-                fh: np.ndarray | None = None) -> tuple[float, float]:
+def besov_norms(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
+                ws=None) -> tuple[float, float]:
     """Homogeneous Besov (B0_{inf,1}, B1_{inf,1}) via sharp dyadic shells.
 
     Shells are annuli 2^j <= |k| < 2^{j+1} on the discrete lattice; the
-    mean mode belongs to no shell.  ``fh`` is the half spectrum of ``data``.
+    mean mode belongs to no shell.  ``fh`` is the half spectrum of
+    ``data``.  Each shell is masked into one spectrum buffer and
+    synthesized a component at a time; a run's workspace ``ws`` lends
+    its ``spec`` buffer and counts the transforms.
     """
     fh = grid.rfwd(data) if fh is None else fh
+    buf = np.empty_like(fh) if ws is None else ws.spec
+    rinv = grid.rinv if ws is None else ws.rinv
     b0 = 0.0
     b1 = 0.0
     for j, mask in grid.shell_masks():
-        piece = grid.rinv(fh * mask)
-        sup = float(np.max(np.abs(piece)))
+        np.multiply(fh, mask, out=buf)
+        sup = max(float(np.max(np.abs(rinv(piece)))) for piece in buf)
         b0 += sup
         b1 += 2.0 ** j * sup
     return b0, b1
@@ -147,22 +161,35 @@ class DiagnosticsSeries:
 
 
 def sample_diagnostics(field: StateField, state: ConstantState, t: float,
-                       sobolev_n: int, geo=None) -> dict:
+                       sobolev_n: int, ws) -> dict:
     """One full diagnostics row for a perturbation field.
 
-    ``geo`` is the half-spectrum geometry (``spectral._geometry``).  For a
-    real field ``||u+||`` equals ``||u-||``; on the half spectrum each is
-    sqrt((||P+ U||^2 + ||P- U||^2) / 2) in the Hermitian weight, because
-    the mirror of P+ U at -k is P- U at k.
+    ``ws`` is the run's :class:`abiwave.simulate.Workspace`, idle
+    between steps: the branch parts go to its RK4 spectra, the full
+    variables to its field buffer and the Besov shells through its
+    spectrum buffer.  The gradient is synthesized one
+    component at a time for the constraint residuals, whose rows
+    differentiate every component, so they also give sup |grad U|.  For
+    a real field ``||u+||`` equals ``||u-||``; on the half spectrum each
+    is sqrt((||P+ U||^2 + ||P- U||^2) / 2) in the Hermitian weight,
+    because the mirror of P+ U at -k is P- U at k.
     """
     g = field.grid
-    fh = field.spectral()
-    grad = g.gradient(fh)
-    parts = decompose_spectral(fh, g, state, geo)
-    r1, r2, r3 = constraint_residual(field, state, grad)
-    absolute = StateField(g, field.data + state.as_vector().reshape(10, 1, 1, 1))
-    man_s, man_v = manifold_residual(absolute)
-    b0n, b1n = besov_norms(g, field.data, fh)
+    fh = ws.rfwd(field.data)
+    parts = decompose_spectral(fh, g, state, ws.geo, (ws.acc, ws.stage, ws.k))
+    grad_sup = 0.0
+
+    def derivative(c):
+        nonlocal grad_sup
+        d = ws.gradient(fh[c])
+        grad_sup = max(grad_sup, float(np.max(np.abs(d))))
+        return d
+
+    full = np.add(field.data, state.as_vector().reshape(10, 1, 1, 1),
+                  out=ws.u)
+    r1, r2, r3 = constraint_residual(field, state, derivative, full)
+    man_s, man_v = manifold_residual(StateField(g, full))
+    b0n, b1n = besov_norms(g, field.data, fh, ws)
     h1_wave = np.hypot(g.sobolev_norm(parts.plus, 1),
                        g.sobolev_norm(parts.minus, 1)) / np.sqrt(2.0)
     return dict(
@@ -173,7 +200,7 @@ def sample_diagnostics(field: StateField, state: ConstantState, t: float,
         H1_up=h1_wave,
         H1_um=h1_wave,
         H1_u0=g.sobolev_norm(parts.zero, 1),
-        W1inf_U=w1inf_norm(g, field.data, grad),
+        W1inf_U=w1inf_norm(g, field.data, grad_sup),
         B0inf1=b0n,
         B1inf1=b1n,
         res_divb_sup=r1["sup"],
@@ -211,16 +238,21 @@ def wrap_time(grid: Grid, state: ConstantState) -> float:
     return grid.L / (2.0 * metric_matrix(state).max_speed)
 
 
-def gaussian_bump_field(grid: Grid, sigma: float, amplitude: float = 1.0,
-                        component: int = 0) -> StateField:
-    """Smooth localized bump in one component, centered in the box."""
+def gaussian_bump(grid: Grid, sigma: float, amplitude: float = 1.0) -> np.ndarray:
+    """Smooth localized bump (N, N, N), centered in the box."""
     x = grid.x1d
     c = grid.L / 2.0
     prof = np.exp(-0.5 * (((x - c)[:, None, None] ** 2
                            + (x - c)[None, :, None] ** 2
                            + (x - c)[None, None, :] ** 2) / sigma ** 2))
+    return amplitude * prof
+
+
+def gaussian_bump_field(grid: Grid, sigma: float, amplitude: float = 1.0,
+                        component: int = 0) -> StateField:
+    """:func:`gaussian_bump` in one component of a state field."""
     f = StateField.zeros(grid)
-    f.data[component] = amplitude * prof
+    f.data[component] = gaussian_bump(grid, sigma, amplitude)
     return f
 
 
@@ -239,11 +271,15 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     if times and times[-1] >= tw:
         raise ValueError(f"requested time {times[-1]} >= wrap time {tw}")
     geo = _geometry(grid, state)
+    # only the bump's component is transformed, into a zeroed spectrum:
+    # the other components transform to zeros
+    Uhat = np.zeros((10, grid.N, grid.N, grid.n_half), dtype=complex)
+    Uhat[component] = grid.rfwd(gaussian_bump(grid, sigma, amplitude))
+    Uhat[component] *= grid.nyquist_mask
     # the kernel-free flow is cos(t|k|_0) Ahat^2 U - i sin(t|k|_0) Ahat U;
-    # no name holds the bump's spectrum, which dies before Ahat^2 U exists
-    AU = _apply_Ahat(grid.strip_nyquist(
-        gaussian_bump_field(grid, sigma, amplitude, component).spectral()), geo)
-    A2U = _apply_Ahat(AU, geo)
+    # Ahat^2 U takes the place of U, which it no longer needs
+    AU = _apply_Ahat(Uhat, geo)
+    A2U = _apply_Ahat(AU, geo, Uhat)
     # one component at a time, through one reused buffer: the peak holds
     # Ahat U, Ahat^2 U and a few single-component fields
     buf = np.empty(AU.shape[1:], dtype=complex)

@@ -2,9 +2,11 @@
 
 Method of lines: spectral derivatives, pointwise products with the
 two-thirds dealiasing rule, classical RK4 in time.  The state advances
-as the half spectrum of the real fields (:mod:`abiwave.grid`); each
-right-hand side synthesizes the fields and all their first derivatives
-in two transforms and analyses the products in a third.
+as the half spectrum of the real fields (:mod:`abiwave.grid`).  A run
+holds one :class:`Workspace`: each right-hand side synthesizes the
+fields into it, then takes one component at a time, synthesizing its
+three derivatives and adding the products that differentiate it, and
+analyses the products; an RK4 step keeps its stages in its spectra.
 """
 from __future__ import annotations
 
@@ -71,48 +73,136 @@ class SimConfig:
             k0=self.k0, width=self.width, kind=self.ic_kind)
 
 
+class Workspace:
+    """Buffers and counts of one run's solver and diagnostics.
+
+    Built once per run from the grid and the background: the mode
+    geometry, the dealias mask and the v0 transport multiplier
+    ``i k.v0`` (None at rest); three RK4 spectra (``acc``, ``stage``,
+    ``k``) and one spectrum buffer ``spec`` for the masked state, all
+    (10, N, N, N//2+1) complex; the real fields ``u`` and the products
+    ``prod``, (10, N, N, N).  Between steps the RK4 spectra are idle and
+    :func:`abiwave.diagnostics.sample_diagnostics` decomposes into them.
+
+    Every transform of the run goes through :meth:`rfwd`, :meth:`rinv`
+    and :meth:`gradient`, which count the fields they transform in
+    ``fields_transformed`` (a derivative counts as one field);
+    :func:`_rhs_hat` counts its calls in ``rhs_calls``.
+    """
+
+    def __init__(self, grid: Grid, state: ConstantState):
+        self.grid = grid
+        self.geo = _geometry(grid, state)
+        self.mask = grid.dealias_mask
+        self.transport = None
+        if np.any(state.v0):
+            k = self.geo.k
+            self.transport = 1j * (k[0] * state.v0[0] + k[1] * state.v0[1]
+                                   + k[2] * state.v0[2])
+        n = grid.N
+        half = (10, n, n, grid.n_half)
+        self.acc, self.stage, self.k, self.spec = (
+            np.empty(half, dtype=complex) for _ in range(4))
+        self.u = np.empty((10, n, n, n))
+        self.prod = np.empty((10, n, n, n))
+        self.rhs_calls = 0
+        self.fields_transformed = 0
+
+    def _fields(self, a: np.ndarray) -> int:
+        """Fields in a stack of real fields or of half spectra."""
+        return a.size // (a.shape[-1] * self.grid.N ** 2)
+
+    def rfwd(self, f: np.ndarray) -> np.ndarray:
+        """:meth:`Grid.rfwd`, counted."""
+        self.fields_transformed += self._fields(f)
+        return self.grid.rfwd(f)
+
+    def rinv(self, fh: np.ndarray) -> np.ndarray:
+        """:meth:`Grid.rinv`, counted."""
+        self.fields_transformed += self._fields(fh)
+        return self.grid.rinv(fh)
+
+    def gradient(self, fh: np.ndarray) -> np.ndarray:
+        """:meth:`Grid.gradient`, counted: three fields per component."""
+        self.fields_transformed += 3 * self._fields(fh)
+        return self.grid.gradient(fh)
+
+    def stats(self) -> dict:
+        return {"rhs_calls": self.rhs_calls,
+                "fields_transformed": self.fields_transformed}
+
+
 def rhs(field: StateField, state: ConstantState, dealias: bool = True) -> StateField:
     """Right-hand side in physical variables (perturbation form)."""
     if not np.all(np.isfinite(field.data)):
         raise BlowUpError("non-finite field")
     g = field.grid
-    out = _rhs_hat(field.spectral(), g, state, _geometry(g, state), dealias)
+    out = _rhs_hat(field.spectral(), Workspace(g, state), dealias)
     return StateField(g, g.rinv(out))
 
 
-def _rhs_hat(Uhat: np.ndarray, grid: Grid, state: ConstantState, geo,
-             dealias: bool) -> np.ndarray:
+def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
     """Spectral-side right-hand side: -i A0 U + advection + nonlinearity.
 
-    ``Uhat`` and the result are half spectra (10, N, N, N//2+1).
+    ``Uhat`` is a half spectrum (10, N, N, N//2+1), and no workspace
+    buffer but ``ws.stage``.  The result is ``ws.k``, overwritten by the
+    next call.  The fields go to ``ws.u`` and the products to
+    ``ws.prod``; one component's derivatives exist at a time.
     """
-    out = -1j * apply_A0(Uhat, geo)
-    if np.any(state.v0):
-        kdotv0 = (geo.k[0] * state.v0[0] + geo.k[1] * state.v0[1]
-                  + geo.k[2] * state.v0[2])
-        out += 1j * kdotv0 * Uhat
-    mask = grid.dealias_mask
-    Uhd = Uhat * mask if dealias else grid.strip_nyquist(Uhat)
-    u = grid.rinv(Uhd)
-    du = grid.gradient(Uhd)  # du[c, j] = d_j u_c
+    ws.rhs_calls += 1
+    out = apply_A0(Uhat, ws.geo, ws.k)
+    out *= -1j
+    if ws.transport is not None:
+        for c in range(10):
+            out[c] += ws.transport * Uhat[c]
+    spec = ws.spec
+    np.multiply(Uhat, ws.mask if dealias else ws.grid.nyquist_mask, out=spec)
+    u = ws.u
+    for c in range(10):
+        u[c] = ws.rinv(spec[c])
     if not np.all(np.isfinite(u)):
         raise BlowUpError("non-finite field in a right-hand side")
-    nlh = grid.rfwd(system.quadratic(system.EVOLUTION_TERMS, u, du))
-    if dealias:
-        nlh *= mask
-    out += nlh
+    prod = system.quadratic(system.EVOLUTION_TERMS, u,
+                            lambda c: ws.gradient(spec[c]), ws.prod)
+    for row in range(10):
+        nlh = ws.rfwd(prod[row])
+        if dealias:
+            nlh *= ws.mask
+        out[row] += nlh
     return out
 
 
-def _step_rk4_hat(Uh, grid, state, geo, dt, dealias):
+def _step_rk4_hat(Uh: np.ndarray, ws: Workspace, dt: float,
+                  dealias: bool) -> None:
+    """One classical RK4 step of the half spectrum ``Uh``, in place.
+
+    ``ws.k`` holds each stage's right-hand side, ``ws.stage`` the next
+    stage's argument and ``ws.acc`` the sum ((k1 + 2 k2) + 2 k3) + k4;
+    ``Uh`` changes only once all four stages are formed.
+    """
+    acc, stage = ws.acc, ws.stage
+
+    def next_stage(h, k):
+        np.multiply(k, h, out=stage)
+        np.add(stage, Uh, out=stage)
+
     # non-finite intermediates raise BlowUpError; keep their transient
     # arithmetic quiet
     with np.errstate(invalid="ignore", over="ignore"):
-        k1 = _rhs_hat(Uh, grid, state, geo, dealias)
-        k2 = _rhs_hat(Uh + 0.5 * dt * k1, grid, state, geo, dealias)
-        k3 = _rhs_hat(Uh + 0.5 * dt * k2, grid, state, geo, dealias)
-        k4 = _rhs_hat(Uh + dt * k3, grid, state, geo, dealias)
-    return Uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k = _rhs_hat(Uh, ws, dealias)
+        np.copyto(acc, k)
+        next_stage(0.5 * dt, k)
+        k = _rhs_hat(stage, ws, dealias)
+        next_stage(0.5 * dt, k)
+        k *= 2.0
+        acc += k
+        k = _rhs_hat(stage, ws, dealias)
+        next_stage(dt, k)
+        k *= 2.0
+        acc += k
+        acc += _rhs_hat(stage, ws, dealias)
+    acc *= dt / 6.0
+    Uh += acc
 
 
 @dataclass
@@ -122,7 +212,9 @@ class SimResult:
     ``snapshots`` holds one (sample time, StateField) pair per sample
     that answered a requested snapshot time; ``snapshot_times`` lists,
     for each of them, the requested times it answers (more than one
-    when requested times round to one sample).
+    when requested times round to one sample).  ``stats`` counts the
+    steps attempted, the samples, the right-hand sides and the fields
+    transformed (:class:`Workspace`).
     """
 
     config: SimConfig
@@ -130,6 +222,7 @@ class SimResult:
     final: StateField
     snapshots: list = dfield(default_factory=list)
     snapshot_times: list = dfield(default_factory=list)
+    stats: dict = dfield(default_factory=dict)
 
 
 def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
@@ -146,21 +239,28 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     nsteps = int(np.ceil(config.t_end / dt - 1e-12))
     dt = config.t_end / max(nsteps, 1)
     per_sample = max(1, int(round(config.cadence / dt)))
-    geo = _geometry(g, state)
+    ws = Workspace(g, state)
     field = initial if initial is not None else config.initial_field()
     series = DiagnosticsSeries(sobolev_n=config.sobolev_n)
+    steps = 0
+
+    def result(final, snapshots=(), snapshot_times=()):
+        stats = {"steps": steps, "samples": len(series.rows), **ws.stats()}
+        return SimResult(config=config, series=series, final=final,
+                         snapshots=list(snapshots),
+                         snapshot_times=list(snapshot_times), stats=stats)
+
     if not np.all(np.isfinite(field.data)):
         series.mark_blowup(0.0, 0)
-        return SimResult(config=config, series=series, final=field,
-                         snapshots=[])
-    Uh = g.strip_nyquist(field.spectral())
+        return result(field)
+    Uh = g.strip_nyquist(ws.rfwd(field.data))
     snaps, answered = [], []
     pending = sorted(config.snapshots)
 
     def emit(t, Uh):
         # a requested time is due at the first sample within half a step
-        f = StateField(g, g.rinv(Uh))
-        series.append(**sample_diagnostics(f, state, t, config.sobolev_n, geo))
+        f = StateField(g, ws.rinv(Uh))
+        series.append(**sample_diagnostics(f, state, t, config.sobolev_n, ws))
         due = 0
         while due < len(pending) and t >= pending[due] - 0.5 * dt:
             due += 1
@@ -170,11 +270,13 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
             del pending[:due]
         return f
 
-    emit(0.0, Uh)
+    # the sampled field of Uh as it stands; None once a step moves Uh on
+    sampled = emit(0.0, Uh)
     for n in range(1, nsteps + 1):
         t = n * dt
+        steps, sampled = n, None
         try:
-            Uh = _step_rk4_hat(Uh, g, state, geo, dt, config.dealias)
+            _step_rk4_hat(Uh, ws, dt, config.dealias)
             finite = np.all(np.isfinite(Uh.view(float)))
         except BlowUpError:
             finite = False
@@ -182,10 +284,9 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
             series.mark_blowup(t, n)
             break
         if n % per_sample == 0 or n == nsteps:
-            emit(t, Uh)
-    final = StateField(g, g.rinv(Uh))
-    return SimResult(config=config, series=series, final=final,
-                     snapshots=snaps, snapshot_times=answered)
+            sampled = emit(t, Uh)
+    final = sampled if sampled is not None else StateField(g, ws.rinv(Uh))
+    return result(final, snaps, answered)
 
 
 def u0_smallness_probe(config: SimConfig, amplitudes=None) -> dict:

@@ -196,13 +196,17 @@ def apply_projector(Uhat: np.ndarray, geo: _ModeGeometry, branch: int) -> np.nda
     return 0.5 * (A2U + AU if branch > 0 else A2U - AU)
 
 
-def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry) -> np.ndarray:
+def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry, out=None) -> np.ndarray:
     """Mode-wise A0(k) U-hat (real symmetric symbol, not the -i factor).
 
     One product per nonzero entry of ``A0_SYMBOL``: its multiplier
-    times a component of U-hat, added to or subtracted from a row.
+    times a component of U-hat, added to or subtracted from a row.  The
+    result goes to ``out`` when given (zeroed first; not ``Uhat``).
     """
-    out = np.zeros_like(Uhat)
+    if out is None:
+        out = np.zeros_like(Uhat)
+    else:
+        out[...] = 0.0
     for m, row, c, sign in _A0_ENTRIES:
         if sign == 1:
             out[row] += geo.multipliers[m] * Uhat[c]
@@ -211,9 +215,9 @@ def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry) -> np.ndarray:
     return out
 
 
-def _apply_Ahat(Uhat: np.ndarray, geo: _ModeGeometry) -> np.ndarray:
+def _apply_Ahat(Uhat: np.ndarray, geo: _ModeGeometry, out=None) -> np.ndarray:
     """Mode-wise Ahat U-hat, Ahat = A0(k) / |k|_0 (0 on the mean mode)."""
-    out = apply_A0(Uhat, geo)
+    out = apply_A0(Uhat, geo, out)
     return np.multiply(out, geo.inv_norm0, out=out)
 
 
@@ -221,23 +225,28 @@ BranchParts = namedtuple("BranchParts", ["plus", "minus", "zero"])
 
 
 def decompose_spectral(Uhat: np.ndarray, grid: Grid, state: ConstantState,
-                       geo: _ModeGeometry | None = None) -> BranchParts:
+                       geo: _ModeGeometry | None = None,
+                       out=None) -> BranchParts:
     """Branch parts of a spectrum; half spectra unless ``geo`` says otherwise.
 
     ``plus`` and ``minus`` are (Ahat^2 U +- Ahat U) / 2 and ``zero`` is
     U - Ahat^2 U.  On a half spectrum the wave parts are not half spectra
     of real fields: P+(-k) = P-(k), so ``plus`` at k pairs with ``minus``
-    at -k.
+    at -k.  ``out``, three arrays shaped like ``Uhat`` (none of them
+    ``Uhat``), receives the parts in that order; they are new otherwise.
     """
     geo = geo or _geometry(grid, state)
-    AU = _apply_Ahat(Uhat, geo)
-    A2U = _apply_Ahat(AU, geo)
-    plus = A2U + AU
-    minus = np.subtract(A2U, AU, out=AU)
+    if out is None:
+        out = [np.empty_like(Uhat) for _ in range(3)]
+    plus, minus, zero = out
+    AU = _apply_Ahat(Uhat, geo, minus)
+    A2U = _apply_Ahat(AU, geo, zero)
+    np.add(A2U, AU, out=plus)
+    np.subtract(A2U, AU, out=minus)
     plus *= 0.5
     minus *= 0.5
-    return BranchParts(plus=plus, minus=minus,
-                       zero=np.subtract(Uhat, A2U, out=A2U))
+    np.subtract(Uhat, A2U, out=zero)
+    return BranchParts(plus=plus, minus=minus, zero=zero)
 
 
 def propagate_linear(field: StateField, state: ConstantState, t: float,

@@ -93,19 +93,31 @@ EVOLUTION_TERMS = _evolution_terms()
 CONSTRAINT_TERMS = _constraint_terms()
 
 
-def quadratic(terms, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """Rows ``sum sign * u[a] * du[c, j]`` of a table on grid fields.
+def quadratic(terms, u: np.ndarray, derivative, out=None) -> np.ndarray:
+    """Rows ``sum sign * u[a] * d_j u_c`` of a table on grid fields.
 
-    ``u`` holds the components (10, ...) and ``du[c, j]`` the derivative
-    d_j u_c (10, 3, ...); the result has one entry per table row.
+    ``u`` holds the components (10, ...) and ``derivative(c)`` returns
+    the three derivatives d_j u_c (3, ...) of component c.  It is called
+    once for each component the table differentiates, in increasing c,
+    and its result is dropped before the next call, so a caller that
+    synthesizes them on demand holds one component's derivatives at a
+    time.  The rows go to ``out`` when given (zeroed first); the result
+    has one entry per table row.
     """
     rows = 1 + max(t[0] for t in terms)
-    out = np.zeros((rows,) + u.shape[1:], dtype=np.result_type(u, du))
-    for row, a, c, j, sign in terms:
-        if sign == 1:
-            out[row] += u[a] * du[c, j]
-        else:
-            out[row] -= u[a] * du[c, j]
+    if out is None:
+        out = np.zeros((rows,) + u.shape[1:], dtype=u.dtype)
+    else:
+        out[...] = 0.0
+    for c in sorted({t[2] for t in terms}):
+        dc = derivative(c)
+        for row, a, tc, j, sign in terms:
+            if tc != c:
+                continue
+            if sign == 1:
+                out[row] += u[a] * dc[j]
+            else:
+                out[row] -= u[a] * dc[j]
     return out
 
 

@@ -150,10 +150,11 @@ def test_verify_symbols_mutates_a_constraint_tensor(tmp_path):
       "--mutate-entry", "5,5,5"), "outside the evolution chaplygin"),
 ])
 def test_verify_symbols_rejects_bad_mutation(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
     assert run_cli("verify-symbols", *args, "--skip-preflight",
-                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+                   "--out", str(out)) == cli.EXIT_USAGE
     assert message in _one_stderr_line(capsys)
-    assert not (tmp_path / "certificates.json").exists()
+    assert not out.exists()  # no certificates, not even an empty directory
 
 
 def test_verify_symbols_which_nprime(tmp_path):
@@ -197,6 +198,18 @@ def test_simulate_dry_run_and_full_run(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["rng"] == "philox4x64"
     assert manifest["seed"] == 7
+
+
+def test_simulate_manifest_records_run_stats(tmp_path):
+    path, raw = small_sim_config(tmp_path, grid={"N": 8, "L": 8.0})
+    assert run_cli("simulate", "--config", str(path)) == 0
+    outdir = tmp_path / "out"
+    stats = json.loads((outdir / "manifest.json").read_text())["stats"]
+    rows = (outdir / "series.csv").read_text().splitlines()[1:]
+    assert stats["steps"] > 0
+    assert stats["rhs_calls"] == 4 * stats["steps"]
+    assert stats["samples"] == len(rows)
+    assert stats["fields_transformed"] > 50 * stats["rhs_calls"]
 
 
 def test_simulate_reproducible_outputs(tmp_path):

@@ -108,6 +108,28 @@ def test_dispersion_probe_continuity_and_unitarity():
     assert max(l2) / min(l2) - 1 <= 1e-12
 
 
+def test_dispersion_probe_transforms_the_bump_component_alone(monkeypatch):
+    import scipy.fft
+
+    g = Grid(N=32, L=2 * np.pi * 8)
+    st = ConstantState(tau0=1.0, b0=(0.3, 0.0, 0.1))
+    shapes = []
+
+    def spy(x, *args, _fn=scipy.fft.rfftn, **kwargs):
+        shapes.append(np.shape(x))
+        return _fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", spy)
+    D.dispersion_probe(st, g, [1.0, 2.0], sigma=1.5, component=4)
+    assert shapes == [(g.N,) * 3]
+    # bitwise the spectrum of the whole bump field: the other nine
+    # components transform to zeros
+    field = D.gaussian_bump_field(g, sigma=1.5, component=4).data
+    whole = g.rfwd(field)
+    assert np.array_equal(whole[4], g.rfwd(field[4]))
+    assert not np.any(np.delete(whole, 4, axis=0))
+
+
 def test_loglog_fit_recovers_slope():
     t = np.geomspace(1, 100, 20)
     y = 3.7 * t ** -1.0

@@ -101,8 +101,8 @@ def test_rhs_matches_full_lattice(grid16, manifold_bg, dealias):
     for seed in (3, 4):
         # Nyquist content included
         u = model.admissible_perturbation(seed, 1e-2, st, g)
-        new = simulate._rhs_hat(u.spectral(), g, st,
-                                spectral._geometry(g, st), dealias)
+        new = simulate._rhs_hat(u.spectral(), simulate.Workspace(g, st),
+                                dealias)
         ref = R.rhs_hat(R.fwd(u.data), g, st, R.full_geometry(g, st), dealias)
         off = g.nyquist_mask  # the reference's Nyquist planes differ
         assert _rel(new * off, ref[..., :g.n_half] * off) <= 1e-12
@@ -141,7 +141,7 @@ def test_rhs_maps_real_fields_to_real_fields(grid16, manifold_bg, rng,
     g, st = grid16, manifold_bg
     assert np.any(st.v0)
     fh = g.rfwd(1e-2 * rng.normal(size=(10,) + (g.N,) * 3))
-    out = simulate._rhs_hat(fh, g, st, spectral._geometry(g, st), dealias)
+    out = simulate._rhs_hat(fh, simulate.Workspace(g, st), dealias)
     assert _stays_real(g, out) <= 1e-13
 
 
@@ -172,7 +172,7 @@ def test_run_without_dealiasing_matches_off_nyquist(grid16, manifold_bg):
 def test_diagnostics_row_matches_full_lattice(grid16, manifold_bg):
     g, st = grid16, manifold_bg
     u = _admissible(g, st, 7)
-    row = simulate.sample_diagnostics(u, st, 0.5, 8, spectral._geometry(g, st))
+    row = simulate.sample_diagnostics(u, st, 0.5, 8, simulate.Workspace(g, st))
     ref = R.sample_diagnostics(u, st, 0.5, 8)
     assert row.keys() == ref.keys()
     for c, want in ref.items():
@@ -191,7 +191,7 @@ def test_branch_norms_follow_the_pair_rule(grid16, rng):
     fh = g.strip_nyquist(g.rfwd(rng.normal(size=(10,) + (g.N,) * 3)))
     u = StateField(g, g.rinv(fh))
     geo = spectral._geometry(g, st)
-    row = simulate.sample_diagnostics(u, st, 0.0, 2, geo)
+    row = simulate.sample_diagnostics(u, st, 0.0, 2, simulate.Workspace(g, st))
     full = spectral.apply_projector(R.fwd(u.data), R.full_geometry(g, st), +1)
     want = R.sobolev_norm(g, full, 1)
     assert row["H1_up"] == row["H1_um"]

@@ -106,7 +106,7 @@ def test_constraint_residual_matches_einsums(grid16, manifold_bg, rng, kind):
         data = rng.normal(size=(10,) + (g.N,) * 3)
         u = StateField(g, amp * data / np.max(np.abs(data)))
     grad = g.gradient(u.spectral())
-    got = diagnostics.constraint_residual(u, st, grad)
+    got = diagnostics.constraint_residual(u, st, grad.__getitem__)
     want = R.residual_fields(u, st, grad)
     for norms, r in zip(got, want):
         assert abs(norms["sup"] - np.max(np.abs(r))) <= 1e-15

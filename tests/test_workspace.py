@@ -1,0 +1,150 @@
+"""The run workspace: one component's derivatives at a time on reused
+buffers, against the solver and diagnostics it replaced
+(``solver_reference.py``), with its memory and its counts.
+
+The right-hand side and the constraint residuals now add the products
+of a row grouped by the differentiated component, so they agree with the
+reference to round-off; everything else is formed in the same order.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from abiwave import diagnostics, model, simulate, system
+from abiwave.fields import StateField
+from abiwave.grid import Grid
+from abiwave.spectral import _geometry
+import solver_reference as R
+
+RESIDUAL_COLUMNS = ("res_divb_sup", "res_divd_sup", "res_rot_sup")
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _grid(n):
+    return Grid(N=n, L=2 * np.pi * n / 4)
+
+
+def _admissible(grid, state, seed):
+    u = model.admissible_perturbation(seed, 1e-2, state, grid)
+    return StateField(grid, grid.rinv(grid.strip_nyquist(u.spectral())))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_rhs_and_step_match_reference(manifold_bg, n, dealias):
+    g, st = _grid(n), manifold_bg
+    assert np.any(st.v0)  # the advection term takes part
+    geo = _geometry(g, st)
+    ws = simulate.Workspace(g, st)
+    dt = 0.5 * simulate.SimConfig(grid=g, state=st).resolved_dt()
+    for seed in (3, 4):
+        Uh = _admissible(g, st, seed).spectral()
+        want = R.rhs_hat(Uh, g, st, geo, dealias)
+        assert _rel(simulate._rhs_hat(Uh, ws, dealias), want) <= 1e-15
+        want = R.step_rk4_hat(Uh, g, st, geo, dt, dealias)
+        simulate._step_rk4_hat(Uh, ws, dt, dealias)
+        assert _rel(Uh, want) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_diagnostics_row_matches_reference(manifold_bg, n):
+    g, st = _grid(n), manifold_bg
+    ws = simulate.Workspace(g, st)
+    for seed in (6, 7):
+        u = _admissible(g, st, seed)
+        row = diagnostics.sample_diagnostics(u, st, 0.5, 8, ws)
+        ref = R.sample_diagnostics(u, st, 0.5, 8, _geometry(g, st))
+        assert row.keys() == ref.keys()
+        for c, want in ref.items():
+            if c in RESIDUAL_COLUMNS:
+                # round-off sized values: compared in absolute terms
+                assert abs(row[c] - want) <= 1e-15, c
+            else:
+                assert abs(row[c] - want) <= 1e-13 * abs(want), c
+
+
+def test_constraint_rows_differentiate_every_component():
+    # sample_diagnostics reads sup |grad U| off the residuals' derivatives
+    assert {c for _, _, c, _, _ in system.CONSTRAINT_TERMS} == set(range(10))
+
+
+def _above_entry(call):
+    """Peak traced bytes of ``call()`` above those held at its entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_and_sample_stay_within_four_spectra(manifold_bg):
+    # S is one ten-component half spectrum; before the workspace a step
+    # allocated 13.8 S above its entry and a sample 11.7 S
+    g, st = _grid(32), manifold_bg
+    S = 10 * g.N * g.N * g.n_half * 16
+    ws = simulate.Workspace(g, st)
+    u = _admissible(g, st, 5)
+    Uh = u.spectral()
+    dt = simulate.SimConfig(grid=g, state=st).resolved_dt()
+    # a first call of each, so that lazily built lattice arrays exist
+    simulate._step_rk4_hat(Uh, ws, dt, True)
+    diagnostics.sample_diagnostics(u, st, 0.0, 8, ws)
+    assert _above_entry(lambda: simulate._step_rk4_hat(Uh, ws, dt, True)) \
+        <= 4 * S
+    assert _above_entry(
+        lambda: diagnostics.sample_diagnostics(u, st, 0.0, 8, ws)) <= 4 * S
+
+
+def _count_transforms(monkeypatch):
+    """Fields given to scipy.fft's real transforms, and the 10-field
+    syntheses among them."""
+    import scipy.fft
+
+    seen = {"fields": 0, "states": 0}
+    for name in ("rfftn", "irfftn"):
+        def spy(x, *args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            fields = int(np.prod(np.shape(x)[:-3], dtype=int))
+            seen["fields"] += fields
+            seen["states"] += _name == "irfftn" and fields == 10
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, spy)
+    return seen
+
+
+def test_run_stats_count_what_the_run_does(manifold_bg, monkeypatch):
+    g = _grid(8)
+    cfg = simulate.SimConfig(grid=g, state=manifold_bg, t_end=1.0, cfl=0.4,
+                             cadence=0.25, snapshots=(1.0,))
+    ic = cfg.initial_field()
+    seen = _count_transforms(monkeypatch)
+    res = simulate.simulate(cfg, initial=ic)
+    stats = res.stats
+    assert stats["steps"] == int(np.ceil(1.0 / cfg.resolved_dt() - 1e-12))
+    assert stats["rhs_calls"] == 4 * stats["steps"]
+    assert stats["samples"] == len(res.series.rows)
+    assert stats["fields_transformed"] == seen["fields"]
+    # one synthesis of the whole state per sample: the final field is
+    # the last sample's, not synthesized again
+    assert seen["states"] == stats["samples"]
+    assert np.array_equal(res.final.data, res.snapshots[-1][1].data)
+
+
+def test_blown_up_run_synthesizes_its_final_field(manifold_bg, monkeypatch):
+    g = _grid(8)
+    cfg = simulate.SimConfig(grid=g, state=manifold_bg, t_end=1.0, cfl=0.4,
+                             cadence=1.0)
+    huge = StateField.zeros(g)
+    huge.data[0, 0, 0, 0] = 1e140  # the first step's products overflow
+    seen = _count_transforms(monkeypatch)
+    res = simulate.simulate(cfg, initial=huge)
+    assert res.series.blowup and res.stats["steps"] == 1
+    assert len(res.series.rows) == res.stats["samples"] == 1
+    # the failed step was not sampled: its state is synthesized once more
+    assert seen["states"] == 2
+    assert res.stats["fields_transformed"] == seen["fields"]
