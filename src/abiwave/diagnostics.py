@@ -238,7 +238,8 @@ def wrap_time(grid: Grid, state: ConstantState) -> float:
     return grid.L / (2.0 * metric_matrix(state).max_speed)
 
 
-def gaussian_bump(grid: Grid, sigma: float, amplitude: float = 1.0) -> np.ndarray:
+def gaussian_bump(grid: Grid, sigma: float,
+                  amplitude: float = 1.0) -> np.ndarray:
     """Smooth localized bump (N, N, N), centered in the box."""
     x = grid.x1d
     c = grid.L / 2.0

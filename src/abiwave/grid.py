@@ -117,6 +117,11 @@ class Grid:
         return self._half(k)
 
     @cached_property
+    def _ikvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``1j * kvec[j]``, the multipliers of :meth:`gradient`."""
+        return tuple(1j * k for k in self.kvec)
+
+    @cached_property
     def k_norm(self) -> np.ndarray:
         """|k| on the half spectrum; a Nyquist component counts pi N / L."""
         kx, ky, kz = self._half(self.k1d)
@@ -173,9 +178,9 @@ class Grid:
         n = self.N
         c = np.conj(fh)
         dh = np.empty(fh.shape[:-3] + (3,) + fh.shape[-3:], dtype=c.dtype)
-        for j, k in enumerate(self.kvec):
+        for j, ik in enumerate(self._ikvec):
             # irfftn takes conjugates (see rinv): conj(-i k F) = i k conj(F)
-            np.multiply(1j * k, c, out=dh[..., j, :, :, :])
+            np.multiply(ik, c, out=dh[..., j, :, :, :])
         return _fft().irfftn(dh, s=(n, n, n), axes=(-3, -2, -1),
                              workers=fft_workers())
 

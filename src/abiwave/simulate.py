@@ -128,6 +128,7 @@ class Workspace:
         return self.grid.gradient(fh)
 
     def stats(self) -> dict:
+        """The counts so far."""
         return {"rhs_calls": self.rhs_calls,
                 "fields_transformed": self.fields_transformed}
 
