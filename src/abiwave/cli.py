@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import BlowUpError, ConfigError, VerificationError
 from .grid import Grid, fft_workers
-from .model import IC_KINDS
+from .model import IC_KINDS, check_background
 from .state import CERTIFICATION_BACKGROUND, ConstantState, bi_lift_constant
 
 EXIT_OK = 0
@@ -41,7 +41,9 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # manifest
 # ----------------------------------------------------------------------
 
+@functools.cache
 def _code_version() -> str:
+    """Package version plus the git revision, read once per process."""
     v = __version__
     try:
         rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
@@ -287,8 +289,12 @@ def parse_sim_config(d: dict):
     mode = _read(d, "config", "mode", _one_of(("simulate", "u0_probe")),
                  "simulate")
     probe = _section(d, "u0_probe", {"amplitudes"})
-    return cfg, mode, {"amplitudes": _read(probe, "u0_probe", "amplitudes",
-                                           _two_positive, None)}
+    amplitudes = _read(probe, "u0_probe", "amplitudes", _two_positive, None)
+    # the initial-data checks that need no draw, at the amplitude drawn
+    drawn = (amplitudes[0] if mode == "u0_probe" and amplitudes
+             else cfg.amplitude)
+    check_background(cfg.state, drawn, cfg.ic_kind)
+    return cfg, mode, {"amplitudes": amplitudes}
 
 
 def parse_decay_config(d: dict):

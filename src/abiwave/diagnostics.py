@@ -4,8 +4,8 @@ Constraint residuals are evaluated in full variables (background plus
 perturbation); the manifold residuals expect absolute fields.  Norms
 mix spectral (Sobolev) and physical (sup, Besov) computations on the
 same grid.  Spectra are half spectra of real fields (:mod:`abiwave.grid`);
-one sample transforms the field once and synthesizes its gradient one
-component at a time, in the run's workspace.
+one sample reads the run's state spectrum and synthesizes its gradient
+one component at a time, in the run's workspace.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from . import system
 from .fields import StateField
 from .grid import Grid
 from .state import ConstantState, metric_matrix
-from .spectral import _apply_Ahat, _geometry, decompose_spectral
+from .spectral import _geometry, decompose_spectral
 
 SERIES_COLUMNS = (
     "t", "H1_U", "H6_U", "HN_U", "H1_up", "H1_um", "H1_u0", "W1inf_U",
@@ -93,18 +93,18 @@ def besov_norms(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
 
     Shells are annuli 2^j <= |k| < 2^{j+1} on the discrete lattice; the
     mean mode belongs to no shell.  ``fh`` is the half spectrum of
-    ``data``.  Each shell is masked into one spectrum buffer and
+    ``data``.  Each shell is masked into a one-component buffer and
     synthesized a component at a time; a run's workspace ``ws`` lends
-    its ``spec`` buffer and counts the transforms.
+    its ``masked`` buffer and counts the transforms.
     """
     fh = grid.rfwd(data) if fh is None else fh
-    buf = np.empty_like(fh) if ws is None else ws.spec
+    buf = np.empty_like(fh[0]) if ws is None else ws.masked
     rinv = grid.rinv if ws is None else ws.rinv
     b0 = 0.0
     b1 = 0.0
     for j, mask in grid.shell_masks():
-        np.multiply(fh, mask, out=buf)
-        sup = max(float(np.max(np.abs(rinv(piece)))) for piece in buf)
+        sup = max(float(np.max(np.abs(rinv(np.multiply(c, mask, out=buf)))))
+                  for c in fh)
         b0 += sup
         b1 += 2.0 ** j * sup
     return b0, b1
@@ -160,28 +160,31 @@ class DiagnosticsSeries:
         return out
 
 
-def sample_diagnostics(field: StateField, state: ConstantState, t: float,
-                       sobolev_n: int, ws) -> dict:
+def sample_diagnostics(field: StateField, Uh: np.ndarray,
+                       state: ConstantState, t: float, sobolev_n: int,
+                       ws) -> dict:
     """One full diagnostics row for a perturbation field.
 
-    ``ws`` is the run's :class:`abiwave.simulate.Workspace`, idle
-    between steps: the branch parts go to its RK4 spectra, the full
-    variables to its field buffer and the Besov shells through its
-    spectrum buffer.  The gradient is synthesized one
-    component at a time for the constraint residuals, whose rows
-    differentiate every component, so they also give sup |grad U|.  For
-    a real field ``||u+||`` equals ``||u-||``; on the half spectrum each
-    is sqrt((||P+ U||^2 + ||P- U||^2) / 2) in the Hermitian weight,
-    because the mirror of P+ U at -k is P- U at k.
+    ``Uh`` is the half spectrum ``field`` was synthesized from; nothing
+    is transformed forward.  ``ws`` is the run's
+    :class:`abiwave.simulate.Workspace`, idle between steps: Ahat U and
+    Ahat^2 U go to its RK4 spectra and the full variables to ``ws.u``.
+    The gradient is synthesized one component at a time for the
+    constraint residuals, whose rows differentiate every component, so
+    they also give sup |grad U|.  For a real field ``||u+|| = ||u-||``;
+    on the half spectrum each is sqrt((||P+ U||^2 + ||P- U||^2) / 2), as
+    the mirror of P+ U at -k is P- U at k, and the parallelogram law
+    makes that hypot(||Ahat^2 U||, ||Ahat U||) / 2.
     """
     g = field.grid
-    fh = ws.rfwd(field.data)
-    parts = decompose_spectral(fh, g, state, ws.geo, (ws.acc, ws.stage, ws.k))
+    AU, A2U = decompose_spectral(Uh, ws.geo, (ws.acc, ws.stage))
+    h1_wave = np.hypot(g.sobolev_norm(A2U, 1), g.sobolev_norm(AU, 1)) / 2.0
+    h1_zero = g.sobolev_norm(np.subtract(Uh, A2U, out=A2U), 1)
     grad_sup = 0.0
 
     def derivative(c):
         nonlocal grad_sup
-        d = ws.gradient(fh[c])
+        d = ws.gradient(Uh[c])
         grad_sup = max(grad_sup, float(np.max(np.abs(d))))
         return d
 
@@ -189,17 +192,15 @@ def sample_diagnostics(field: StateField, state: ConstantState, t: float,
                   out=ws.u)
     r1, r2, r3 = constraint_residual(field, state, derivative, full)
     man_s, man_v = manifold_residual(StateField(g, full))
-    b0n, b1n = besov_norms(g, field.data, fh, ws)
-    h1_wave = np.hypot(g.sobolev_norm(parts.plus, 1),
-                       g.sobolev_norm(parts.minus, 1)) / np.sqrt(2.0)
+    b0n, b1n = besov_norms(g, field.data, Uh, ws)
     return dict(
         t=t,
-        H1_U=g.sobolev_norm(fh, 1),
-        H6_U=g.sobolev_norm(fh, 6),
-        HN_U=g.sobolev_norm(fh, sobolev_n),
+        H1_U=g.sobolev_norm(Uh, 1),
+        H6_U=g.sobolev_norm(Uh, 6),
+        HN_U=g.sobolev_norm(Uh, sobolev_n),
         H1_up=h1_wave,
         H1_um=h1_wave,
-        H1_u0=g.sobolev_norm(parts.zero, 1),
+        H1_u0=h1_zero,
         W1inf_U=w1inf_norm(g, field.data, grad_sup),
         B0inf1=b0n,
         B1inf1=b1n,
@@ -249,14 +250,6 @@ def gaussian_bump(grid: Grid, sigma: float,
     return amplitude * prof
 
 
-def gaussian_bump_field(grid: Grid, sigma: float, amplitude: float = 1.0,
-                        component: int = 0) -> StateField:
-    """:func:`gaussian_bump` in one component of a state field."""
-    f = StateField.zeros(grid)
-    f.data[component] = gaussian_bump(grid, sigma, amplitude)
-    return f
-
-
 def dispersion_probe(state: ConstantState, grid: Grid, times,
                      sigma: float = 2.0, amplitude: float = 1.0,
                      component: int = 0) -> DecayReport:
@@ -279,22 +272,28 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     Uhat[component] *= grid.nyquist_mask
     # the kernel-free flow is cos(t|k|_0) Ahat^2 U - i sin(t|k|_0) Ahat U;
     # Ahat^2 U takes the place of U, which it no longer needs
-    AU = _apply_Ahat(Uhat, geo)
-    A2U = _apply_Ahat(AU, geo, Uhat)
+    AU, A2U = decompose_spectral(Uhat, geo, (None, Uhat))
     # one component at a time, through one reused buffer: the peak holds
-    # Ahat U, Ahat^2 U and a few single-component fields
+    # Ahat U, Ahat^2 U and a few single-component fields.  The buffer's
+    # real part is cos a2.re + sin a.im, its imaginary cos a2.im - sin a.re
     buf = np.empty(AU.shape[1:], dtype=complex)
+    re, im = buf.real, buf.imag
+    cos, sin, scratch = (np.empty(AU.shape[1:]) for _ in range(3))
     samples = []
     for t in times:
-        cos = np.cos(t * geo.norm0)
-        minus_i_sin = -1j * np.sin(t * geo.norm0)
+        np.multiply(t, geo.norm0, out=sin)
+        np.cos(sin, out=cos)
+        np.sin(sin, out=sin)
         sup = l2sq = 0.0
         for a, a2 in zip(AU, A2U):
-            np.multiply(cos, a2, out=buf)
-            buf += minus_i_sin * a
-            evolved = grid.rinv(buf)
-            sup = max(sup, grid.sup_norm(evolved))
-            l2sq += grid.l2_norm(evolved) ** 2
+            np.multiply(cos, a2.real, out=re)
+            re += np.multiply(sin, a.imag, out=scratch)
+            np.multiply(cos, a2.imag, out=im)
+            im -= np.multiply(sin, a.real, out=scratch)
+            evolved = grid.rinv(buf).ravel()
+            sup = max(sup, float(evolved.max()), -float(evolved.min()))
+            l2sq += float(np.dot(evolved, evolved)) * grid.dx ** 3
+            del evolved  # before the next synthesis allocates its own
         samples.append({"t": t, "sup": sup, "l2": float(np.sqrt(l2sq))})
     ts = np.array([s["t"] for s in samples])
     sups = np.array([s["sup"] for s in samples])

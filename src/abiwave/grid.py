@@ -219,9 +219,6 @@ class Grid:
         """s -> the weight (1 + |k|^2)^s * herm of :meth:`sobolev_norm`."""
         return {}
 
-    def sup_norm(self, f: np.ndarray) -> float:
-        return float(np.max(np.abs(f)))
-
     # -- helpers ----------------------------------------------------
 
     def shell_masks(self):

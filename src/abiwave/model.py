@@ -130,6 +130,17 @@ def state_em_constants(state: ConstantState) -> tuple[np.ndarray, np.ndarray]:
 IC_KINDS = ("bi_lift", "chaplygin")
 
 
+def check_background(state: ConstantState, amplitude: float,
+                     kind: str) -> None:
+    """The checks of :func:`admissible_perturbation` that need no draw."""
+    if amplitude == 0.0:
+        return
+    if kind == "bi_lift":
+        state_em_constants(state)
+    elif np.max(np.abs(state.b0)) > 0 or np.max(np.abs(state.d0)) > 0:
+        raise AdmissibilityError("chaplygin data needs b0 = d0 = 0")
+
+
 def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
                             grid: Grid, k0: float | None = None,
                             width: float | None = None,
@@ -153,6 +164,7 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
         raise ValueError("amplitude must be nonnegative")
     k0 = 3.0 * 2.0 * np.pi / grid.L if k0 is None else k0
     width = 0.75 * 2.0 * np.pi / grid.L if width is None else width
+    check_background(state, amplitude, kind)
     if amplitude == 0.0:
         return StateField.zeros(grid)
 
@@ -168,8 +180,6 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
         return StateField(grid, pert)
 
     if kind == "chaplygin":
-        if np.max(np.abs(state.b0)) > 0 or np.max(np.abs(state.d0)) > 0:
-            raise AdmissibilityError("chaplygin data needs b0 = d0 = 0")
         rng = _philox(seed)
         prof = band_profile(grid, k0, width)
         psih = _band_half_spectrum(grid, rng, prof)

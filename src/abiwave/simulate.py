@@ -79,10 +79,11 @@ class Workspace:
     Built once per run from the grid and the background: the mode
     geometry, the dealias mask and the v0 transport multiplier
     ``i k.v0`` (None at rest); three RK4 spectra (``acc``, ``stage``,
-    ``k``) and one spectrum buffer ``spec`` for the masked state, all
-    (10, N, N, N//2+1) complex; the real fields ``u`` and the products
+    ``k``), (10, N, N, N//2+1) complex, and ``masked``, one masked
+    component (N, N, N//2+1); the real fields ``u`` and the products
     ``prod``, (10, N, N, N).  Between steps the RK4 spectra are idle and
-    :func:`abiwave.diagnostics.sample_diagnostics` decomposes into them.
+    :func:`abiwave.diagnostics.sample_diagnostics` forms Ahat U and
+    Ahat^2 U in them.
 
     Every transform of the run goes through :meth:`rfwd`, :meth:`rinv`
     and :meth:`gradient`, which count the fields they transform in
@@ -101,8 +102,9 @@ class Workspace:
                                    + k[2] * state.v0[2])
         n = grid.N
         half = (10, n, n, grid.n_half)
-        self.acc, self.stage, self.k, self.spec = (
-            np.empty(half, dtype=complex) for _ in range(4))
+        self.acc, self.stage, self.k = (
+            np.empty(half, dtype=complex) for _ in range(3))
+        self.masked = np.empty(half[1:], dtype=complex)
         self.u = np.empty((10, n, n, n))
         self.prod = np.empty((10, n, n, n))
         self.rhs_calls = 0
@@ -147,8 +149,9 @@ def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
 
     ``Uhat`` is a half spectrum (10, N, N, N//2+1), and no workspace
     buffer but ``ws.stage``.  The result is ``ws.k``, overwritten by the
-    next call.  The fields go to ``ws.u`` and the products to
-    ``ws.prod``; one component's derivatives exist at a time.
+    next call.  A component is masked into ``ws.masked`` to be synthesized
+    into ``ws.u`` and again to be differentiated; the products go to
+    ``ws.prod``, and one component's derivatives exist at a time.
     """
     ws.rhs_calls += 1
     out = apply_A0(Uhat, ws.geo, ws.k)
@@ -156,15 +159,18 @@ def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
     if ws.transport is not None:
         for c in range(10):
             out[c] += ws.transport * Uhat[c]
-    spec = ws.spec
-    np.multiply(Uhat, ws.mask if dealias else ws.grid.nyquist_mask, out=spec)
+    mask = ws.mask if dealias else ws.grid.nyquist_mask
+
+    def masked(c):
+        return np.multiply(Uhat[c], mask, out=ws.masked)
+
     u = ws.u
     for c in range(10):
-        u[c] = ws.rinv(spec[c])
+        u[c] = ws.rinv(masked(c))
     if not np.all(np.isfinite(u)):
         raise BlowUpError("non-finite field in a right-hand side")
     prod = system.quadratic(system.EVOLUTION_TERMS, u,
-                            lambda c: ws.gradient(spec[c]), ws.prod)
+                            lambda c: ws.gradient(masked(c)), ws.prod)
     for row in range(10):
         nlh = ws.rfwd(prod[row])
         if dealias:
@@ -261,7 +267,8 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     def emit(t, Uh):
         # a requested time is due at the first sample within half a step
         f = StateField(g, ws.rinv(Uh))
-        series.append(**sample_diagnostics(f, state, t, config.sobolev_n, ws))
+        series.append(**sample_diagnostics(f, Uh, state, t,
+                                           config.sobolev_n, ws))
         due = 0
         while due < len(pending) and t >= pending[due] - 0.5 * dt:
             due += 1

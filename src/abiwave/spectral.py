@@ -17,8 +17,6 @@ Conventions (transform, propagator signs) are fixed in
 """
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from . import system
@@ -189,8 +187,7 @@ def apply_projector(Uhat: np.ndarray, geo: _ModeGeometry, branch: int) -> np.nda
     wave branches.  The modes are those of ``geo``; those with k = 0
     (the mean mode) are routed wholly to the kernel branch.
     """
-    AU = _apply_Ahat(Uhat, geo)
-    A2U = _apply_Ahat(AU, geo)
+    AU, A2U = decompose_spectral(Uhat, geo)
     if branch == 0:
         return Uhat - A2U
     return 0.5 * (A2U + AU if branch > 0 else A2U - AU)
@@ -215,38 +212,21 @@ def apply_A0(Uhat: np.ndarray, geo: _ModeGeometry, out=None) -> np.ndarray:
     return out
 
 
-def _apply_Ahat(Uhat: np.ndarray, geo: _ModeGeometry, out=None) -> np.ndarray:
-    """Mode-wise Ahat U-hat, Ahat = A0(k) / |k|_0 (0 on the mean mode)."""
-    out = apply_A0(Uhat, geo, out)
-    return np.multiply(out, geo.inv_norm0, out=out)
+def decompose_spectral(Uhat: np.ndarray, geo: _ModeGeometry,
+                       out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(Ahat U, Ahat^2 U), the two fields every branch part is formed from.
 
-
-BranchParts = namedtuple("BranchParts", ["plus", "minus", "zero"])
-
-
-def decompose_spectral(Uhat: np.ndarray, grid: Grid, state: ConstantState,
-                       geo: _ModeGeometry | None = None,
-                       out=None) -> BranchParts:
-    """Branch parts of a spectrum; half spectra unless ``geo`` says otherwise.
-
-    ``plus`` and ``minus`` are (Ahat^2 U +- Ahat U) / 2 and ``zero`` is
-    U - Ahat^2 U.  On a half spectrum the wave parts are not half spectra
-    of real fields: P+(-k) = P-(k), so ``plus`` at k pairs with ``minus``
-    at -k.  ``out``, three arrays shaped like ``Uhat`` (none of them
-    ``Uhat``), receives the parts in that order; they are new otherwise.
+    Ahat = A0(k) / |k|_0, 0 on the mean mode.  P+- U = (Ahat^2 U +-
+    Ahat U) / 2 and P0 U = U - Ahat^2 U.  ``out``, two arrays shaped
+    like ``Uhat``, receives them in that order (the second may be
+    ``Uhat``, the first not); they are new otherwise.
     """
-    geo = geo or _geometry(grid, state)
-    if out is None:
-        out = [np.empty_like(Uhat) for _ in range(3)]
-    plus, minus, zero = out
-    AU = _apply_Ahat(Uhat, geo, minus)
-    A2U = _apply_Ahat(AU, geo, zero)
-    np.add(A2U, AU, out=plus)
-    np.subtract(A2U, AU, out=minus)
-    plus *= 0.5
-    minus *= 0.5
-    np.subtract(Uhat, A2U, out=zero)
-    return BranchParts(plus=plus, minus=minus, zero=zero)
+    AU, A2U = (None, None) if out is None else out
+    AU = apply_A0(Uhat, geo, AU)
+    AU *= geo.inv_norm0
+    A2U = apply_A0(AU, geo, A2U)
+    A2U *= geo.inv_norm0
+    return AU, A2U
 
 
 def propagate_linear(field: StateField, state: ConstantState, t: float,
@@ -264,8 +244,7 @@ def propagate_linear(field: StateField, state: ConstantState, t: float,
     geo = _geometry(grid, state)
     # the flow runs on the resolved space, the Nyquist planes left empty
     Uhat = grid.strip_nyquist(field.spectral())
-    AU = _apply_Ahat(Uhat, geo)
-    A2U = _apply_Ahat(AU, geo)
+    AU, A2U = decompose_spectral(Uhat, geo)
     sign = -1.0 if direction == "forward" else +1.0
     wt = t * geo.norm0
     out = Uhat + (np.cos(wt) - 1.0) * A2U + (sign * 1j) * np.sin(wt) * AU

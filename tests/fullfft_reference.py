@@ -26,11 +26,12 @@ the package against them.
 import numpy as np
 import scipy.fft
 
-from abiwave import model, spectral, system
+from abiwave import model, system
 from abiwave.diagnostics import manifold_residual
 from abiwave.fields import StateField
 from abiwave.spectral import _ModeGeometry
 from abiwave.state import alpha_beta_delta, bi_lift_constant
+from wave_parts_reference import BranchParts, branch_parts
 
 
 def fwd(f):
@@ -115,9 +116,8 @@ def decompose(field, state):
     input; the kernel part is real up to round-off.
     """
     grid = field.grid
-    parts = spectral.decompose_spectral(fwd(field.data), grid, state,
-                                        full_geometry(grid, state))
-    return spectral.BranchParts(*(inv(p) for p in parts))
+    parts = branch_parts(fwd(field.data), full_geometry(grid, state))
+    return BranchParts(*(inv(p) for p in parts))
 
 
 def band_draw(rng, prof, lead=()):

@@ -15,7 +15,8 @@ from abiwave import system
 from abiwave.diagnostics import manifold_residual
 from abiwave.errors import BlowUpError
 from abiwave.fields import StateField
-from abiwave.spectral import apply_A0, decompose_spectral
+from abiwave.spectral import _geometry, apply_A0
+from wave_parts_reference import branch_parts
 
 
 def quadratic(terms, u, du):
@@ -84,7 +85,7 @@ def sample_diagnostics(field, state, t, sobolev_n, geo=None):
     g = field.grid
     fh = field.spectral()
     grad = g.gradient(fh)
-    parts = decompose_spectral(fh, g, state, geo)
+    parts = branch_parts(fh, geo or _geometry(g, state))
     r1, r2, r3 = constraint_residual(field, state, grad)
     absolute = StateField(g, field.data + state.as_vector().reshape(10, 1, 1, 1))
     man_s, man_v = manifold_residual(absolute)

@@ -550,3 +550,67 @@ def test_mutated_bundled_config_dry_run_exits_0_or_1(tmp_path_factory, case):
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().strip().splitlines()) <= 1
+
+
+# the fuzzer above runs --dry-run only; these run 8^3 simulations past it
+_OFF_MANIFOLD = {"tau0": 1.0, "b0": [0.5, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_replace("state", _OFF_MANIFOLD), "state is not on the lift manifold"),
+    (_set("ic", "kind", "chaplygin"), "chaplygin data needs b0 = d0 = 0"),
+], ids=["bi_lift-off-manifold", "chaplygin-magnetic"])
+def test_dry_run_rejects_a_background_the_data_cannot_perturb(
+        tmp_path, capsys, edit, message):
+    _, raw = small_sim_config(tmp_path, grid={"N": 8, "L": 8.0})
+    path = _write(tmp_path, edit(raw, tmp_path))
+    lines = []
+    for extra in (("--dry-run",), ()):
+        assert run_cli("simulate", "--config", str(path), *extra) \
+            == cli.EXIT_USAGE
+        lines.append(_one_stderr_line(capsys))
+    assert lines[0] == lines[1]
+    assert message in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_amplitude_perturbs_any_background(tmp_path):
+    # amplitude 0 draws nothing, so the background is not checked
+    _, raw = small_sim_config(tmp_path, grid={"N": 8, "L": 8.0},
+                              state=_OFF_MANIFOLD)
+    raw["ic"]["amplitude"] = 0.0
+    path = _write(tmp_path, raw)
+    assert run_cli("simulate", "--config", str(path), "--dry-run") == 0
+    assert run_cli("simulate", "--config", str(path)) == 0
+
+
+def test_chaplygin_amplitude_past_tau0_fails_in_the_run(tmp_path, capsys):
+    # the drawn tau decides this one, so --dry-run cannot
+    _, raw = small_sim_config(tmp_path, grid={"N": 8, "L": 8.0},
+                              state={"tau0": 1.0})
+    raw["ic"].update(kind="chaplygin", amplitude=5.0)
+    path = _write(tmp_path, raw)
+    assert run_cli("simulate", "--config", str(path), "--dry-run") == 0
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", str(path)) == cli.EXIT_USAGE
+    assert "perturbation drives tau nonpositive" in _one_stderr_line(capsys)
+
+
+def test_manifests_read_the_code_version_once(tmp_path, monkeypatch):
+    import subprocess
+
+    cli._code_version.cache_clear()
+    want = cli._code_version()
+    cli._code_version.cache_clear()
+    calls = []
+    real = subprocess.run
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    versions = [cli.RunManifest("simulate", {}).data["code_version"]
+                for _ in range(2)]
+    assert len(calls) <= 1
+    assert versions == [want, want]

@@ -1,6 +1,8 @@
 """The run workspace: one component's derivatives at a time on reused
 buffers, against the solver and diagnostics it replaced
-(``solver_reference.py``), with its memory and its counts.
+(``solver_reference.py``), with its memory and its counts.  A sample
+reads the branch norms off Ahat U and Ahat^2 U; they are checked against
+the H1 norms of the wave parts (``wave_parts_reference.py``).
 
 The right-hand side and the constraint residuals now add the products
 of a row grouped by the differentiated component, so they agree with the
@@ -15,7 +17,9 @@ from abiwave import diagnostics, model, simulate, system
 from abiwave.fields import StateField
 from abiwave.grid import Grid
 from abiwave.spectral import _geometry
+from abiwave.state import bi_lift_constant
 import solver_reference as R
+import wave_parts_reference as W
 
 RESIDUAL_COLUMNS = ("res_divb_sup", "res_divd_sup", "res_rot_sup")
 
@@ -56,7 +60,7 @@ def test_diagnostics_row_matches_reference(manifold_bg, n):
     ws = simulate.Workspace(g, st)
     for seed in (6, 7):
         u = _admissible(g, st, seed)
-        row = diagnostics.sample_diagnostics(u, st, 0.5, 8, ws)
+        row = diagnostics.sample_diagnostics(u, u.spectral(), st, 0.5, 8, ws)
         ref = R.sample_diagnostics(u, st, 0.5, 8, _geometry(g, st))
         assert row.keys() == ref.keys()
         for c, want in ref.items():
@@ -65,6 +69,41 @@ def test_diagnostics_row_matches_reference(manifold_bg, n):
                 assert abs(row[c] - want) <= 1e-15, c
             else:
                 assert abs(row[c] - want) <= 1e-13 * abs(want), c
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_branch_norms_match_the_wave_parts(manifold_bg, moving):
+    g = _grid(16)
+    # at rest: the magnetic background of manifold_bg without its D0
+    st = manifold_bg if moving else bi_lift_constant((0.3, 0.0, 0.05),
+                                                     (0.0, 0.0, 0.0))
+    assert np.any(st.v0) == moving
+    ws = simulate.Workspace(g, st)
+    for seed in (8, 9):
+        u = _admissible(g, st, seed)
+        Uh = u.spectral()
+        row = diagnostics.sample_diagnostics(u, Uh, st, 0.0, 2, ws)
+        plus, minus, zero = W.branch_parts(Uh, _geometry(g, st))
+        wave = np.hypot(g.sobolev_norm(plus, 1),
+                        g.sobolev_norm(minus, 1)) / np.sqrt(2.0)
+        assert row["H1_up"] == row["H1_um"]
+        assert abs(row["H1_up"] - wave) <= 1e-14 * wave
+        want = g.sobolev_norm(zero, 1)
+        assert abs(row["H1_u0"] - want) <= 1e-14 * want
+
+
+def test_sample_transforms_no_field_forward(manifold_bg, monkeypatch):
+    g, st = _grid(8), manifold_bg
+    ws = simulate.Workspace(g, st)
+    u = _admissible(g, st, 5)
+    Uh = u.spectral()
+    seen = _count_transforms(monkeypatch)
+    diagnostics.sample_diagnostics(u, Uh, st, 0.0, 8, ws)
+    assert seen["forward"] == 0
+    # 30 derivatives for the residuals and W1inf_U, ten fields for each
+    # of the three Besov shells
+    assert len(g.shell_masks()) == 3
+    assert seen["fields"] == ws.fields_transformed == 60
 
 
 def test_constraint_rows_differentiate_every_component():
@@ -94,24 +133,25 @@ def test_step_and_sample_stay_within_four_spectra(manifold_bg):
     dt = simulate.SimConfig(grid=g, state=st).resolved_dt()
     # a first call of each, so that lazily built lattice arrays exist
     simulate._step_rk4_hat(Uh, ws, dt, True)
-    diagnostics.sample_diagnostics(u, st, 0.0, 8, ws)
+    diagnostics.sample_diagnostics(u, Uh, st, 0.0, 8, ws)
     assert _above_entry(lambda: simulate._step_rk4_hat(Uh, ws, dt, True)) \
         <= 4 * S
     assert _above_entry(
-        lambda: diagnostics.sample_diagnostics(u, st, 0.0, 8, ws)) <= 4 * S
+        lambda: diagnostics.sample_diagnostics(u, Uh, st, 0.0, 8, ws)) <= 4 * S
 
 
 def _count_transforms(monkeypatch):
-    """Fields given to scipy.fft's real transforms, and the 10-field
-    syntheses among them."""
+    """Fields given to scipy.fft's real transforms, the 10-field
+    syntheses among them and the fields analysed."""
     import scipy.fft
 
-    seen = {"fields": 0, "states": 0}
+    seen = {"fields": 0, "states": 0, "forward": 0}
     for name in ("rfftn", "irfftn"):
         def spy(x, *args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
             fields = int(np.prod(np.shape(x)[:-3], dtype=int))
             seen["fields"] += fields
             seen["states"] += _name == "irfftn" and fields == 10
+            seen["forward"] += fields if _name == "rfftn" else 0
             return _fn(x, *args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, spy)
     return seen
@@ -129,6 +169,10 @@ def test_run_stats_count_what_the_run_does(manifold_bg, monkeypatch):
     assert stats["rhs_calls"] == 4 * stats["steps"]
     assert stats["samples"] == len(res.series.rows)
     assert stats["fields_transformed"] == seen["fields"]
+    # the initial analysis, 50 fields per right-hand side, and per sample
+    # the state's synthesis and the sample's 60 fields (no analysis)
+    assert stats["fields_transformed"] == \
+        10 + 50 * stats["rhs_calls"] + 70 * stats["samples"]
     # one synthesis of the whole state per sample: the final field is
     # the last sample's, not synthesized again
     assert seen["states"] == stats["samples"]

@@ -6,14 +6,31 @@ from Ahat U and Ahat^2 U.  Here the two wave parts are built first and
 everything else is composed from them: the kernel part as
 U - P+U - P-U, the flow as P0 U + e^{-it|k|_0} P+U + e^{it|k|_0} P-U,
 the kernel-free probe field as e^{-it|k|_0} P+U + e^{it|k|_0} P-U.
+The probe's bump enters as the ten-component field it once built.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from abiwave.diagnostics import gaussian_bump_field, wrap_time
+from abiwave.diagnostics import gaussian_bump, wrap_time
 from abiwave.fields import StateField
-from abiwave.spectral import BranchParts, _apply_Ahat, _geometry
+from abiwave.spectral import _geometry, apply_A0
+
+BranchParts = namedtuple("BranchParts", ["plus", "minus", "zero"])
+
+
+def _apply_Ahat(Uhat, geo):
+    """Mode-wise Ahat U-hat, Ahat = A0(k) / |k|_0 (0 on the mean mode)."""
+    return apply_A0(Uhat, geo) * geo.inv_norm0
+
+
+def gaussian_bump_field(grid, sigma, amplitude=1.0, component=0):
+    """The bump in one component of an otherwise zero state field."""
+    f = StateField.zeros(grid)
+    f.data[component] = gaussian_bump(grid, sigma, amplitude)
+    return f
 
 
 def wave_parts(AU, geo):
@@ -31,8 +48,8 @@ def apply_projector(Uhat, geo, branch):
     return wave_parts(AU, geo)[0 if branch > 0 else 1]
 
 
-def decompose_spectral(Uhat, grid, state, geo=None):
-    geo = geo or _geometry(grid, state)
+def branch_parts(Uhat, geo):
+    """(P+ U-hat, P- U-hat, P0 U-hat) on the modes of ``geo``."""
     plus, minus = wave_parts(_apply_Ahat(Uhat, geo), geo)
     return BranchParts(plus=plus, minus=minus, zero=Uhat - plus - minus)
 
@@ -41,7 +58,7 @@ def propagate_linear(field, state, t, direction="forward"):
     grid = field.grid
     geo = _geometry(grid, state)
     Uhat = grid.strip_nyquist(field.spectral())
-    parts = decompose_spectral(Uhat, grid, state, geo)
+    parts = branch_parts(Uhat, geo)
     sign = -1.0 if direction == "forward" else +1.0
     phase_p = np.exp(sign * 1j * t * geo.norm0)
     out = phase_p * parts.plus + np.conj(phase_p) * parts.minus + parts.zero
@@ -60,6 +77,6 @@ def probe_samples(state, grid, times, sigma=2.0, amplitude=1.0, component=0):
     for t in times:
         phase = np.exp(-1j * t * geo.norm0)
         evolved = grid.rinv(phase * plus + np.conj(phase) * minus)
-        samples.append({"t": t, "sup": grid.sup_norm(evolved),
+        samples.append({"t": t, "sup": float(np.max(np.abs(evolved))),
                         "l2": grid.l2_norm(evolved)})
     return samples
