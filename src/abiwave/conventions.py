@@ -28,11 +28,13 @@ is the constraint table contracted the same way, with the table's
 signs (rows 0-1: ``-tau div b + b.grad tau`` and its d twin; rows 2-4:
 ``-tau curl v + b.grad d - d.grad b``).
 
-Real fields are stored as half spectra, the modes with kz >= 0
-(:meth:`abiwave.grid.Grid.rfwd`).  ``scipy.fft.rfftn`` uses the opposite
-exponent sign, so ``rfwd`` is its complex conjugate and the transform
-above is unchanged.  Because ``A0(-k) = -A0(k)``, the branch projectors
-obey ``P+(-k) = P-(k)``: the + branch part of a real field is not a real
-field, and a norm of it over the full lattice pairs the half-spectrum
-values of ``P+ U`` and ``P- U`` (the pair rule).
+Real fields are stored as half spectra, exactly as ``scipy.fft.rfftn``
+computes them (:meth:`abiwave.grid.Grid.rfwd`).  ``rfftn`` uses the
+opposite exponent sign, so at lattice index q it computes F[f](-q): the
+stored half spectrum is the transform above on the modes kz <= 0, and
+``Grid.kvec`` gives the mode at index q its wavevector -q.  Because
+``A0(-k) = -A0(k)``, the branch projectors obey ``P+(-k) = P-(k)``: the
++ branch part of a real field is not a real field, and a norm of it
+over the full lattice pairs the half-spectrum values of ``P+ U`` and
+``P- U`` (the pair rule).
 """

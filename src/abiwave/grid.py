@@ -5,12 +5,12 @@ The analysis transform follows the package convention
 ``F[d_j f] = -i k_j F[f]``.
 
 Every field is real and lives on the half spectrum, the one transform
-pair (there is no full-lattice complex transform): the modes with
-kz >= 0, i.e. last-axis indices 0..N//2 (``n_half`` entries).
-``F[f](-k)`` is ``conj(F[f](k))``, so the other half carries no
-information.  ``scipy.fft.rfftn`` computes ``sum_x f(x) exp(-i k.x)``,
-the conjugate of the package transform; :meth:`Grid.rfwd` and
-:meth:`Grid.rinv` conjugate on the way in and out.  ``scipy.fft`` is
+pair (there is no full-lattice complex transform): last-axis indices
+0..N//2 (``n_half`` entries), as ``F[f](-k)`` is ``conj(F[f](k))``.
+At lattice index q ``scipy.fft.rfftn`` computes ``F[f](-q)``, so the
+stored half spectrum is the package transform on the modes kz <= 0, the
+mode at index q has wavevector -q (``kvec``), and :meth:`Grid.rfwd` and
+:meth:`Grid.rinv` are bare ``rfftn`` and ``irfftn``.  ``scipy.fft`` is
 imported by the first transform, not with the module, so code that
 never transforms (the certifier) runs without SciPy.  Every lattice array
 (``kvec``, ``k_norm``, the masks, the shells) is built on the half
@@ -110,16 +110,17 @@ class Grid:
 
     @cached_property
     def kvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Half-spectrum wavenumbers (kx, ky, kz); k_j = 0 on axis j's
-        Nyquist plane, the one place that plane is decided."""
-        k = self.k1d.copy()
+        """Wavevectors (kx, ky, kz) of the stored modes, -q at lattice
+        index q; k_j = 0 on axis j's Nyquist plane, the one place that
+        plane is decided."""
+        k = -self.k1d
         k[self.N // 2] = 0.0
         return self._half(k)
 
     @cached_property
     def _ikvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``1j * kvec[j]``, the multipliers of :meth:`gradient`."""
-        return tuple(1j * k for k in self.kvec)
+        """``-1j * kvec[j]``, the multipliers of :meth:`gradient`."""
+        return tuple(-1j * k for k in self.kvec)
 
     @cached_property
     def k_norm(self) -> np.ndarray:
@@ -152,18 +153,14 @@ class Grid:
     # -- transforms -------------------------------------------------
 
     def rfwd(self, f: np.ndarray) -> np.ndarray:
-        """Analysis transform of real fields: their half spectra.
-
-        The package transform at kz >= 0; ``rfftn`` has the opposite
-        sign in its exponent, hence the conjugate, taken in place.
-        """
-        fh = _fft().rfftn(f, axes=(-3, -2, -1), workers=fft_workers())
-        return np.conj(fh, out=fh)
+        """Analysis transform of real fields: their half spectra, the
+        package transform on the modes ``kvec`` (kz <= 0)."""
+        return _fft().rfftn(f, axes=(-3, -2, -1), workers=fft_workers())
 
     def rinv(self, fh: np.ndarray) -> np.ndarray:
         """Synthesis of real fields from their half spectra."""
         n = self.N
-        return _fft().irfftn(np.conj(fh), s=(n, n, n), axes=(-3, -2, -1),
+        return _fft().irfftn(fh, s=(n, n, n), axes=(-3, -2, -1),
                              workers=fft_workers())
 
     def gradient(self, fh: np.ndarray) -> np.ndarray:
@@ -176,11 +173,9 @@ class Grid:
         full-lattice synthesis gives).
         """
         n = self.N
-        c = np.conj(fh)
-        dh = np.empty(fh.shape[:-3] + (3,) + fh.shape[-3:], dtype=c.dtype)
+        dh = np.empty(fh.shape[:-3] + (3,) + fh.shape[-3:], dtype=fh.dtype)
         for j, ik in enumerate(self._ikvec):
-            # irfftn takes conjugates (see rinv): conj(-i k F) = i k conj(F)
-            np.multiply(ik, c, out=dh[..., j, :, :, :])
+            np.multiply(ik, fh, out=dh[..., j, :, :, :])
         return _fft().irfftn(dh, s=(n, n, n), axes=(-3, -2, -1),
                              workers=fft_workers())
 

@@ -49,15 +49,16 @@ def _band_half_spectrum(grid: Grid, rng: np.random.Generator,
     The complex Gaussian modes are drawn on the full lattice, so the
     Philox stream does not depend on the transform, and weighted by
     ``prof``.  The real part of their synthesis is the synthesis of the
-    Hermitian part h(k) = (v(k) + conj v(-k)) / 2, which ``Grid.rinv``
-    takes on the half spectrum kz >= 0.
+    Hermitian part h(k) = (v(k) + conj v(-k)) / 2.  The half spectrum
+    stores the mode -q at lattice index q (:mod:`abiwave.grid`), so the
+    value returned there is h(-q) = (conj v(q) + v(-q)) / 2.
     """
     shape = lead + prof.shape
     vh = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * prof
     neg = -np.arange(grid.N) % grid.N  # lattice index of -k
     mirror = vh[..., neg[:, None, None], neg[None, :, None],
                 neg[:grid.n_half]]
-    return 0.5 * (vh[..., :grid.n_half] + np.conj(mirror))
+    return 0.5 * (np.conj(vh[..., :grid.n_half]) + mirror)
 
 
 def solenoidal_pair(grid: Grid, seed: int, amplitude: float,

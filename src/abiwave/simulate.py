@@ -97,7 +97,7 @@ class Workspace:
         self.mask = grid.dealias_mask
         self.transport = None
         if np.any(state.v0):
-            k = self.geo.k
+            k = grid.kvec
             self.transport = 1j * (k[0] * state.v0[0] + k[1] * state.v0[1]
                                    + k[2] * state.v0[2])
         n = grid.N

@@ -169,8 +169,8 @@ class _ModeGeometry:
     """
 
     def __init__(self, kvec, state: ConstantState):
-        self.k = np.array(np.broadcast_arrays(*kvec), dtype=float)
-        self.multipliers = _multipliers(self.k, state)
+        k = np.array(np.broadcast_arrays(*kvec), dtype=float)
+        self.multipliers = _multipliers(k, state)
         self.norm0 = np.sqrt(np.sum(self.multipliers ** 2, axis=0))
         self.inv_norm0 = 1.0 / np.where(self.norm0 == 0, 1.0, self.norm0)
 

@@ -9,8 +9,10 @@ branch fields ``decompose`` and the random generators
 ``solenoidal_pair`` and ``admissible_perturbation`` (bi_lift and
 chaplygin data).  Every real field is transformed on the full N^3
 lattice, one derivative per transform, and synthesized fields keep the
-real part.  The lattice keeps fftfreq's -pi N / L on the Nyquist
-planes, where ``Grid.kvec`` has 0, so the two agree off those planes
+real part.  The lattice holds F(q) at index q and keeps fftfreq's
+-pi N / L on the Nyquist planes; the package's half spectrum holds
+F(-q) there (``Grid.kvec`` is -q, and 0 on the Nyquist planes), so its
+conjugate agrees with the reference's kz >= 0 half off those planes
 only.  ``tests/test_half_spectrum.py`` and ``tests/test_model.py``
 compare the package against them.
 
@@ -203,9 +205,10 @@ def assemble_L0(xi, state):
     return L
 
 
-def apply_A0(Uhat, geo, state):
+def apply_A0(Uhat, kvec, state):
+    """A0(k) U-hat for the broadcastable wavenumbers ``kvec`` of its modes."""
     t0 = state.tau0
-    k = geo.k
+    k = np.array(np.broadcast_arrays(*kvec), dtype=float)
     bk = np.tensordot(state.b0, k, axes=(0, 0))
     dk = np.tensordot(state.d0, k, axes=(0, 0))
     t = Uhat[0]
@@ -342,12 +345,13 @@ def full_geometry(grid, state):
     return _ModeGeometry(kvec(grid), state)
 
 
-def rhs_hat(Uhat, grid, state, geo, dealias):
+def rhs_hat(Uhat, grid, state, dealias):
     """Full-lattice spectral right-hand side."""
-    out = -1j * apply_A0(Uhat, geo, state)
+    k = kvec(grid)
+    out = -1j * apply_A0(Uhat, k, state)
     if np.any(state.v0):
-        kdotv0 = (geo.k[0] * state.v0[0] + geo.k[1] * state.v0[1]
-                  + geo.k[2] * state.v0[2])
+        kdotv0 = (k[0] * state.v0[0] + k[1] * state.v0[1]
+                  + k[2] * state.v0[2])
         out += 1j * kdotv0 * Uhat
     Uhd = Uhat * dealias_mask(grid) if dealias else Uhat * nyquist_mask(grid)
     u = inv_real(Uhd)
@@ -449,12 +453,11 @@ def sample_diagnostics(field, state, t, sobolev_n):
 def simulate_final(field, state, dt, nsteps, dealias):
     """RK4 on the full lattice; the physical field after ``nsteps``."""
     g = field.grid
-    geo = full_geometry(g, state)
     Uh = fwd(field.data) * nyquist_mask(g)
     for _ in range(nsteps):
-        k1 = rhs_hat(Uh, g, state, geo, dealias)
-        k2 = rhs_hat(Uh + 0.5 * dt * k1, g, state, geo, dealias)
-        k3 = rhs_hat(Uh + 0.5 * dt * k2, g, state, geo, dealias)
-        k4 = rhs_hat(Uh + dt * k3, g, state, geo, dealias)
+        k1 = rhs_hat(Uh, g, state, dealias)
+        k2 = rhs_hat(Uh + 0.5 * dt * k1, g, state, dealias)
+        k3 = rhs_hat(Uh + 0.5 * dt * k2, g, state, dealias)
+        k4 = rhs_hat(Uh + dt * k3, g, state, dealias)
         Uh = Uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return inv_real(Uh)

@@ -34,8 +34,9 @@ def quadratic(terms, u, du):
 def rhs_hat(Uhat, grid, state, geo, dealias):
     out = -1j * apply_A0(Uhat, geo)
     if np.any(state.v0):
-        kdotv0 = (geo.k[0] * state.v0[0] + geo.k[1] * state.v0[1]
-                  + geo.k[2] * state.v0[2])
+        k = grid.kvec
+        kdotv0 = (k[0] * state.v0[0] + k[1] * state.v0[1]
+                  + k[2] * state.v0[2])
         out += 1j * kdotv0 * Uhat
     mask = grid.dealias_mask
     Uhd = Uhat * mask if dealias else grid.strip_nyquist(Uhat)

@@ -6,7 +6,9 @@ Fields are mostly Nyquist-free, as the solver keeps its state
 dealiasing keeps them empty).  On the Nyquist planes the reference gives
 every mode the wavenumber -pi N / L, so its odd mode-wise multipliers
 there do not map a real field's spectrum to one; ``Grid.kvec`` is 0
-there, and the two differ on those planes only.  The round-trip tests
+there, and the two differ on those planes only.  The reference holds
+F(q) at index q and the package F(-q), so a package spectrum is
+compared through its conjugate.  The round-trip tests
 check that the package's operators keep real fields real, Nyquist
 content included.
 """
@@ -38,7 +40,7 @@ def test_transforms_match_full_lattice(grid16, rng):
     fh = g.rfwd(f)
     full = R.fwd(f)
     assert fh.shape == (10, g.N, g.N, g.n_half)
-    assert _rel(fh, full[..., :g.n_half]) <= 1e-15
+    assert _rel(np.conj(fh), full[..., :g.n_half]) <= 1e-15
     assert _rel(g.rinv(fh), f) <= 1e-14
     grad = g.gradient(fh)
     assert grad.shape == (10, 3) + (g.N,) * 3
@@ -54,15 +56,25 @@ def test_transforms_match_full_lattice(grid16, rng):
         assert np.all(plane == 0)
 
 
-def test_rfwd_conjugates_in_place_bitwise(grid16, rng):
-    # the in-place conjugate must equal the copying one bit for bit
+def test_transforms_are_bare_scipy_bitwise(grid16, rng, monkeypatch):
+    # the stored half spectrum is what rfftn computes: no conjugate on
+    # the way in or out, and rinv hands irfftn the caller's array itself
     import scipy.fft
-    from abiwave.grid import fft_workers
 
-    f = rng.normal(size=(10,) + (grid16.N,) * 3)
-    want = np.conj(scipy.fft.rfftn(f, axes=(-3, -2, -1),
-                                   workers=fft_workers()))
-    assert np.array_equal(grid16.rfwd(f), want)
+    g = grid16
+    axes, s = (-3, -2, -1), (g.N,) * 3
+    f = rng.normal(size=(10,) + s)
+    fh = g.rfwd(f)
+    assert np.array_equal(fh, scipy.fft.rfftn(f, axes=axes))
+    assert np.array_equal(g.rinv(fh), scipy.fft.irfftn(fh, s=s, axes=axes))
+    inputs = []
+
+    def spy(x, *args, _fn=scipy.fft.irfftn, **kwargs):
+        inputs.append(x)
+        return _fn(x, *args, **kwargs)
+    monkeypatch.setattr(scipy.fft, "irfftn", spy)
+    g.rinv(fh)
+    assert len(inputs) == 1 and inputs[0] is fh
 
 
 def test_transforms_read_scipy_fft_at_call_time(grid16, rng, monkeypatch):
@@ -103,9 +115,9 @@ def test_rhs_matches_full_lattice(grid16, manifold_bg, dealias):
         u = model.admissible_perturbation(seed, 1e-2, st, g)
         new = simulate._rhs_hat(u.spectral(), simulate.Workspace(g, st),
                                 dealias)
-        ref = R.rhs_hat(R.fwd(u.data), g, st, R.full_geometry(g, st), dealias)
+        ref = R.rhs_hat(R.fwd(u.data), g, st, dealias)
         off = g.nyquist_mask  # the reference's Nyquist planes differ
-        assert _rel(new * off, ref[..., :g.n_half] * off) <= 1e-12
+        assert _rel(np.conj(new) * off, ref[..., :g.n_half] * off) <= 1e-12
 
 
 def test_lattice_arrays_live_on_the_half_spectrum(grid16):
@@ -115,11 +127,12 @@ def test_lattice_arrays_live_on_the_half_spectrum(grid16):
     for a in [*g.kvec, g.k_norm, g.nyquist_mask, g.dealias_mask, *shells]:
         assert np.broadcast_shapes(a.shape, half) == half
     for k in g.kvec:
-        # k_j is 0 on axis j's Nyquist plane and k1d elsewhere
+        # index q stores the mode -q: k_j is 0 on axis j's Nyquist plane
+        # and -k1d elsewhere
         line = k.ravel()
         assert line[ny] == 0.0
         assert np.array_equal(np.delete(line, ny),
-                              np.delete(g.k1d[:line.size], ny))
+                              np.delete(-g.k1d[:line.size], ny))
     # |k| keeps the true magnitude pi N / L on the Nyquist planes
     kabs = np.abs(g.k1d)
     want = np.sqrt(kabs[:, None, None] ** 2 + kabs[None, :, None] ** 2

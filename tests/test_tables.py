@@ -38,13 +38,15 @@ def test_L0_matches_block_layout_with_table_signs(rng):
 
 
 def _spectrum_and_geometries(g, st, f, lattice):
-    """A spectrum of ``f`` with the package and closed-form geometries."""
+    """A spectrum of ``f``, the wavenumbers of its modes and the package
+    and closed-form geometries."""
     if lattice == "full":
         kvec, Uhat = R.kvec(g), R.fwd(f)
     else:
+        # the half spectrum stores the mode -q at lattice index q
         kx, ky, kz = R.kvec(g)
-        kvec, Uhat = (kx, ky, kz[..., :g.n_half]), g.rfwd(f)
-    return (Uhat, spectral._ModeGeometry(kvec, st),
+        kvec, Uhat = (-kx, -ky, -kz[..., :g.n_half]), g.rfwd(f)
+    return (Uhat, kvec, spectral._ModeGeometry(kvec, st),
             R.ClosedFormGeometry(kvec, st))
 
 
@@ -53,9 +55,9 @@ def test_apply_A0_matches_block_layout(grid16, rng, lattice):
     g = grid16
     st = _moving_state(rng)
     f = rng.normal(size=(10,) + (g.N,) * 3)
-    Uhat, geo, _ = _spectrum_and_geometries(g, st, f, lattice)
+    Uhat, kvec, geo, _ = _spectrum_and_geometries(g, st, f, lattice)
     got = spectral.apply_A0(Uhat, geo)
-    assert _rel(got, R.apply_A0(Uhat, geo, st)) <= 1e-14
+    assert _rel(got, R.apply_A0(Uhat, kvec, st)) <= 1e-14
 
 
 def test_projector_matches_closed_form(rng):
@@ -71,7 +73,7 @@ def test_grid_projectors_match_closed_form(grid16, rng, lattice):
     g = grid16
     st = _moving_state(rng)
     f = rng.normal(size=(10,) + (g.N,) * 3)
-    Uhat, geo, closed = _spectrum_and_geometries(g, st, f, lattice)
+    Uhat, _, geo, closed = _spectrum_and_geometries(g, st, f, lattice)
     for branch in (+1, -1, 0):
         want = R.apply_projector(Uhat, closed, branch)
         assert _rel(spectral.apply_projector(Uhat, geo, branch), want) <= 1e-14
@@ -82,7 +84,7 @@ def test_mean_mode_goes_to_the_kernel_branch(grid16, rng, lattice):
     g = grid16
     st = _moving_state(rng)
     f = 1.0 + rng.normal(size=(10,) + (g.N,) * 3)
-    Uhat, geo, _ = _spectrum_and_geometries(g, st, f, lattice)
+    Uhat, _, geo, _ = _spectrum_and_geometries(g, st, f, lattice)
     mean = Uhat[:, 0, 0, 0]
     assert np.all(mean != 0)
     assert np.array_equal(spectral.apply_projector(Uhat, geo, 0)[:, 0, 0, 0],
