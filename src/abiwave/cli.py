@@ -326,11 +326,14 @@ def parse_decay_config(d: dict):
 
 def _load_config(ns, parse):
     """(parsed config, raw JSON, output dir) of ``--config``; every
-    config check runs before ``--dry-run`` reports."""
+    config check runs before ``--dry-run`` reports.  A typed ``--out``
+    wins over ``output.dir``, which falls back to the working directory."""
     with open(ns.config) as f:
         raw = json.load(f)
     parsed = parse(raw)
-    outdir = _read(raw.get("output", {}), "output", "dir", Path, ns.out)
+    outdir = _read(raw.get("output", {}), "output", "dir", Path, ".")
+    if ns.out is not None:
+        outdir = Path(ns.out)
     if ns.dry_run:
         print("config ok")
     else:
@@ -654,14 +657,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="nonlinear run (or u0 probe) from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", help="output directory; overrides output.dir")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("decay-report",
                        help="free linear dispersion decay fit")
     p.add_argument("--config", required=True)
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", help="output directory; overrides output.dir")
     p.set_defaults(func=cmd_decay_report)
 
     p = sub.add_parser("projectors",

@@ -136,7 +136,11 @@ class Workspace:
 
 
 def rhs(field: StateField, state: ConstantState, dealias: bool = True) -> StateField:
-    """Right-hand side in physical variables (perturbation form)."""
+    """Right-hand side in physical variables (perturbation form).
+
+    A non-finite ``field`` raises :class:`BlowUpError`: :func:`_rhs_hat`
+    checks nothing, and a run decides its blow-ups in :func:`simulate`.
+    """
     if not np.all(np.isfinite(field.data)):
         raise BlowUpError("non-finite field")
     g = field.grid
@@ -152,6 +156,8 @@ def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
     next call.  A component is masked into ``ws.masked`` to be synthesized
     into ``ws.u`` and again to be differentiated; the products go to
     ``ws.prod``, and one component's derivatives exist at a time.
+    Nothing is checked: a non-finite ``Uhat`` gives a non-finite result,
+    which the caller detects.
     """
     ws.rhs_calls += 1
     out = apply_A0(Uhat, ws.geo, ws.k)
@@ -167,8 +173,6 @@ def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
     u = ws.u
     for c in range(10):
         u[c] = ws.rinv(masked(c))
-    if not np.all(np.isfinite(u)):
-        raise BlowUpError("non-finite field in a right-hand side")
     prod = system.quadratic(system.EVOLUTION_TERMS, u,
                             lambda c: ws.gradient(masked(c)), ws.prod)
     for row in range(10):
@@ -185,7 +189,9 @@ def _step_rk4_hat(Uh: np.ndarray, ws: Workspace, dt: float,
 
     ``ws.k`` holds each stage's right-hand side, ``ws.stage`` the next
     stage's argument and ``ws.acc`` the sum ((k1 + 2 k2) + 2 k3) + k4;
-    ``Uh`` changes only once all four stages are formed.
+    ``Uh`` changes only once all four stages are formed.  A stage that
+    overflows carries inf or NaN into ``Uh``; :func:`simulate` checks
+    the state after the step and keeps the arithmetic quiet.
     """
     acc, stage = ws.acc, ws.stage
 
@@ -193,21 +199,18 @@ def _step_rk4_hat(Uh: np.ndarray, ws: Workspace, dt: float,
         np.multiply(k, h, out=stage)
         np.add(stage, Uh, out=stage)
 
-    # non-finite intermediates raise BlowUpError; keep their transient
-    # arithmetic quiet
-    with np.errstate(invalid="ignore", over="ignore"):
-        k = _rhs_hat(Uh, ws, dealias)
-        np.copyto(acc, k)
-        next_stage(0.5 * dt, k)
-        k = _rhs_hat(stage, ws, dealias)
-        next_stage(0.5 * dt, k)
-        k *= 2.0
-        acc += k
-        k = _rhs_hat(stage, ws, dealias)
-        next_stage(dt, k)
-        k *= 2.0
-        acc += k
-        acc += _rhs_hat(stage, ws, dealias)
+    k = _rhs_hat(Uh, ws, dealias)
+    np.copyto(acc, k)
+    next_stage(0.5 * dt, k)
+    k = _rhs_hat(stage, ws, dealias)
+    next_stage(0.5 * dt, k)
+    k *= 2.0
+    acc += k
+    k = _rhs_hat(stage, ws, dealias)
+    next_stage(dt, k)
+    k *= 2.0
+    acc += k
+    acc += _rhs_hat(stage, ws, dealias)
     acc *= dt / 6.0
     Uh += acc
 
@@ -235,10 +238,13 @@ class SimResult:
 def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
-    A blow-up terminates the run; the partial series is returned with
-    its flag set and the time and step of the failed step recorded
-    (step 0 at t = 0 for a non-finite initial field), and the CLI exits
-    with its blow-up code.
+    One rule decides a blow-up: a non-finite value in the state after a
+    step, or in a sampled diagnostics row, ends the run as a blow-up of
+    that step.  The initial field and its sample are step 0 at t = 0.
+    The partial series is returned with its flag set and the time and
+    step recorded, and the CLI exits with its blow-up code.  Overflow
+    and invalid arithmetic stay quiet throughout: the initial transform,
+    every step and every sample run under one ``np.errstate``.
     """
     g = config.grid
     state = config.state
@@ -249,26 +255,17 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     ws = Workspace(g, state)
     field = initial if initial is not None else config.initial_field()
     series = DiagnosticsSeries(sobolev_n=config.sobolev_n)
-    steps = 0
-
-    def result(final, snapshots=(), snapshot_times=()):
-        stats = {"steps": steps, "samples": len(series.rows), **ws.stats()}
-        return SimResult(config=config, series=series, final=final,
-                         snapshots=list(snapshots),
-                         snapshot_times=list(snapshot_times), stats=stats)
-
-    if not np.all(np.isfinite(field.data)):
-        series.mark_blowup(0.0, 0)
-        return result(field)
-    Uh = g.strip_nyquist(ws.rfwd(field.data))
     snaps, answered = [], []
     pending = sorted(config.snapshots)
 
     def emit(t, Uh):
-        # a requested time is due at the first sample within half a step
+        """The sampled field of ``Uh``, or None if its row is not finite."""
         f = StateField(g, ws.rinv(Uh))
-        series.append(**sample_diagnostics(f, Uh, state, t,
-                                           config.sobolev_n, ws))
+        row = sample_diagnostics(f, Uh, state, t, config.sobolev_n, ws)
+        if not all(map(math.isfinite, row.values())):
+            return None
+        series.append(**row)
+        # a requested time is due at the first sample within half a step
         due = 0
         while due < len(pending) and t >= pending[due] - 0.5 * dt:
             due += 1
@@ -278,23 +275,24 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
             del pending[:due]
         return f
 
-    # the sampled field of Uh as it stands; None once a step moves Uh on
-    sampled = emit(0.0, Uh)
-    for n in range(1, nsteps + 1):
-        t = n * dt
-        steps, sampled = n, None
-        try:
-            _step_rk4_hat(Uh, ws, dt, config.dealias)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Uh = g.strip_nyquist(ws.rfwd(field.data))
+        for n in range(nsteps + 1):
+            if n:
+                _step_rk4_hat(Uh, ws, dt, config.dealias)
+            # the sampled field of Uh as it stands, if any
+            t, sampled = n * dt, None
             finite = np.all(np.isfinite(Uh.view(float)))
-        except BlowUpError:
-            finite = False
-        if not finite:
-            series.mark_blowup(t, n)
-            break
-        if n % per_sample == 0 or n == nsteps:
-            sampled = emit(t, Uh)
-    final = sampled if sampled is not None else StateField(g, ws.rinv(Uh))
-    return result(final, snaps, answered)
+            if finite and (n % per_sample == 0 or n == nsteps):
+                sampled = emit(t, Uh)
+                finite = sampled is not None
+            if not finite:
+                series.mark_blowup(t, n)
+                break
+        final = sampled if sampled is not None else StateField(g, ws.rinv(Uh))
+    stats = {"steps": n, "samples": len(series.rows), **ws.stats()}
+    return SimResult(config=config, series=series, final=final,
+                     snapshots=snaps, snapshot_times=answered, stats=stats)
 
 
 def u0_smallness_probe(config: SimConfig, amplitudes=None) -> dict:

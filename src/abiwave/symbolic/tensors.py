@@ -14,7 +14,9 @@ B.(P2 (x) P3) first, then the outer P1 (see
 :func:`build_interaction_tensor`).
 
 The projector entries are term dicts of
-:mod:`abiwave.symbolic._kernel_py`.  The contractions run on NumPy
+:mod:`abiwave.symbolic._kernel_py`, read into one
+:class:`~abiwave.symbolic._kernel_py.TermTable` per projector (entry
+[line][col] in row 10 line + col).  The contractions run on NumPy
 arrays: every monomial is one int64 mixed-radix code, so a monomial
 product is a code sum, and the result is the tensor's
 :class:`~abiwave.symbolic._kernel_py.TermTable`, which
@@ -219,37 +221,19 @@ class InteractionTensor:
         return _eval
 
 
-class _Terms:
-    """A projector's terms as arrays, listed line by line.
+def _projector_table(branch: int, slot: tuple[int, int]):
+    """:func:`projector_terms` as a TermTable: entry [line][col] is row
+    ``10 * line + col``."""
+    return _kernel_py.TermTable(
+        terms for line in projector_terms(branch, slot) for terms in line)
 
-    Term n lies in entry ``[line[n]][col[n]]`` and has the exponent row
-    ``exps[n]`` and the Python int coefficient ``coefs[n]``; line r
-    holds the ``size[r]`` terms from ``start[r]`` on.
-    """
 
-    def __init__(self, matrix):
-        keys, coefs, line, col = [], [], [], []
-        for r, entries in enumerate(matrix):
-            for c, terms in enumerate(entries):
-                keys.extend(terms)
-                coefs.extend(terms.values())
-                line.extend([r] * len(terms))
-                col.extend([c] * len(terms))
-        self.line = np.array(line, dtype=np.int64)
-        self.col = np.array(col, dtype=np.int64)
-        self.size = np.bincount(self.line, minlength=len(matrix))
-        self.start = np.cumsum(self.size) - self.size
-        self.exps = _kernel_py.exponents(keys)
-        self.coefs = coefs
-        self.degree = int(self.exps.sum(axis=1).max(initial=0))
-        self.top = self.exps.max(axis=0, initial=0)
-
-    def abs_sums(self, groups, n: int) -> list:
-        """Sum of |coefficient| over the terms of each of ``n`` groups."""
-        out = [0] * n
-        for g, c in zip(groups.tolist(), self.coefs):
-            out[g] += abs(c)
-        return out
+def _abs_sums(groups: np.ndarray, coefs: np.ndarray, n: int) -> list:
+    """Sum of |coefficient| over the terms of each of ``n`` groups."""
+    out = [0] * n
+    for g, c in zip(groups.tolist(), coefs.tolist()):
+        out[g] += abs(c)
+    return out
 
 
 def build_interaction_tensor(eps: tuple[int, int, int],
@@ -294,29 +278,30 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     for e in ((e1, e2, e3) if which == "evolution" else (e2, e3)):
         if e not in (1, -1):
             raise ValueError("tensor build needs wave-branch signs only")
-    P2 = _Terms(projector_terms(e2, SLOT_W))
-    P3 = _Terms(projector_terms(e3, SLOT_ETA))
+    P2 = _projector_table(e2, SLOT_W)
+    P3 = _projector_table(e3, SLOT_ETA)
     if which == "evolution":
-        P1 = _Terms(projector_terms(e1, SLOT_XI))
+        P1 = _projector_table(e1, SLOT_XI)
         terms_table, nrows, scale = system.EVOLUTION_TERMS, 10, 3
     else:
         P1 = None
         terms_table, nrows, scale = system.CONSTRAINT_TERMS, 5, 2
-    if ((P1.degree if P1 else 0) + P2.degree + 1 + P3.degree
-            > _kernel_py.MAX_EXP):
+    projectors = [P for P in (P1, P2, P3) if P is not None]
+    if sum(P.degree() for P in projectors) + 1 > _kernel_py.MAX_EXP:
         raise OverflowError("product degree exceeds packing capacity")
     # each inner product counted once per P1 term of its row, and at
     # least once: no stage's absolute product sum is larger
-    l1 = P1.abs_sums(P1.col, nrows) if P1 else [1] * nrows
-    l2 = P2.abs_sums(P2.line, 10)
-    l3 = P3.abs_sums(P3.line, 10)
+    l1 = _abs_sums(P1.rows % 10, P1.coefs, nrows) if P1 else [1] * nrows
+    l2 = _abs_sums(P2.rows // 10, P2.coefs, 10)
+    l3 = _abs_sums(P3.rows // 10, P3.coefs, 10)
     if sum(max(l1[row], 1) * l2[c] * l3[a]
            for row, a, c, _, _ in terms_table) >= 2 ** 63:
         raise OverflowError("coefficient sums exceed int64")
 
     row_t, a_t, c_t, dir_t, sign_t = np.array(terms_table, dtype=np.int64).T
     dvar = SLOT_W[0] + dir_t
-    top = P2.top + P3.top + (P1.top if P1 else 0)
+    top = sum(P.exps.max(axis=0, initial=0).astype(np.int64)
+              for P in projectors)
     top[np.unique(dvar)] += 1
     radix = top + 1
     ncodes = math.prod(radix.tolist())
@@ -325,28 +310,37 @@ def build_interaction_tensor(eps: tuple[int, int, int],
         raise OverflowError("monomial codes exceed int64")
     place = np.cumprod(np.concatenate(([1], radix[:-1])))
 
+    def codes(P):
+        """The monomial code of each term of ``P``."""
+        return (P.exps.astype(np.int64) @ place)[P.cols]
+
     # inner products: every P2 term of line c with every P3 term of
-    # line a, for each table term t = (row, a, c, dir, sign)
-    count = P2.size[c_t] * P3.size[a_t]
+    # line a, for each table term t = (row, a, c, dir, sign); line r of
+    # a projector holds its terms from start[r] on
+    size2, size3 = (P.sizes.reshape(10, 10).sum(axis=1) for P in (P2, P3))
+    start2, start3 = np.cumsum(size2) - size2, np.cumsum(size3) - size3
+    col2, col3 = P2.rows % 10, P3.rows % 10
+    count = size2[c_t] * size3[a_t]
     t = np.repeat(np.arange(len(count)), count)
     local = _kernel_py.ranges(np.zeros_like(count), count)
-    width = P3.size[a_t][t]
-    n2 = P2.start[c_t][t] + local // width
-    n3 = P3.start[a_t][t] + local % width
-    entry = (row_t[t] * 10 + P2.col[n2]) * 10 + P3.col[n3]
-    code = (P2.exps @ place)[n2] + place[dvar][t] + (P3.exps @ place)[n3]
-    coef = (sign_t[t] * np.array(P2.coefs, dtype=np.int64)[n2]
-            * np.array(P3.coefs, dtype=np.int64)[n3])
+    width = size3[a_t][t]
+    n2 = start2[c_t][t] + local // width
+    n3 = start3[a_t][t] + local % width
+    entry = (row_t[t] * 10 + col2[n2]) * 10 + col3[n3]
+    code = codes(P2)[n2] + place[dvar][t] + codes(P3)[n3]
+    coef = (sign_t[t] * P2.coefs.astype(np.int64)[n2]
+            * P3.coefs.astype(np.int64)[n3])
     if P1 is not None:
         entry, code, coef = _kernel_py.merge(entry, code, coef, ncodes)
         size = np.bincount(entry // 100, minlength=nrows)
         start = np.cumsum(size) - size
         # P1 term n meets the inner terms of its column's row
-        count = size[P1.col]
-        n = _kernel_py.ranges(start[P1.col], count)
-        entry = np.repeat(P1.line * 100, count) + (entry % 100)[n]
-        code = np.repeat(P1.exps @ place, count) + code[n]
-        coef = np.repeat(np.array(P1.coefs, dtype=np.int64), count) * coef[n]
+        line1, col1 = np.divmod(P1.rows, 10)
+        count = size[col1]
+        n = _kernel_py.ranges(start[col1], count)
+        entry = np.repeat(line1 * 100, count) + (entry % 100)[n]
+        code = np.repeat(codes(P1), count) + code[n]
+        coef = np.repeat(P1.coefs.astype(np.int64), count) * coef[n]
     # merged monomial first, so equal codes are adjacent, then put back
     # in entry order by a stable (radix) sort of the small entry numbers
     code, entry, coef = _kernel_py.merge(code, entry, coef, nentries)

@@ -264,6 +264,42 @@ def test_u0_probe_blowup_exit_code(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "u0_probe.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_sample_exits_3_with_partial_outputs(tmp_path, capsys):
+    # large undealiased chaplygin data at 8^3: a sampled diagnostic
+    # overflows before the state does, and that is a blow-up of its step
+    raw = {"schema": 1, "grid": {"N": 8, "L": 12.5}, "state": {"tau0": 1.0},
+           "ic": {"kind": "chaplygin", "amplitude": 0.9, "seed": 3},
+           "time": {"t_end": 60.0, "cfl": 0.5}, "dealias": False,
+           "diagnostics": {"cadence": 0.1, "sobolev_n": 8},
+           "output": {"dir": str(tmp_path / "out")}}
+    path = _write(tmp_path, raw)
+    assert run_cli("simulate", "--config", str(path)) == cli.EXIT_BLOWUP
+    assert "blow-up in step 7 (t = 5.45455)" in _one_stderr_line(capsys)
+    for name in ("series.csv", "manifest.json"):
+        assert (tmp_path / "out" / name).exists()
+
+
+def test_simulate_out_flag_wins_over_output_dir(tmp_path):
+    path, _ = small_sim_config(tmp_path, grid={"N": 8, "L": 8 * np.pi})
+    out = tmp_path / "typed"
+    assert run_cli("simulate", "--config", str(path), "--out",
+                   str(out)) == cli.EXIT_OK
+    for name in ("series.csv", "manifest.json", "snapshot_t0.raw"):
+        assert (out / name).exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_decay_report_out_flag_wins_over_output_dir(tmp_path):
+    path = _write(tmp_path, _decay_config(tmp_path))
+    out = tmp_path / "typed"
+    assert run_cli("decay-report", "--config", str(path), "--out",
+                   str(out)) == cli.EXIT_OK
+    for name in ("decay_report.json", "manifest.json"):
+        assert (out / name).exists()
+    assert not (tmp_path / "decay").exists()
+
+
 def test_simulate_warns_of_snapshot_times_past_t_end(tmp_path, capsys):
     _, raw = small_sim_config(tmp_path, grid={"N": 8, "L": 8 * np.pi})
     raw["output"]["snapshots"] = [0.0, 5.0, 2.5]

@@ -137,6 +137,47 @@ def test_blowup_detection(grid16, manifold_bg):
     assert len(res.series.rows) == 1
 
 
+def test_overflowing_first_sample_is_a_step_0_blowup(grid16, manifold_bg):
+    # a finite state whose first diagnostics row overflows
+    huge = StateField.zeros(grid16)
+    huge.data[0, 0, 0, 0] = 1e155
+    cfg = simulate.SimConfig(grid=grid16, state=manifold_bg, t_end=0.5,
+                             cfl=0.2, cadence=0.25, amplitude=0.0)
+    res = simulate.simulate(cfg, initial=huge)
+    assert res.series.blowup
+    assert (res.series.blowup_t, res.series.blowup_step) == (0.0, 0)
+    assert res.series.rows == [] and res.stats["steps"] == 0
+
+
+# large data at t_end = 60, cfl = 0.5, seed 3: bi_lift at amplitude 50 on
+# the manifold background, chaplygin at amplitude 0.9 with tau0 = 1.  The
+# last case's H6_U overflows in the sample of step 4, before the state
+# leaves the finite range.
+@pytest.mark.parametrize("kind, N, L, dealias, cadence, step, t", [
+    ("bi_lift", 8, 12.5, True, 0.1, 24, 18.0),
+    ("bi_lift", 16, 25.0, False, 0.1, 4, 3.0),
+    ("bi_lift", 16, 25.0, True, 0.1, 18, 13.5),
+    ("chaplygin", 8, 12.5, False, 100.0, 8, 6.233766233766234),
+    ("chaplygin", 16, 25.0, False, 0.1, 9, 7.012987012987013),
+    ("bi_lift", 8, 12.5, False, 0.1, 4, 3.0),
+], ids=["bi_lift-8-dealiased", "bi_lift-16", "bi_lift-16-dealiased",
+        "chaplygin-8-one-sample", "chaplygin-16", "bi_lift-8-sample"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blowup_detection_step_and_time(manifold_bg, kind, N, L, dealias,
+                                        cadence, step, t):
+    if kind == "bi_lift":
+        state, amplitude = manifold_bg, 50.0
+    else:
+        state, amplitude = ConstantState(tau0=1.0), 0.9
+    cfg = simulate.SimConfig(grid=Grid(N=N, L=L), state=state, t_end=60.0,
+                             cfl=0.5, dealias=dealias, cadence=cadence,
+                             ic_kind=kind, amplitude=amplitude, seed=3)
+    res = simulate.simulate(cfg)
+    s = res.series
+    assert s.blowup and (s.blowup_step, s.blowup_t) == (step, t)
+    assert res.stats["steps"] == step
+
+
 def test_u0_probe_quadratic_scaling(grid16, manifold_bg):
     cfg = simulate.SimConfig(grid=grid16, state=manifold_bg, t_end=1.0,
                              cfl=0.2, cadence=0.25, amplitude=1e-2, seed=11)
