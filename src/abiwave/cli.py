@@ -28,6 +28,7 @@ from . import __version__
 from .errors import BlowUpError, ConfigError, VerificationError
 from .grid import Grid, fft_workers
 from .model import IC_KINDS, check_background
+from .resonance import InteractionSpec
 from .state import CERTIFICATION_BACKGROUND, ConstantState, bi_lift_constant
 
 EXIT_OK = 0
@@ -107,8 +108,9 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _outdir(ns) -> Path:
-    out = Path(ns.out)
+def _outdir(ns, fallback=".") -> Path:
+    """The one ``--out`` rule: a typed ``--out``, else ``fallback``."""
+    out = Path(fallback if ns.out is None else ns.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -259,6 +261,18 @@ _SIM_FIELDS = {
     "seed": ("ic", "seed", _integer(0, 2 ** 64)),  # a Philox seed
     "snapshots": ("output", "snapshots", _times),
 }
+# the allowed keys of each section, read off _SIM_FIELDS; the sections
+# are checked in this order
+_SIM_SECTIONS = ("ic", "time", "diagnostics", "output")
+_SIM_KEYS = {where: {key for w, key, _ in _SIM_FIELDS.values() if w == where}
+             for where in ("config",) + _SIM_SECTIONS}
+_SIM_KEYS["config"] |= {"schema", "mode", "grid", "state", "u0_probe",
+                        *_SIM_SECTIONS}
+_SIM_KEYS["output"].add("dir")  # read by _load_config
+
+# bump key: converter; an absent key takes the dispersion_probe default
+_BUMP_FIELDS = {"sigma": _positive, "amplitude": _finite,
+                "component": _integer(0, 10)}
 
 
 def parse_sim_config(d: dict):
@@ -268,17 +282,10 @@ def parse_sim_config(d: dict):
     """
     from .simulate import SimConfig
 
-    _reject_unknown(d, {"schema", "mode", "grid", "state", "ic", "time",
-                        "dealias", "diagnostics", "output", "u0_probe"},
-                    "config")
+    _reject_unknown(d, _SIM_KEYS["config"], "config")
     _read(d, "config", "schema", _one_of((SIM_SCHEMA,)))
-    sections = {
-        "config": d,
-        "ic": _section(d, "ic", {"kind", "amplitude", "k0", "width", "seed"}),
-        "time": _section(d, "time", {"t_end", "cfl", "dt"}),
-        "diagnostics": _section(d, "diagnostics", {"cadence", "sobolev_n"}),
-        "output": _section(d, "output", {"dir", "snapshots"}),
-    }
+    sections = {"config": d, **{where: _section(d, where, _SIM_KEYS[where])
+                                for where in _SIM_SECTIONS}}
     default = {f.name: f.default for f in dataclasses.fields(SimConfig)}
     cfg = SimConfig(
         grid=_read(d, "config", "grid", parse_grid),
@@ -308,11 +315,9 @@ def parse_decay_config(d: dict):
     _section(d, "output", {"dir"})
     grid = _read(d, "config", "grid", parse_grid)
     state = _read(d, "config", "state", parse_state)
-    bump = _section(d, "bump", {"sigma", "amplitude", "component"})
+    bump = _section(d, "bump", set(_BUMP_FIELDS))
     bump = {key: _read(bump, "bump", key, conv)
-            for key, conv in (("sigma", _positive), ("amplitude", _finite),
-                              ("component", _integer(0, 10)))
-            if key in bump}
+            for key, conv in _BUMP_FIELDS.items() if key in bump}
     times = _section(d, "times", {"t1", "t2", "n"}, required=True)
     t1, t2 = (_read(times, "times", key, float) for key in ("t1", "t2"))
     # the fit's ci95 needs more than two points
@@ -326,19 +331,16 @@ def parse_decay_config(d: dict):
 
 def _load_config(ns, parse):
     """(parsed config, raw JSON, output dir) of ``--config``; every
-    config check runs before ``--dry-run`` reports.  A typed ``--out``
-    wins over ``output.dir``, which falls back to the working directory."""
+    config check runs before ``--dry-run`` reports, and a dry run makes
+    no directory (None).  ``output.dir`` is the fallback of ``--out``."""
     with open(ns.config) as f:
         raw = json.load(f)
     parsed = parse(raw)
-    outdir = _read(raw.get("output", {}), "output", "dir", Path, ".")
-    if ns.out is not None:
-        outdir = Path(ns.out)
+    fallback = _read(raw.get("output", {}), "output", "dir", Path, ".")
     if ns.dry_run:
         print("config ok")
-    else:
-        outdir.mkdir(parents=True, exist_ok=True)
-    return parsed, raw, outdir
+        return parsed, raw, None
+    return parsed, raw, _outdir(ns, fallback)
 
 
 # ----------------------------------------------------------------------
@@ -349,23 +351,20 @@ def cmd_verify_symbols(ns):
     from .symbolic import certify as C
 
     state = _state_from_flags(ns)
-    mutate_entry = _parse_entry(ns.mutate_entry)
-    if mutate_entry and not ns.interactions and ns.which == "both":
+    entry = ns.mutate_entry  # I,J,K; certify checks that it is in range
+    if entry and not ns.interactions and ns.which == "both":
         raise ValueError("--mutate-entry needs --which N or Nprime, or "
                          "--interactions, to name the tensor it mutates")
     manifest = RunManifest("verify-symbols", vars_serializable(ns))
     opts = dict(preflight=not ns.skip_preflight, subsystem=ns.subsystem,
                 with_cofactors=ns.cofactors)
     which = "constraint" if ns.which == "Nprime" else "evolution"
-    if ns.interactions:
-        from .resonance import InteractionSpec
-        specs = map(InteractionSpec.parse, ns.interactions.split(";"))
+    specs = ns.interactions
+    if entry and not specs:
+        specs = [InteractionSpec(0 if which == "constraint" else 1, 1, 1)]
+    if specs:
         certs = [C.certify((s.eps1, s.eps2, s.eps3), which, state,
-                           mutate_entry=mutate_entry, **opts) for s in specs]
-    elif mutate_entry:
-        eps = (0, 1, 1) if which == "constraint" else (1, 1, 1)
-        certs = [C.certify(eps, which, state, mutate_entry=mutate_entry,
-                           **opts)]
+                           mutate_entry=entry, **opts) for s in specs]
     else:
         which_list = (which,) if ns.which != "both" else \
             ("evolution", "constraint")
@@ -383,17 +382,6 @@ def cmd_verify_symbols(ns):
     bad = [f"{c.which} {c.interaction}" for c in certs if not c.verified]
     if bad:
         raise VerificationError(f"nonzero residues in {', '.join(bad)}")
-
-
-def _parse_entry(text):
-    if not text:
-        return None
-    try:
-        i, j, k = (int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"--mutate-entry takes three integers I,J,K, "
-                         f"got {text!r}") from None
-    return (i, j, k)
 
 
 def cmd_check_identities(ns):
@@ -519,16 +507,16 @@ def cmd_projectors(ns):
         "Pminus": projector(xi, state, -1).tolist(),
     }
     text = json.dumps(out, indent=2)
-    if ns.out != ".":
-        outdir = _outdir(ns)
-        path = outdir / "projectors.json"
-        path.write_text(text)
-        manifest = RunManifest("projectors", vars_serializable(ns))
-        manifest.add_output(path)
-        manifest.write(outdir)
-        print(f"wrote {path}")
-    else:
+    if ns.out is None:
         print(text)
+        return
+    outdir = _outdir(ns)
+    path = outdir / "projectors.json"
+    path.write_text(text)
+    manifest = RunManifest("projectors", vars_serializable(ns))
+    manifest.add_output(path)
+    manifest.write(outdir)
+    print(f"wrote {path}")
 
 
 # ----------------------------------------------------------------------
@@ -540,75 +528,58 @@ def _state_from_flags(ns) -> ConstantState:
 
 
 def vars_serializable(ns) -> dict:
-    return {k: v for k, v in vars(ns).items()
-            if k != "func" and not k.startswith("_")}
+    """The parsed flags as JSON values; interactions as their labels."""
+    out = {k: v for k, v in vars(ns).items()
+           if k != "func" and not k.startswith("_")}
+    if out.get("interactions"):
+        out["interactions"] = [s.label() for s in out["interactions"]]
+    return out
 
 
-# flag converters: argparse reports their errors with the flag's name
+def _flag(check, number=float):
+    """argparse type: the comma-separated parts, each read by ``number``,
+    go to a config check as one value or a list (as the text if a part is
+    no number, which every check rejects); a rejection names the flag."""
+    def conv(text: str):
+        try:
+            parts = [number(x) for x in text.split(",")]
+        except ValueError:
+            parts = [text]
+        try:
+            return check(parts[0] if len(parts) == 1 else parts)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return conv
 
-def _numbers(text: str) -> list:
+
+def _nonzero_three(x) -> list:
+    if not any(v := _three(x)):
+        raise ValueError(f"must not be all zero, got {x!r}")
+    return v
+
+
+def _entry(x) -> tuple:
+    if not isinstance(x, list) or len(x) != 3:
+        raise ValueError(f"must be three integers I,J,K, got {x!r}")
+    return tuple(x)
+
+
+def _interactions(text: str) -> list:
+    """argparse type: semicolon-separated interaction labels."""
     try:
-        parts = [float(x) for x in text.split(",")]
-    except ValueError:
-        parts = []
-    if not parts or not np.all(np.isfinite(parts)):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated finite numbers, got {text!r}")
-    return parts
-
-
-def _vector(text: str) -> list:
-    """'x,y,z', or one number for all three components."""
-    parts = _numbers(text)
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 1 or 3 numbers, "
-                                         f"got {text!r}")
-    return parts
-
-
-def _nonzero_xi(text: str) -> list:
-    parts = _numbers(text)
-    if len(parts) != 3 or not any(parts):
-        raise argparse.ArgumentTypeError(f"expected a nonzero 3-vector "
-                                         f"'x,y,z', got {text!r}")
-    return parts
-
-
-def _positive_number(text: str) -> float:
-    try:
-        return _positive(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, "
-                                         f"got {text!r}") from None
-
-
-def _nonnegative_number(text: str) -> float:
-    try:
-        return _nonnegative(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, "
-                                         f"got {text!r}") from None
-
-
-def _count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, "
-                                         f"got {text!r}")
-    return n
+        return [InteractionSpec.parse(label) for label in text.split(";")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_state_flags(p):
     bg = CERTIFICATION_BACKGROUND
-    p.add_argument("--tau0", type=_positive_number, default=bg.tau0)
-    p.add_argument("--b0", type=_vector, default=bg.b0.tolist(),
+    # one number stands for all three components
+    vector = _flag(lambda x: _three(x if isinstance(x, list) else [x] * 3))
+    p.add_argument("--tau0", type=_flag(_positive), default=bg.tau0)
+    p.add_argument("--b0", type=vector, default=bg.b0.tolist(),
                    metavar="X,Y,Z")
-    p.add_argument("--d0", type=_vector, default=bg.d0.tolist(),
+    p.add_argument("--d0", type=vector, default=bg.d0.tolist(),
                    metavar="X,Y,Z")
 
 
@@ -631,25 +602,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact residue-zero certification of the "
                             "projected interaction tensors")
     p.add_argument("--which", choices=("N", "Nprime", "both"), default="both")
-    p.add_argument("--interactions",
+    p.add_argument("--interactions", type=_interactions,
                    help="semicolon-separated sign labels, e.g. '+,-+;-,+-'")
     p.add_argument("--subsystem", choices=("full", "chaplygin"),
                    default="full")
-    p.add_argument("--mutate-entry", metavar="I,J,K",
+    p.add_argument("--mutate-entry", type=_flag(_entry, number=int),
+                   metavar="I,J,K",
                    help="add 1 to one tensor entry (soundness self-test)")
     p.add_argument("--cofactors", action="store_true",
                    help="record sample cofactor decompositions")
     p.add_argument("--skip-preflight", action="store_true")
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", help="output directory (default: .)")
     _add_state_flags(p)
     p.set_defaults(func=cmd_verify_symbols)
 
     p = sub.add_parser("check-identities",
                        help="numeric verification of the phase identities")
-    p.add_argument("--samples", type=_count, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=_nonnegative_number, default=1e-10)
-    p.add_argument("--out", default=".")
+    p.add_argument("--samples", type=_flag(_integer(1), number=int),
+                   default=10000)
+    p.add_argument("--seed", type=_flag(_integer(0), number=int), default=0)
+    p.add_argument("--tolerance", type=_flag(_nonnegative), default=1e-10)
+    p.add_argument("--out", help="output directory (default: .)")
     _add_state_flags(p)
     p.set_defaults(func=cmd_check_identities)
 
@@ -669,8 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("projectors",
                        help="dump A0, L0 and the three projectors at one xi")
-    p.add_argument("--xi", type=_nonzero_xi, required=True, metavar="X,Y,Z")
-    p.add_argument("--out", default=".")
+    p.add_argument("--xi", type=_flag(_nonzero_three), required=True,
+                   metavar="X,Y,Z")
+    p.add_argument("--out", help="output directory (default: print the "
+                                 "JSON to stdout)")
     _add_state_flags(p)
     p.set_defaults(func=cmd_projectors)
     return ap

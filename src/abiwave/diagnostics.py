@@ -118,7 +118,6 @@ def besov_norms(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
 class DiagnosticsSeries:
     """Time-indexed diagnostic record with the fixed CSV layout."""
 
-    sobolev_n: int
     rows: list = dfield(default_factory=list)
     blowup: bool = False
     blowup_t: float | None = None     # end time of the failed step
@@ -148,8 +147,8 @@ class DiagnosticsSeries:
                 w.writerow([repr(r[c]) for c in SERIES_COLUMNS])
 
     @classmethod
-    def read_csv(cls, path, sobolev_n: int = 0) -> "DiagnosticsSeries":
-        out = cls(sobolev_n=sobolev_n)
+    def read_csv(cls, path) -> "DiagnosticsSeries":
+        out = cls()
         with open(path, newline="") as f:
             rd = csv.reader(f)
             header = next(rd)

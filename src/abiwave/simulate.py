@@ -227,7 +227,6 @@ class SimResult:
     transformed (:class:`Workspace`).
     """
 
-    config: SimConfig
     series: DiagnosticsSeries
     final: StateField
     snapshots: list = dfield(default_factory=list)
@@ -254,7 +253,7 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     per_sample = max(1, int(round(config.cadence / dt)))
     ws = Workspace(g, state)
     field = initial if initial is not None else config.initial_field()
-    series = DiagnosticsSeries(sobolev_n=config.sobolev_n)
+    series = DiagnosticsSeries()
     snaps, answered = [], []
     pending = sorted(config.snapshots)
 
@@ -291,7 +290,7 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
                 break
         final = sampled if sampled is not None else StateField(g, ws.rinv(Uh))
     stats = {"steps": n, "samples": len(series.rows), **ws.stats()}
-    return SimResult(config=config, series=series, final=final,
+    return SimResult(series=series, final=final,
                      snapshots=snaps, snapshot_times=answered, stats=stats)
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field as dfield, replace
 import numpy as np
 
 from ..errors import VerificationError
-from ..resonance import resonant_samples, sample_off_axis
+from ..resonance import InteractionSpec, resonant_samples, sample_off_axis
 from ..state import CERTIFICATION_BACKGROUND
 from . import _kernel_py
 from .ideal import (build_ideal_generators, extract_cofactors,
@@ -84,13 +84,6 @@ class Certificate:
         if self.cofactors is None:
             del out["cofactors"]
         return out
-
-
-def _label(eps, which):
-    conv = {1: "+", -1: "-", 0: "0"}
-    if which == "evolution":
-        return conv[eps[0]] + "," + conv[eps[1]] + conv[eps[2]]
-    return "'," + conv[eps[1]] + conv[eps[2]]
 
 
 def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
@@ -183,8 +176,10 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
             "witness_monomial": {"exponents": list(_kernel_py.unpack(lead)),
                                  "coefficient": str(residue[lead])},
         })
+    label = InteractionSpec(*eps).label()
     cert = Certificate(
-        interaction=_label(eps, which),
+        # a constraint tensor's label has ' for its leading sign
+        interaction=label if which == "evolution" else "'" + label[1:],
         which="N" if which == "evolution" else "Nprime",
         entries_total=int(np.count_nonzero(table.sizes)),
         entries_nonzero=len(residues),

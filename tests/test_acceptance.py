@@ -53,11 +53,14 @@ def narrow_band(grid32a):
     return {"k0": 2.0 * two, "width": 0.5 * two}
 
 
+PRESERVATION_AMPLITUDE = 1e-2
+
+
 @pytest.fixture(scope="module")
 def preservation_run(grid32a, bg, narrow_band):
     cfg = simulate.SimConfig(grid=grid32a, state=bg, t_end=5.0, cfl=0.05,
-                             cadence=0.5, amplitude=1e-2, seed=2024,
-                             **narrow_band)
+                             cadence=0.5, amplitude=PRESERVATION_AMPLITUDE,
+                             seed=2024, **narrow_band)
     return simulate.simulate(cfg)
 
 
@@ -166,7 +169,7 @@ def test_criterion_4_certification(tmp_path):
 
 def test_criterion_5_preservation(preservation_run):
     s = preservation_run.series
-    amp = preservation_run.config.amplitude
+    amp = PRESERVATION_AMPLITUDE
     details = []
     ok = not s.blowup
     # baseline: the generator's guaranteed residual scale (1e-8 * amplitude)

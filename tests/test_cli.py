@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from abiwave import cli
 
+# a NumPy warning would print its own stderr lines next to a command's one
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -73,6 +76,20 @@ def test_manifest_records_library_versions(tmp_path):
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__,
                                     "scipy": scipy.__version__}
+
+
+def test_projectors_out_dot_writes_what_stdout_shows(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ("projectors", "--xi", "1,0,0")
+    assert run_cli(*argv) == 0
+    printed = capsys.readouterr().out
+    assert not any(tmp_path.iterdir())
+    assert run_cli(*argv, "--out", ".") == 0
+    assert capsys.readouterr().out == "wrote projectors.json\n"
+    assert (tmp_path / "projectors.json").read_text() + "\n" == printed
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == ["projectors.json"]
 
 
 def test_projectors_rejects_zero_xi():
@@ -238,10 +255,10 @@ def _blowup_in_step_3(cfg, initial=None):
     from abiwave.diagnostics import DiagnosticsSeries
     from abiwave.fields import StateField
 
-    series = DiagnosticsSeries(sobolev_n=8)
+    series = DiagnosticsSeries()
     series.mark_blowup(0.375, 3)
-    return sim.SimResult(config=cfg, series=series,
-                         final=StateField.zeros(cfg.grid), snapshots=[])
+    return sim.SimResult(series=series, final=StateField.zeros(cfg.grid),
+                         snapshots=[])
 
 
 def test_simulate_blowup_exit_code(tmp_path, monkeypatch, capsys):
@@ -264,7 +281,6 @@ def test_u0_probe_blowup_exit_code(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "u0_probe.json").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_sample_exits_3_with_partial_outputs(tmp_path, capsys):
     # large undealiased chaplygin data at 8^3: a sampled diagnostic
     # overflows before the state does, and that is a blow-up of its step
@@ -514,14 +530,21 @@ def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
     ("projectors", "--xi", "1,0,0", "--tau0", "nan"),
     ("check-identities", "--tolerance", "nan"),
     ("check-identities", "--tolerance", "-1"),
+    ("check-identities", "--out", "made", "--seed", "-1"),
+    ("verify-symbols", "--out", "made", "--interactions", "x"),
+    ("verify-symbols", "--out", "made", "--interactions", "+,++;x"),
 ], ids=["xi-str", "xi-two", "xi-zero", "b0-str", "d0-two", "samples-0",
-        "samples-str", "tau0-nan", "tolerance-nan", "tolerance-negative"])
-def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv):
+        "samples-str", "tau0-nan", "tolerance-nan", "tolerance-negative",
+        "seed-negative", "interactions-x", "interactions-second-bad"])
+def test_bad_flag_value_exits_1_naming_the_flag(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert f"argument {argv[-2]}:" in err
+    assert not any(tmp_path.iterdir())  # no output, not even a directory
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")

@@ -58,7 +58,7 @@ def test_w1inf_controlled_by_besov(grid32, rng):
 
 
 def test_series_columns_and_monotone_time(grid16, manifold_bg):
-    s = D.DiagnosticsSeries(sobolev_n=8)
+    s = D.DiagnosticsSeries()
     row = {c: 1.0 for c in D.SERIES_COLUMNS}
     row["t"] = 0.0
     s.append(**row)
@@ -74,7 +74,7 @@ def test_series_columns_and_monotone_time(grid16, manifold_bg):
 
 
 def test_series_csv_roundtrip(tmp_path):
-    s = D.DiagnosticsSeries(sobolev_n=8)
+    s = D.DiagnosticsSeries()
     for t in (0.0, 0.5, 1.0):
         row = {c: float(hash(c) % 7 + t) for c in D.SERIES_COLUMNS}
         row["t"] = t

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from abiwave.symbolic import certify as C
+from abiwave.resonance import InteractionSpec
 from abiwave.symbolic import tensors
 from abiwave.symbolic._kernel_py import TermTable, pack
 
@@ -15,7 +15,8 @@ INTERACTIONS = ([((e1, e2, e3), "evolution") for e1 in (1, -1)
 
 
 @pytest.mark.parametrize("eps,which", INTERACTIONS,
-                         ids=[C._label(e, w) for e, w in INTERACTIONS])
+                         ids=[InteractionSpec(*e).label().replace("0", "'")
+                              for e, _ in INTERACTIONS])
 def test_every_tensor_entry_matches_triple_product_oracle(eps, which):
     T = tensors.build_interaction_tensor(eps, which)
     want = build_entries(eps, which)

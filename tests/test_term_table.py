@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from abiwave.resonance import InteractionSpec
 from abiwave.symbolic import certify as C
 from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic._kernel_py import TermTable, pack
@@ -35,7 +36,8 @@ def _mono(**exps):
 
 
 @pytest.mark.parametrize("eps,which", INTERACTIONS,
-                         ids=[C._label(e, w) for e, w in INTERACTIONS])
+                         ids=[InteractionSpec(*e).label().replace("0", "'")
+                              for e, _ in INTERACTIONS])
 def test_every_tensor_entry_matches_dict_oracle(eps, which):
     T = tensors.build_interaction_tensor(eps, which)
     entries = [dict(t) for _, t in T.iter_entries()]
