@@ -166,8 +166,9 @@ def _boolean(x) -> bool:
 
 
 def _finite(x) -> float:
-    """A finite JSON number."""
-    if isinstance(x, (bool, str)) or not math.isfinite(float(x)):
+    """A finite JSON number: an int or a float, not a bool."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not math.isfinite(x)):
         raise ValueError(f"must be a finite number, got {x!r}")
     return float(x)
 
@@ -242,15 +243,15 @@ def parse_state(d: dict) -> ConstantState:
 def parse_grid(d: dict) -> Grid:
     _reject_unknown(d, {"N", "L"}, "grid")
     return Grid(N=_read(d, "grid", "N", _integer(1)),
-                L=_read(d, "grid", "L", float))
+                L=_read(d, "grid", "L", _positive))
 
 
 # SimConfig field: (config section, key, converter).  An absent key takes
 # the field's default, and so does null where that default is None.
 _SIM_FIELDS = {
     "t_end": ("time", "t_end", _positive),
-    "cfl": ("time", "cfl", float),
-    "dt": ("time", "dt", float),
+    "cfl": ("time", "cfl", _positive),
+    "dt": ("time", "dt", _positive),
     "dealias": ("config", "dealias", _boolean),
     "cadence": ("diagnostics", "cadence", _positive),
     "sobolev_n": ("diagnostics", "sobolev_n", _integer(0)),
@@ -319,7 +320,7 @@ def parse_decay_config(d: dict):
     bump = {key: _read(bump, "bump", key, conv)
             for key, conv in _BUMP_FIELDS.items() if key in bump}
     times = _section(d, "times", {"t1", "t2", "n"}, required=True)
-    t1, t2 = (_read(times, "times", key, float) for key in ("t1", "t2"))
+    t1, t2 = (_read(times, "times", key, _finite) for key in ("t1", "t2"))
     # the fit's ci95 needs more than two points
     n = _read(times, "times", "n", _integer(3), 12)
     tw = wrap_time(grid, state)

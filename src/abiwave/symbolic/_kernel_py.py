@@ -29,8 +29,9 @@ fields splits into two ``int64`` halves of nine fields each
 unpack those halves into an ``(n, 18)`` exponent array
 (:func:`exponents`).  :func:`degree` is a row sum and max over that
 array.  A :class:`TermTable` holds many polynomials over one index of
-their distinct monomials; it is built from term dicts or straight from
-arrays (the tensor build), and the float gates (:func:`evaluator`), the
+their distinct monomials; it is built from term dicts (Python int
+coefficients) or straight from arrays (the tensor build, int64
+coefficients), and the float gates (:func:`evaluator`), the
 tensor statistics, the chaplygin block and the exact reduction all
 read it.  :func:`distinct` numbers the distinct rows of an exponent
 array, and :func:`merge` sums equal (row, monomial) terms.
@@ -55,6 +56,8 @@ _HALF_FIELDS = NVARS // 2
 _HALF_BITS = BITS * _HALF_FIELDS
 _LOW = (1 << _HALF_BITS) - 1
 _SHIFTS = np.arange(_HALF_FIELDS, dtype=np.int64) * BITS
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+_LOW32 = (1 << 32) - 1
 # (unit-vector base, cosine base) of the frequency slots xi, eta and
 # xi - eta: three variables from each base (see abiwave.symbolic.poly)
 SLOT_BASES = ((0, 9), (3, 12), (6, 15))
@@ -235,13 +238,19 @@ class TermTable:
       ints, decoded from ``exps`` on first use;
     * ``rows`` and ``cols``: for every term, its polynomial (row) and
       its monomial column; terms are stored row by row;
-    * ``coefs``: the exact coefficients, Python ints in an object array;
+    * ``coefs``: the exact coefficients, nonzero, in one of two dtypes:
+      ``int64`` (the tensor build and the tables derived from it) or
+      ``object`` holding Python ints (tables read from term dicts,
+      whose coefficients may have any size);
     * ``sizes``: the number of terms of each row.
 
     ``TermTable(polys)`` builds it in one Python pass over an iterable
     of term dicts, numbering the keys on sight; :meth:`from_arrays`
     takes the arrays as they are.  ``len(table)`` is the number of
-    terms, and :meth:`polys` reads the rows back as term dicts.
+    terms, and :meth:`polys` reads the rows back as term dicts, with
+    Python int coefficients whatever the dtype.  An operation whose
+    ``int64`` sums could leave the int64 range first moves the table to
+    Python ints (:meth:`widened`), so every result is exact.
     """
 
     def __init__(self, polys):
@@ -267,7 +276,8 @@ class TermTable:
         """A table of ``nrows`` rows from its arrays, taken as they are.
 
         ``rows`` must be sorted, each (row, column) pair may occur once
-        and every coefficient (a Python int) must be nonzero.
+        and every coefficient must be nonzero; ``coefs`` is an ``int64``
+        array or an object array of Python ints.
         """
         table = cls.__new__(cls)
         table.exps, table.rows, table.cols, table.coefs = (exps, rows, cols,
@@ -296,8 +306,33 @@ class TermTable:
             yield dict(zip(terms[start:stop], coefs[start:stop]))
             start = stop
 
+    def widened(self, factor: int = 1) -> "TermTable":
+        """This table, or a copy with Python int coefficients.
+
+        An ``int64`` table is copied when ``factor`` times the sum of
+        its absolute coefficients reaches 2**63.  Below that bound, int64
+        arithmetic is exact for any sums of products ``c * f`` in which
+        the factors ``f`` of each coefficient ``c`` have absolute values
+        summing to at most ``factor``: no partial sum can reach 2**63.
+        """
+        if self.coefs.dtype == object:
+            return self
+        # |c| as uint64 is exact, also for -2**63; summing its 32-bit
+        # halves apart cannot wrap
+        mag = np.abs(self.coefs).view(np.uint64)
+        total = (int((mag >> 32).sum()) << 32) + int((mag & _LOW32).sum())
+        if total * factor < 2 ** 63:
+            return self
+        return TermTable.from_arrays(self.exps, self.rows, self.cols,
+                                     self.coefs.astype(object),
+                                     len(self.sizes))
+
     def plus_constant(self, row: int, c: int) -> "TermTable":
-        """A new table: this one with ``c`` added to one row's constant term."""
+        """A new table: this one with ``c`` added to one row's constant term.
+
+        An ``int64`` table whose new constant leaves the int64 range
+        comes back with Python int coefficients.
+        """
         exps = self.exps
         zero = np.flatnonzero(~exps.any(axis=1))
         if len(zero):
@@ -308,9 +343,15 @@ class TermTable:
         stop = int(self.sizes[:row + 1].sum())
         start = stop - int(self.sizes[row])
         hit = start + np.flatnonzero(self.cols[start:stop] == col)
-        rows, cols, coefs = self.rows, self.cols, self.coefs.copy()
+        # the (row, col) pair occurs at most once
+        value = sum(self.coefs[hit].tolist()) + c
+        rows, cols, coefs = self.rows, self.cols, self.coefs
+        if coefs.dtype != object and not _INT64_MIN <= value <= _INT64_MAX:
+            coefs = coefs.astype(object)
+        else:
+            coefs = coefs.copy()
         if len(hit):
-            coefs[hit] += c
+            coefs[hit] = value
             keep = coefs != 0
             rows, cols, coefs = rows[keep], cols[keep], coefs[keep]
         elif c:

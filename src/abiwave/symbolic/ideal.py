@@ -72,11 +72,13 @@ def build_ideal_generators(eps2: int, eps3: int) -> list[dict]:
     return gens
 
 
-def _trinomials(top: int):
+def _trinomials(top: int, dtype):
     """The terms c A^j B^l of (1 - A - B)^m for m = 0..top.
 
-    Returns the arrays j, l and c (Python ints) of all terms, m by m, and
-    each m's first term and term count.
+    Returns the arrays j, l and c of all terms, m by m, and each m's
+    first term and term count.  ``c`` has the coefficient dtype of the
+    table being reduced: ``int64``, which holds every c for top <= 39
+    (|c| <= 3^m), or ``object`` for Python ints.
     """
     j, l, c = [], [], []
     for m in range(top + 1):
@@ -87,24 +89,23 @@ def _trinomials(top: int):
                 c.append((-1) ** (a + b) * comb(m, a) * comb(m - a, b))
     size = np.array([(m + 1) * (m + 2) // 2 for m in range(top + 1)],
                     dtype=np.int64)
-    coefs = np.empty(len(c), dtype=object)
-    coefs[:] = c
-    return (np.array(j, dtype=np.int64), np.array(l, dtype=np.int64), coefs,
-            np.cumsum(size) - size, size)
+    return (np.array(j, dtype=np.int64), np.array(l, dtype=np.int64),
+            np.array(c, dtype=dtype), np.cumsum(size) - size, size)
 
 
-def _stage2(monos: np.ndarray):
+def _stage2(monos: np.ndarray, dtype):
     """Stage two of each stage-one monomial: (owner, reduced exps, coefs).
 
     X_v^(2m+r) -> (1 - X_a^2 - X_b^2)^m X_v^r for every (v, a, b) in
     ``_STAGE2``.  Row n of the result is a term of the expansion of
     ``monos[owner[n]]``; ``owner`` is sorted, and the reduced monomials
     of one owner are distinct, since no partner is rewritten itself.
+    The coefficients have ``dtype``, the coefficient dtype of the table.
     """
     owner = np.arange(len(monos))
-    coefs = np.ones(len(monos), dtype=object)
+    coefs = np.ones(len(monos), dtype=dtype)
     top = int(monos[:, [v for v, _, _ in _STAGE2]].max(initial=0)) // 2
-    tri_j, tri_l, tri_c, tri_start, tri_size = _trinomials(top)
+    tri_j, tri_l, tri_c, tri_start, tri_size = _trinomials(top, dtype)
     for var, pa, pb in _STAGE2:
         m = monos[:, var] >> 1
         if not m.any():
@@ -141,10 +142,17 @@ def reduce_terms(table: TermTable, s: int) -> dict:
     """Normal forms of a term table's rows modulo the orientation-s ideal.
 
     Returns ``{row: residue term dict}`` for the rows whose normal form
-    is nonzero.  The steps:
+    is nonzero, with Python int coefficients.  The steps:
 
     1. the packing bound is checked once, on ``table.exps``: stage one
-       keeps the total degree and stage two never raises it;
+       keeps the total degree and stage two never raises it.  So is the
+       int64 bound of an ``int64`` table: stage one only changes signs
+       and stage two expands a monomial of degree d into terms whose
+       absolute coefficients sum to at most 3^(d // 2), so every int64
+       sum of the reduction is exact while sum |c| * 3^(d // 2) < 2**63;
+       past it the table moves to Python ints once, here
+       (:meth:`~abiwave.symbolic._kernel_py.TermTable.widened`), and the
+       same steps run on them;
     2. stage one moves exponent columns of the distinct monomials, and
        the terms of monomials with an odd power of s change sign;
     3. terms are merged by (row, stage-one monomial);
@@ -152,28 +160,27 @@ def reduce_terms(table: TermTable, s: int) -> dict:
     5. each merged term is multiplied out against its monomial's
        expansion, and the products are merged by (row, reduced monomial).
     """
-    if table.degree() > _kernel_py.MAX_EXP:
+    degree = table.degree()
+    if degree > _kernel_py.MAX_EXP:
         raise OverflowError("degree exceeds packing capacity")
     if not len(table):
         return {}
+    table = table.widened(3 ** (degree // 2))
     monos, rows, mono, coefs = _stage1(table, s)
 
-    owner, reduced, red_coefs = _stage2(monos)
+    owner, reduced, red_coefs = _stage2(monos, coefs.dtype)
     reduced, red_id = _kernel_py.distinct(reduced)
     count = np.bincount(owner, minlength=len(monos))
     size = count[mono]
     at = _kernel_py.ranges((np.cumsum(count) - count)[mono], size)
     rep = np.repeat(np.arange(len(mono)), size)
-    coefs = coefs[rep]
-    red_coefs = red_coefs[at]
-    scaled = red_coefs != 1  # most expansions are the monomial itself
-    coefs[scaled] = coefs[scaled] * red_coefs[scaled]
-    rows, mono, coefs = _kernel_py.merge(rows[rep], red_id[at], coefs,
+    rows, mono, coefs = _kernel_py.merge(rows[rep], red_id[at],
+                                         coefs[rep] * red_coefs[at],
                                          len(reduced))
 
     residues: dict = {}
     keys = _kernel_py.join_halves(_kernel_py.pack_halves(reduced[mono]))
-    for row, key, c in zip(rows.tolist(), keys, coefs):
+    for row, key, c in zip(rows.tolist(), keys, coefs.tolist()):
         residues.setdefault(row, {})[key] = c
     return residues
 

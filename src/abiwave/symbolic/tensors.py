@@ -19,7 +19,8 @@ The projector entries are term dicts of
 [line][col] in row 10 line + col).  The contractions run on NumPy
 arrays: every monomial is one int64 mixed-radix code, so a monomial
 product is a code sum, and the result is the tensor's
-:class:`~abiwave.symbolic._kernel_py.TermTable`, which
+:class:`~abiwave.symbolic._kernel_py.TermTable`, with the int64
+coefficients the contractions computed, which
 :class:`InteractionTensor` holds with the scale; it states the factor
 -i that the entries leave out, and cuts the (tau, v) block of the
 chaplygin subsystem from it (:meth:`InteractionTensor.chaplygin_block`).
@@ -177,7 +178,7 @@ class InteractionTensor:
         (row, monomial) terms are merged.
         """
         shape = CHAPLYGIN_SHAPES[self.which]
-        t = self.table
+        t = self.table.widened()  # the merge's int64 sums stay exact
         i, j, k = np.unravel_index(t.rows, self.shape)
         alive = ~t.exps[:, _BETA_DELTA].any(axis=1)
         keep = ((i < shape[0]) & (j < shape[1]) & (k < shape[2])
@@ -270,7 +271,8 @@ def build_interaction_tensor(eps: tuple[int, int, int],
       (entry, code) merge key is an int64;
     * the sum of |coefficient| over every product of the direct triple
       expansion is below 2**63.  It bounds every int64 partial sum of
-      both stages, so the coefficients are exact.
+      both stages, so the coefficients are exact; the table keeps them
+      as int64.
     """
     e1, e2, e3 = eps
     if which not in ("evolution", "constraint"):
@@ -352,6 +354,6 @@ def build_interaction_tensor(eps: tuple[int, int, int],
         rest, exps[:, v] = np.divmod(rest, r)
     order = np.argsort(entry.astype(np.int16), kind="stable")
     table = _kernel_py.TermTable.from_arrays(
-        exps, entry[order], cols[order], coef[order].astype(object), nentries)
+        exps, entry[order], cols[order], coef[order], nentries)
     return InteractionTensor(eps=(e1, e2, e3), which=which, table=table,
                              scale_log2=scale)

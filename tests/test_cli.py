@@ -547,6 +547,45 @@ def test_bad_flag_value_exits_1_naming_the_flag(tmp_path, monkeypatch,
     assert not any(tmp_path.iterdir())  # no output, not even a directory
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "grid", "L", "50"),
+    ("simulate", "grid", "L", True),
+    ("decay-report", "grid", "L", "50"),
+    ("simulate", "time", "cfl", "0.4"),
+    ("simulate", "time", "dt", "0.1"),
+    ("decay-report", "times", "t1", "1.0"),
+    ("decay-report", "times", "t2", True),
+], ids=["L-str", "L-bool", "decay-L-str", "cfl-str", "dt-str", "t1-str",
+        "t2-bool"])
+def test_dry_run_rejects_a_number_given_as_text_or_bool(tmp_path, capsys,
+                                                        command, section,
+                                                        key, value):
+    if command == "simulate":
+        _, raw = small_sim_config(tmp_path)
+    else:
+        raw = _decay_config(tmp_path)
+    raw[section][key] = value
+    path = _write(tmp_path, raw)
+    assert run_cli(command, "--config", str(path), "--dry-run") \
+        == cli.EXIT_USAGE
+    assert f"{section}.{key}: must be a finite number" \
+        in _one_stderr_line(capsys)
+
+
+def test_a_list_is_no_finite_number(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("check-identities", "--tolerance", "1,2") == cli.EXIT_USAGE
+    assert ("argument --tolerance: must be a finite number, got [1.0, 2.0]"
+            in _one_stderr_line(capsys))
+    _, raw = small_sim_config(tmp_path)
+    raw["time"]["t_end"] = [1.0]
+    path = _write(tmp_path, raw)
+    assert run_cli("simulate", "--config", str(path), "--dry-run") \
+        == cli.EXIT_USAGE
+    assert ("time.t_end: must be a finite number, got [1.0]"
+            in _one_stderr_line(capsys))
+
+
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
                  .glob("*.json"))
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from abiwave.resonance import InteractionSpec
-from abiwave.symbolic import tensors
+from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic._kernel_py import TermTable, pack
 
 from tensors_reference import build_entries, chaplygin_block
@@ -35,7 +35,14 @@ def test_every_tensor_entry_matches_triple_product_oracle(eps, which):
     assert list(table.polys()) == want_rows
     assert np.all(np.diff(table.rows) >= 0)
     assert len(set(table.keys)) == len(table.keys)
-    assert all(type(c) is int and c for c in table.coefs)
+    _assert_int64_coefficients(table)
+
+
+def _assert_int64_coefficients(table):
+    """Nonzero int64 coefficients, read back as Python ints."""
+    assert table.coefs.dtype == np.int64
+    assert np.all(table.coefs != 0)
+    assert all(type(c) is int for t in table.polys() for c in t.values())
 
 
 def _terms(table):
@@ -59,10 +66,10 @@ def test_built_table_matches_table_of_oracle_entries(eps, which):
     assert len(got) == len(want) == len(_terms(got))
     assert _terms(got) == _terms(want)
     # the table's own contract: terms row by row, distinct monomials,
-    # nonzero Python int coefficients
+    # nonzero int64 coefficients that read back as Python ints
     assert np.all(np.diff(got.rows) >= 0)
     assert len(set(got.keys)) == len(got.keys)
-    assert all(type(c) is int and c for c in got.coefs)
+    _assert_int64_coefficients(got)
 
 
 def _scaled_projectors(monkeypatch, factor):
@@ -85,6 +92,26 @@ def test_int64_sums_stay_exact_up_to_the_bound(monkeypatch):
     _scaled_projectors(monkeypatch, 2 ** 16)
     with pytest.raises(OverflowError, match="int64"):
         tensors.build_interaction_tensor((1, 1, 1))
+
+
+def test_scaled_tensor_past_the_reduction_bound_reduces_exactly(monkeypatch):
+    # entries 2^45 times those of (+,++): sum |c| * 3^(13 // 2) passes
+    # 2^63, so the reduction moves the table to Python ints at entry
+    _scaled_projectors(monkeypatch, 2 ** 15)
+    T = tensors.build_interaction_tensor((1, 1, 1))
+    table = T.table.plus_constant(123, 1)  # entry (1, 2, 3)
+    assert table.coefs.dtype == np.int64
+    assert sum(abs(c) for c in table.coefs.tolist()) * 3 ** 6 >= 2 ** 63
+    wide = table.widened(3 ** (table.degree() // 2))
+    assert wide is not table and wide.coefs.dtype == object
+    python_ints = TermTable.from_arrays(table.exps, table.rows, table.cols,
+                                        table.coefs.astype(object),
+                                        len(table.sizes))
+    want = ideal.reduce_terms(python_ints, 1)
+    assert want == {123: {0: 1}}
+    assert ideal.reduce_terms(table, 1) == want
+    # the chaplygin block stays in int64, below the merge's bound
+    assert T.chaplygin_block()[1].coefs.dtype == np.int64
 
 
 def test_tensor_build_rejects_coefficient_2_to_40(monkeypatch):

@@ -59,6 +59,63 @@ def test_every_tensor_entry_matches_dict_oracle(eps, which):
         assert ideal.reduce_terms(TermTable(polys), s) == want
 
 
+def _with_coefs(table, dtype):
+    """A copy of a term table with its coefficients cast to ``dtype``."""
+    return TermTable.from_arrays(table.exps, table.rows, table.cols,
+                                 table.coefs.astype(dtype), len(table.sizes))
+
+
+@pytest.mark.parametrize("eps,which", INTERACTIONS,
+                         ids=[InteractionSpec(*e).label().replace("0", "'")
+                              for e, _ in INTERACTIONS])
+def test_int64_tables_reduce_as_their_python_int_copies(eps, which,
+                                                        monkeypatch):
+    # differential test against the Python-int arithmetic the reduction
+    # ran before it kept the build's int64 coefficients
+    T = tensors.build_interaction_tensor(eps, which)
+    s = eps[1] * eps[2]
+    # (table, its nonzero residues); a constraint block is empty
+    cases = [(T.table, {}), (T.chaplygin_block()[1], {})]
+    if eps == (1, 1, 1):
+        # entry (1, 2, 3) plus one
+        cases.append((T.table.plus_constant(123, 1), {123: {0: 1}}))
+    kept = []
+    widened = TermTable.widened
+
+    def spy(table, factor=1):
+        out = widened(table, factor)
+        kept.append(out is table)
+        return out
+
+    monkeypatch.setattr(TermTable, "widened", spy)
+    for table, want in cases:
+        assert table.coefs.dtype == np.int64
+        kept.clear()
+        got = ideal.reduce_terms(table, s)
+        # reduced in int64: no real table is converted
+        assert kept == ([True] if len(table) else [])
+        assert got == want
+        assert got == ideal.reduce_terms(_with_coefs(table, object), s)
+        assert all(type(c) is int for r in got.values() for c in r.values())
+
+
+def test_mutated_certificate_is_the_same_from_python_ints(monkeypatch):
+    args = ((1, 1, 1), "evolution")
+    want = C.certify(*args, preflight=False, mutate_entry=(1, 2, 3))
+    build = C.build_interaction_tensor
+
+    def python_int_build(eps, which):
+        T = build(eps, which)
+        T.table = _with_coefs(T.table, object)
+        return T
+
+    monkeypatch.setattr(C, "build_interaction_tensor", python_int_build)
+    got = C.certify(*args, preflight=False, mutate_entry=(1, 2, 3))
+    assert (got.entries_total, got.entries_nonzero, got.witnesses) == \
+        (want.entries_total, want.entries_nonzero, want.witnesses)
+    assert got.witnesses[0]["entry"] == [1, 2, 3]
+
+
 _exp = st.integers(0, 2)
 _monomial = st.lists(_exp, min_size=18, max_size=18).map(pack)
 _coef = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
@@ -80,6 +137,60 @@ def test_drawn_tables_match_dict_oracle(rows, s):
     table = TermTable(rows)
     assert len(table) == sum(map(len, rows))
     assert ideal.reduce_terms(table, s) == _oracle(rows, s)
+
+
+_int64 = st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63 - 1),
+                   st.sampled_from([-2 ** 63, 2 ** 63 - 1]))
+_row64 = st.dictionaries(_monomial, _int64, max_size=6).map(
+    lambda d: {k: c for k, c in d.items() if c})
+
+
+@settings(deadline=None, max_examples=80)
+@given(rows=st.lists(_row64, max_size=6), s=st.sampled_from([1, -1]))
+# X7 -> s X4 merges 2^62 + 2^62 in stage one, past int64
+@example(rows=[{_mono(X4=1): 2 ** 62, _mono(X7=1): 2 ** 62}], s=1)
+@example(rows=[{_mono(X4=1): 2 ** 62, _mono(X7=1): -2 ** 62}], s=-1)
+# the sign flip of -2^63; a stage-two rewrite that cancels a term
+@example(rows=[{_mono(X7=1): -2 ** 63}], s=-1)
+@example(rows=[{_mono(X3=2): 2 ** 62, _mono(X1=2): 2 ** 62}], s=1)
+# (1 - X1^2 - X2^2)^2 has the term 2 X1^2 X2^2: a residue of 2^63
+@example(rows=[{_mono(X3=4): 2 ** 62}], s=1)
+@example(rows=[{_mono(X3=2, X6=2): 3, 0: -3}], s=1)
+def test_drawn_int64_tables_match_dict_oracle(rows, s):
+    table = _with_coefs(TermTable(rows), np.int64)
+    got = ideal.reduce_terms(table, s)
+    assert got == _oracle(rows, s)
+    assert all(type(c) is int for r in got.values() for c in r.values())
+
+
+_MAX64 = 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("row, c", [(0, 1), (0, -1), (0, -_MAX64),
+                                    (1, 1), (1, 2 ** 63), (1, 0), (0, 2 ** 70)])
+def test_plus_constant_on_an_int64_table_stays_exact(row, c):
+    rows = [{0: _MAX64, _mono(X1=1): -2 ** 63}, {_mono(X2=1): 5}]
+    table = _with_coefs(TermTable(rows), np.int64)
+    want = [dict(t) for t in rows]
+    want[row][0] = want[row].get(0, 0) + c
+    if not want[row][0]:
+        del want[row][0]
+    got = table.plus_constant(row, c)
+    assert list(got.polys()) == want
+    assert list(table.polys()) == rows  # the original is unchanged
+    assert table.coefs.dtype == np.int64
+    fits = all(-2 ** 63 <= v <= _MAX64 for t in want for v in t.values())
+    assert got.coefs.dtype == (np.int64 if fits else object)
+
+
+def test_chaplygin_block_of_an_int64_table_sums_exactly():
+    # alpha = 1 takes X10 and X10^2 of entry (0, 0, 0) to one constant
+    entries = [{_mono(X10=1): 2 ** 62, _mono(X10=2): 2 ** 62}] + [{}] * 999
+    T = tensors.InteractionTensor(
+        eps=(1, 1, 1), which="evolution", scale_log2=3,
+        table=_with_coefs(TermTable(entries), np.int64))
+    _, block = T.chaplygin_block()
+    assert next(block.polys()) == {0: 2 ** 63}
 
 
 @settings(deadline=None, max_examples=80)
