@@ -29,7 +29,10 @@ signs (rows 0-1: ``-tau div b + b.grad tau`` and its d twin; rows 2-4:
 ``-tau curl v + b.grad d - d.grad b``).
 
 Real fields are stored as half spectra, exactly as ``scipy.fft.rfftn``
-computes them (:meth:`abiwave.grid.Grid.rfwd`).  ``rfftn`` uses the
+computes them (:meth:`abiwave.grid.Grid.rfwd`, which calls SciPy's
+compiled pocketfft module with ``rfftn``'s arguments, ``inorm`` 0
+forward and 2 inverse, without importing ``scipy.fft``; the results are
+bitwise those of ``scipy.fft``).  ``rfftn`` uses the
 opposite exponent sign, so at lattice index q it computes F[f](-q): the
 stored half spectrum is the transform above on the modes kz <= 0, and
 ``Grid.kvec`` gives the mode at index q its wavevector -q.  Because

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abiwave import diagnostics as D
-from abiwave import model, spectral
+from abiwave import grid as grid_module, model, spectral
 from abiwave.fields import StateField
 from abiwave.grid import Grid
 from abiwave.state import ConstantState
@@ -110,17 +110,15 @@ def test_dispersion_probe_continuity_and_unitarity():
 
 
 def test_dispersion_probe_transforms_the_bump_component_alone(monkeypatch):
-    import scipy.fft
-
     g = Grid(N=32, L=2 * np.pi * 8)
     st = ConstantState(tau0=1.0, b0=(0.3, 0.0, 0.1))
     shapes = []
 
-    def spy(x, *args, _fn=scipy.fft.rfftn, **kwargs):
+    def spy(x, *args, _fn=grid_module.r2c, **kwargs):
         shapes.append(np.shape(x))
         return _fn(x, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfftn", spy)
+    monkeypatch.setattr(grid_module, "r2c", spy)
     D.dispersion_probe(st, g, [1.0, 2.0], sigma=1.5, component=4)
     assert shapes == [(g.N,) * 3]
     # bitwise the spectrum of the whole bump field: the other nine

@@ -15,7 +15,7 @@ content included.
 import numpy as np
 import pytest
 
-from abiwave import model, simulate, spectral
+from abiwave import grid as grid_module, model, simulate, spectral
 from abiwave.fields import StateField
 from abiwave.grid import Grid
 from conftest import random_state
@@ -58,7 +58,8 @@ def test_transforms_match_full_lattice(grid16, rng):
 
 def test_transforms_are_bare_scipy_bitwise(grid16, rng, monkeypatch):
     # the stored half spectrum is what rfftn computes: no conjugate on
-    # the way in or out, and rinv hands irfftn the caller's array itself
+    # the way in or out, and rinv hands the inverse transform the
+    # caller's array itself
     import scipy.fft
 
     g = grid16
@@ -69,29 +70,100 @@ def test_transforms_are_bare_scipy_bitwise(grid16, rng, monkeypatch):
     assert np.array_equal(g.rinv(fh), scipy.fft.irfftn(fh, s=s, axes=axes))
     inputs = []
 
-    def spy(x, *args, _fn=scipy.fft.irfftn, **kwargs):
+    def spy(x, *args, _fn=grid_module.c2r, **kwargs):
         inputs.append(x)
         return _fn(x, *args, **kwargs)
-    monkeypatch.setattr(scipy.fft, "irfftn", spy)
+    monkeypatch.setattr(grid_module, "c2r", spy)
     g.rinv(fh)
     assert len(inputs) == 1 and inputs[0] is fh
 
 
-def test_transforms_read_scipy_fft_at_call_time(grid16, rng, monkeypatch):
-    # a function replaced on scipy.fft after import (the benchmark
-    # tracer wraps them) sees every transform of the grid
-    import scipy.fft
-
+def test_transforms_read_the_grid_functions_at_call_time(grid16, rng,
+                                                         monkeypatch):
+    # a function replaced on abiwave.grid after import sees every
+    # transform of the grid
     calls = []
-    for name in ("rfftn", "irfftn"):
-        def spy(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+    for name in ("r2c", "c2r"):
+        def spy(*args, _fn=getattr(grid_module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.fft, name, spy)
+        monkeypatch.setattr(grid_module, name, spy)
     fh = grid16.rfwd(rng.normal(size=(2,) + (grid16.N,) * 3))
     grid16.rinv(fh)
     grid16.gradient(fh)
-    assert calls == ["rfftn", "irfftn", "irfftn"]
+    assert calls == ["r2c", "c2r", "c2r"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("fields", [1, 3, 10])
+def test_transforms_match_the_public_scipy_api_bitwise(monkeypatch, threads,
+                                                       n, fields):
+    # the grid calls SciPy's private compiled module; this pins its
+    # signature and arguments to what scipy.fft.rfftn and irfftn pass
+    import scipy.fft
+
+    monkeypatch.setenv("ABI_THREADS", threads)
+    g = Grid(N=n, L=2 * np.pi * 3)
+    axes, s, workers = (-3, -2, -1), (n,) * 3, int(threads)
+    shape = (fields,) + s if fields > 1 else s
+    rng = np.random.default_rng(1000 * n + fields)
+    f = rng.normal(size=shape)
+    fh = g.rfwd(f)
+    assert np.array_equal(fh, scipy.fft.rfftn(f, axes=axes, workers=workers))
+    assert np.array_equal(g.rinv(fh), scipy.fft.irfftn(
+        fh, s=s, axes=axes, workers=workers))
+    # a strided half-spectrum view, as a full-lattice array cut to n_half
+    full = (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    vh = full[..., :g.n_half]
+    assert not vh.flags.c_contiguous
+    assert np.array_equal(g.rinv(vh), scipy.fft.irfftn(
+        vh, s=s, axes=axes, workers=workers))
+    # strided real input: every other point of a 2n lattice
+    fs = rng.normal(size=shape[:-3] + (2 * n,) * 3)[..., ::2, ::2, ::2]
+    assert np.array_equal(g.rfwd(fs), scipy.fft.rfftn(
+        fs, axes=axes, workers=workers))
+    grad = g.gradient(fh)
+    for j, ik in enumerate(g._ikvec):
+        assert np.array_equal(grad[..., j, :, :, :], scipy.fft.irfftn(
+            ik * fh, s=s, axes=axes, workers=workers))
+
+
+def test_transforms_pass_scipys_arguments(grid16, rng, monkeypatch):
+    # the thread count does not change a result, so the bitwise test
+    # cannot see it: record what reaches the compiled module
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            def record(a, *args):
+                calls.append((name, a.shape) + args)
+                return getattr(module, name)(a, *args)
+            return record
+
+    module = grid_module._fft()
+    monkeypatch.setattr(grid_module, "_fft", Recorder)
+    monkeypatch.setenv("ABI_THREADS", "2")
+    fh = grid16.rfwd(rng.normal(size=(2,) + (grid16.N,) * 3))
+    grid16.rinv(fh[0])
+    n, half = grid16.N, grid16.n_half
+    assert calls == [("r2c", (2, n, n, n), [1, 2, 3], True, 0, None, 2),
+                     ("c2r", (n, n, half), [0, 1, 2], n, False, 2, None, 2)]
+
+
+def test_an_integer_field_transforms_as_scipy_does(grid16, rng):
+    import scipy.fft
+
+    f = rng.integers(-5, 5, size=(2,) + (grid16.N,) * 3)
+    fh = grid16.rfwd(f)
+    assert fh.dtype == np.complex128
+    assert np.array_equal(fh, scipy.fft.rfftn(f, axes=(-3, -2, -1)))
+    assert np.array_equal(grid16.rfwd(f > 0), grid16.rfwd((f > 0) * 1.0))
+    # the compiled module would raise a bare "unsupported data type"
+    with pytest.raises(TypeError, match="real fields, got dtype complex128"):
+        grid16.rfwd(fh)
+    with pytest.raises(TypeError, match="half spectra, got dtype float64"):
+        grid16.rinv(fh.real)
 
 
 def test_sobolev_weight_is_cached_per_s_bitwise(grid16, rng):

@@ -1,12 +1,15 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes,
 every function the benchmark tracer wraps or counts exists in the
 package, the package transforms real fields with rfftn/irfftn only,
-the certifier runs without SciPy, the dict contraction is no second
+the certifier runs without SciPy and the solver without the
+``scipy.fft`` package, the dict contraction is no second
 tensor build, and only ``cli.main`` turns an exception into an exit
 code."""
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -104,14 +107,58 @@ abiwave.cli.RunManifest("verify-symbols", {}).write(sys.argv[1])
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
+# the solver loads SciPy's compiled pocketfft module alone, not the
+# scipy.fft package (whose import loads scipy.special and SciPy's
+# array-API layer)
+_SOLVE_WITHOUT_SCIPY_FFT = """
+import contextlib, sys
+import abiwave.cli
+with contextlib.redirect_stdout(sys.stderr):
+    for command in ("simulate", "decay-report"):
+        config = f"{sys.argv[1]}/{command}.json"
+        assert abiwave.cli.main([command, "--config", config]) == 0
+loaded = sorted(m for m in ("scipy.fft", "scipy.special",
+                            "scipy._lib._array_api") if m in sys.modules)
+# the transforms registered the module they loaded, and a later import
+# of scipy.fft reuses it
+import abiwave.grid
+module = abiwave.grid._fft()
+assert sys.modules["scipy.fft._pocketfft.pypocketfft"] is module
+import scipy.fft
+assert scipy.fft._pocketfft.basic.pfft is module
+print(loaded)
+"""
 
-def test_certifier_loads_no_scipy(tmp_path):
-    # the certifier needs numpy only; scipy.fft loads at the first
-    # transform, which no import, certificate or manifest makes
+
+def _solver_configs(tmp_path):
+    """A 16^3 desk run and a small decay report, written to tmp_path."""
+    desk = json.loads((ROOT / "configs" / "desk.json").read_text())
+    desk["grid"]["N"] = 16
+    desk["time"]["t_end"] = 1.0
+    desk["output"] = {"dir": str(tmp_path / "sim"), "snapshots": [0.0, 1.0]}
+    decay = json.loads((ROOT / "configs" / "decay.json").read_text())
+    decay["grid"] = {"N": 16, "L": 2 * math.pi * 5}
+    decay["bump"]["sigma"] = 1.5
+    decay["times"] = {"t1": 1.0, "t2": 6.0, "n": 4}
+    decay["output"]["dir"] = str(tmp_path / "decay")
+    for name, raw in (("simulate", desk), ("decay-report", decay)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize("script, configs", [
+    (_CERTIFY_WITHOUT_SCIPY, None),
+    (_SOLVE_WITHOUT_SCIPY_FFT, _solver_configs),
+], ids=["certify", "solve"])
+def test_certifier_loads_no_scipy(tmp_path, script, configs):
+    # the certifier needs numpy only; SciPy's pocketfft module loads at
+    # the first transform, which no import, certificate or manifest
+    # makes, and a transform loads no other SciPy module
+    if configs is not None:
+        configs(tmp_path)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", _CERTIFY_WITHOUT_SCIPY, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

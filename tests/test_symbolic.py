@@ -440,6 +440,47 @@ def test_certify_chaplygin_subsystem():
     assert cert.verified and cert.entries_total > 0
 
 
+@pytest.mark.parametrize("eps", [(0, 1, 1), (0, 1, -1), (0, -1, 1),
+                                 (0, -1, -1)])
+def test_constraint_chaplygin_block_vanishes_by_the_algebra(eps):
+    # the (5, 4, 4) block of a constraint tensor holds one term of the
+    # constraint table, -tau curl v, differentiated in the xi - eta slot.
+    # At alpha = 1, beta = delta = 0 a wave branch there carries a
+    # longitudinal v (parallel to the slot's unit vector), so the curl
+    # drops and the block is empty: its certificate reduces 0 entries
+    # because the claim holds trivially, not because the cut is wrong
+    from abiwave.spectral import compose_interaction, projector
+
+    chaplygin = ConstantState(tau0=1.0)  # alpha = 1, beta = delta = 0
+    xi, eta = C.sample_off_axis(np.random.default_rng(3), 30)
+    w = xi - eta
+    unit = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    v_columns = np.swapaxes(projector(w, chaplygin, eps[1])[:, 1:4, :4], 1, 2)
+    assert np.max(np.abs(np.cross(unit[:, None], v_columns))) <= 1e-15
+    # the float oracle: the block vanishes at the chaplygin background,
+    # though neither the rest of the tensor nor the evolution block does
+    ref = compose_interaction(xi, eta, chaplygin, eps, "constraint")
+    assert np.max(np.abs(ref[:, :, :4, :4])) <= 1e-15 * np.max(np.abs(ref))
+    evo = compose_interaction(xi, eta, chaplygin, (1,) + eps[1:])
+    assert np.max(np.abs(evo[:, :4, :4, :4])) >= 0.1 * np.max(np.abs(evo))
+    # ... and off that background the same block does not vanish
+    off = compose_interaction(xi, eta, STATE, eps, "constraint")
+    assert np.max(np.abs(off[:, :, :4, :4])) >= 0.1 * np.max(np.abs(off))
+    # the exact side: the block has terms free of beta and delta (those
+    # of -tau curl v), and they cancel once alpha = 1 merges them
+    T = tensors.build_interaction_tensor(eps, "constraint")
+    _, j, k = np.unravel_index(T.table.rows, T.shape)
+    in_block = (j < 4) & (k < 4)
+    free = ~T.table.exps[:, tensors._BETA_DELTA].any(axis=1)
+    assert np.count_nonzero(in_block & free[T.table.cols]) > 0
+    index, table = T.chaplygin_block()
+    assert index == list(np.ndindex(5, 4, 4)) and len(table.coefs) == 0
+    X = ideal.numeric_embedding(xi, eta, chaplygin)
+    assert not np.any(T.evaluator()(X)[:, :, :4, :4])
+    cert = C.certify(eps, "constraint", preflight=False, subsystem="chaplygin")
+    assert cert.verified and cert.entries_total == cert.entries_nonzero == 0
+
+
 def test_chaplygin_certificate_never_reads_term_dicts(monkeypatch):
     # the block is cut from the term table; no entry becomes a term dict
     def refuse(*args):

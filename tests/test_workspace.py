@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abiwave import diagnostics, model, simulate, system
+from abiwave import diagnostics, grid as grid_module, model, simulate, system
 from abiwave.fields import StateField
 from abiwave.grid import Grid
 from abiwave.spectral import _geometry
@@ -141,19 +141,18 @@ def test_step_and_sample_stay_within_four_spectra(manifold_bg):
 
 
 def _count_transforms(monkeypatch):
-    """Fields given to scipy.fft's real transforms, the 10-field
+    """Fields given to abiwave.grid's real transforms, the 10-field
     syntheses among them and the fields analysed."""
-    import scipy.fft
-
     seen = {"fields": 0, "states": 0, "forward": 0}
-    for name in ("rfftn", "irfftn"):
-        def spy(x, *args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+    for name in ("r2c", "c2r"):
+        def spy(x, *args, _fn=getattr(grid_module, name), _name=name,
+                **kwargs):
             fields = int(np.prod(np.shape(x)[:-3], dtype=int))
             seen["fields"] += fields
-            seen["states"] += _name == "irfftn" and fields == 10
-            seen["forward"] += fields if _name == "rfftn" else 0
+            seen["states"] += _name == "c2r" and fields == 10
+            seen["forward"] += fields if _name == "r2c" else 0
             return _fn(x, *args, **kwargs)
-        monkeypatch.setattr(scipy.fft, name, spy)
+        monkeypatch.setattr(grid_module, name, spy)
     return seen
 
 
