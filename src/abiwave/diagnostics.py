@@ -102,7 +102,7 @@ def besov_norms(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
     rinv = grid.rinv if ws is None else ws.rinv
     b0 = 0.0
     b1 = 0.0
-    for j, mask in grid.shell_masks():
+    for j, mask in grid.shell_masks:
         sup = max(float(np.max(np.abs(rinv(np.multiply(c, mask, out=buf)))))
                   for c in fh)
         b0 += sup
@@ -264,31 +264,28 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
     if times and times[-1] >= tw:
         raise ValueError(f"requested time {times[-1]} >= wrap time {tw}")
     geo = _geometry(grid, state)
-    # only the bump's component is transformed, into a zeroed spectrum:
-    # the other components transform to zeros
-    Uhat = np.zeros((10, grid.N, grid.N, grid.n_half), dtype=complex)
-    Uhat[component] = grid.rfwd(gaussian_bump(grid, sigma, amplitude))
-    Uhat[component] *= grid.nyquist_mask
-    # the kernel-free flow is cos(t|k|_0) Ahat^2 U - i sin(t|k|_0) Ahat U;
-    # Ahat^2 U takes the place of U, which it no longer needs
-    AU, A2U = decompose_spectral(Uhat, geo, (None, Uhat))
-    # one component at a time, through one reused buffer: the peak holds
-    # Ahat U, Ahat^2 U and a few single-component fields.  The buffer's
-    # real part is cos a2.re + sin a.im, its imaginary cos a2.im - sin a.re
-    buf = np.empty(AU.shape[1:], dtype=complex)
-    re, im = buf.real, buf.imag
-    cos, sin, scratch = (np.empty(AU.shape[1:]) for _ in range(3))
+    # the bump fills one component, with unit vector e, so the
+    # kernel-free flow cos(t|k|_0) Ahat^2 U - i sin(t|k|_0) Ahat U is its
+    # one spectrum times the real fields s1 = Ahat e and s2 = Ahat^2 e
+    bump = grid.rfwd(gaussian_bump(grid, sigma, amplitude))
+    bump *= grid.nyquist_mask
+    unit = np.zeros((10,) + geo.norm0.shape)
+    unit[component] = 1.0
+    s1, s2 = decompose_spectral(unit, geo, (None, unit))
+    rows = [r for r in range(10) if s1[r].any() or s2[r].any()]
+    # one row at a time, through one reused buffer
+    buf = np.empty_like(bump)
+    cos, msin = np.empty_like(s1[0]), np.empty_like(s1[0])
     samples = []
     for t in times:
-        np.multiply(t, geo.norm0, out=sin)
-        np.cos(sin, out=cos)
-        np.sin(sin, out=sin)
+        np.multiply(t, geo.norm0, out=msin)
+        np.cos(msin, out=cos)
+        np.negative(np.sin(msin, out=msin), out=msin)
         sup = l2sq = 0.0
-        for a, a2 in zip(AU, A2U):
-            np.multiply(cos, a2.real, out=re)
-            re += np.multiply(sin, a.imag, out=scratch)
-            np.multiply(cos, a2.imag, out=im)
-            im -= np.multiply(sin, a.real, out=scratch)
+        for r in rows:
+            np.multiply(cos, s2[r], out=buf.real)
+            np.multiply(msin, s1[r], out=buf.imag)
+            buf *= bump
             evolved = grid.rinv(buf).ravel()
             sup = max(sup, float(evolved.max()), -float(evolved.min()))
             l2sq += float(np.dot(evolved, evolved)) * grid.dx ** 3

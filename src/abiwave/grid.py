@@ -70,9 +70,11 @@ _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 def _fft():
     """SciPy's compiled pocketfft module, loaded by the first transform.
 
-    It is found on SciPy's path without running SciPy's package code
-    and registered under its own name, so a later ``import scipy.fft``
-    reuses this module object.
+    It is found on SciPy's path without running SciPy's package code.
+    It is not registered in ``sys.modules``: a later ``import scipy.fft``
+    loads it in the normal way, which sets the attribute ``pypocketfft``
+    of its package, and gets this same object back from CPython's cache
+    of loaded extension modules (``tests/test_repo.py`` checks both).
     """
     module = sys.modules.get(_POCKETFFT)
     if module is None:
@@ -85,7 +87,6 @@ def _fft():
                 f"the transforms need SciPy: no module named {_POCKETFFT!r}",
                 name=_POCKETFFT)
         module = importlib.util.module_from_spec(spec)
-        sys.modules[_POCKETFFT] = module
         spec.loader.exec_module(module)
     return module
 
@@ -272,11 +273,12 @@ class Grid:
 
     # -- helpers ----------------------------------------------------
 
-    def shell_masks(self):
+    @cached_property
+    def shell_masks(self) -> tuple[tuple[int, np.ndarray], ...]:
         """Dyadic shell masks 2^j <= |k| < 2^{j+1} covering the half spectrum.
 
-        Returns a list of (j, mask) pairs; the k = 0 mode belongs to no
-        shell (homogeneous norms ignore the mean).
+        (j, mask) pairs, built once per grid; the k = 0 mode belongs to
+        no shell (homogeneous norms ignore the mean).
         """
         kn = self.k_norm
         kmin = 2.0 * np.pi / self.L
@@ -288,4 +290,4 @@ class Grid:
             mask = (kn >= 2.0 ** j) & (kn < 2.0 ** (j + 1))
             if mask.any():
                 shells.append((j, mask))
-        return shells
+        return tuple(shells)

@@ -150,8 +150,9 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
 
     ``bi_lift``: band-limited divergence-free fluctuations are added to
     the constant (B0, D0) corresponding to the state, lifted, and the
-    lifted constant subtracted.  Constraints hold to spectral accuracy
-    and tau0 + tau > 0 is automatic.
+    lifted constant subtracted; the difference is formed term by term,
+    so its round-off is relative to the amplitude.  Constraints hold to
+    spectral accuracy and tau0 + tau > 0 is automatic.
 
     ``chaplygin``: b = d = 0, v = grad psi (``Grid.gradient`` of a
     random half spectrum) and an independent random tau; exact for
@@ -170,12 +171,28 @@ def admissible_perturbation(seed: int, amplitude: float, state: ConstantState,
         return StateField.zeros(grid)
 
     if kind == "bi_lift":
-        B0, D0 = state_em_constants(state)
-        B, D = solenoidal_pair(grid, seed, amplitude, k0, width)
-        full = abi_from_bi(B + B0.reshape(3, 1, 1, 1),
-                           D + D0.reshape(3, 1, 1, 1), grid)
-        const = bi_lift_constant(B0, D0).as_vector()
-        pert = full.data - const.reshape(10, 1, 1, 1)
+        # formed from differences, so its round-off scales with the
+        # amplitude: with B = B0 + b, D = D0 + d and D ^ B = V0 + dV,
+        # h^2 - h0^2 = b.(2B0 + b) + d.(2D0 + d) + dV.(2V0 + dV) and
+        # tau - tau0 = -(h^2 - h0^2) / (h h0 (h + h0))
+        B0, D0 = (c.reshape(3, 1, 1, 1) for c in state_em_constants(state))
+        b, d = solenoidal_pair(grid, seed, amplitude, k0, width)
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
+            raise ValueError("non-finite electromagnetic input")
+        V0 = np.cross(D0, B0, axis=0)
+        dV = (np.cross(D0, b, axis=0) + np.cross(d, B0, axis=0)
+              + np.cross(d, b, axis=0))
+        h0sq = 1.0 + np.sum(B0 ** 2) + np.sum(D0 ** 2) + np.sum(V0 ** 2)
+        dh2 = np.sum(b * (2.0 * B0 + b) + d * (2.0 * D0 + d)
+                     + dV * (2.0 * V0 + dV), axis=0)
+        h0, h = np.sqrt(h0sq), np.sqrt(h0sq + dh2)
+        tau = 1.0 / h
+        dtau = -dh2 / (h * h0 * (h + h0))
+        pert = np.empty((10,) + dtau.shape)
+        pert[0] = dtau
+        pert[1:4] = tau * dV + dtau * V0
+        pert[4:7] = tau * b + dtau * B0
+        pert[7:10] = tau * d + dtau * D0
         if np.min(state.tau0 + pert[0]) <= 0:
             raise AdmissibilityError("perturbation drives tau nonpositive")
         return StateField(grid, pert)

@@ -75,7 +75,7 @@ def constraint_residual(field, state, grad=None):
 
 def besov_norms(grid, fh):
     b0 = b1 = 0.0
-    for j, mask in grid.shell_masks():
+    for j, mask in grid.shell_masks:
         sup = float(np.max(np.abs(grid.rinv(fh * mask))))
         b0 += sup
         b1 += 2.0 ** j * sup

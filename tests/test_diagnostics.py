@@ -29,6 +29,16 @@ def test_besov_zero_field(grid16):
     assert b0 == 0.0 and b1 == 0.0
 
 
+def test_besov_shells_are_built_once_per_grid(rng):
+    g = Grid(N=16, L=2 * np.pi * 4)
+    data = rng.normal(size=(10,) + (g.N,) * 3)
+    first = D.besov_norms(g, data)
+    assert g.shell_masks is g.shell_masks
+    # bitwise the values of a grid that builds its shells anew
+    assert first == D.besov_norms(g, data) == D.besov_norms(
+        Grid(N=g.N, L=g.L), data)
+
+
 def test_besov_single_mode(grid32):
     # one-shell analytic value: B0 ~ amplitude, B1 ~ 2^floor(log2 k)
     g = grid32
@@ -127,6 +137,29 @@ def test_dispersion_probe_transforms_the_bump_component_alone(monkeypatch):
     whole = g.rfwd(field)
     assert np.array_equal(whole[4], g.rfwd(field[4]))
     assert not np.any(np.delete(whole, 4, axis=0))
+
+
+@pytest.mark.parametrize("background, live", [
+    (ConstantState(tau0=1.0), 4),
+    ("manifold_bg", 10),
+], ids=["tau0", "manifold"])
+def test_dispersion_probe_synthesizes_the_live_rows_alone(
+        background, live, monkeypatch, request):
+    # a tau bump moves tau and v alone when b0 = d0 = 0; the other rows
+    # of Ahat e and Ahat^2 e are empty and are not synthesized
+    st = (request.getfixturevalue(background)
+          if isinstance(background, str) else background)
+    g = Grid(N=32, L=2 * np.pi * 8)
+    shapes = []
+
+    def spy(fh, *args, _fn=grid_module.c2r, **kwargs):
+        shapes.append(np.shape(fh))
+        return _fn(fh, *args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "c2r", spy)
+    times = [1.0, 2.0, 3.0]
+    D.dispersion_probe(st, g, times, sigma=1.5, component=0)
+    assert shapes == [(g.N, g.N, g.n_half)] * live * len(times)
 
 
 def test_loglog_fit_recovers_slope():

@@ -195,7 +195,7 @@ def test_rhs_matches_full_lattice(grid16, manifold_bg, dealias):
 def test_lattice_arrays_live_on_the_half_spectrum(grid16):
     g = grid16
     half, ny = (g.N, g.N, g.n_half), g.N // 2
-    shells = [m for _, m in g.shell_masks()]
+    shells = [m for _, m in g.shell_masks]
     for a in [*g.kvec, g.k_norm, g.nyquist_mask, g.dealias_mask, *shells]:
         assert np.broadcast_shapes(a.shape, half) == half
     for k in g.kvec:

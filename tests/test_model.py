@@ -54,8 +54,9 @@ def test_generators_match_full_lattice(n, kind, manifold_bg):
     g = Grid(N=n, L=2 * np.pi * n / 4)
     st = manifold_bg if kind == "bi_lift" else ConstantState(tau0=1.0)
     k0, width = 3 * 2 * np.pi / g.L, 0.75 * 2 * np.pi / g.L
-    # the bi_lift perturbation is a difference of O(1) lifted values, so
-    # it carries their round-off (2.2e-16) whatever the amplitude
+    # the reference forms the bi_lift perturbation as a difference of
+    # O(1) lifted values, so it carries their round-off (2.2e-16)
+    # whatever the amplitude
     amp = 0.1
     for seed in (1234, 1, 5):
         u = model.admissible_perturbation(seed, amp, st, g, k0, width, kind)
@@ -69,6 +70,30 @@ def test_generators_match_full_lattice(n, kind, manifold_bg):
         again = model.admissible_perturbation(seed, amp, st, g, k0, width,
                                               kind)
         assert np.array_equal(u.data, again.data)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64")
+@pytest.mark.parametrize("amp", [1e-2, 1e-3, 1e-4])
+def test_bi_lift_round_off_scales_with_the_amplitude(amp, grid16,
+                                                     manifold_bg):
+    # against lift(B0 + b, D0 + d) - lift(B0, D0) in long double, from
+    # the same float64 (B0, D0) and (b, d)
+    g = grid16
+    k0, width = 3 * 2 * np.pi / g.L, 0.75 * 2 * np.pi / g.L
+    u = model.admissible_perturbation(5, amp, manifold_bg, g, k0, width)
+    B0, D0 = (np.longdouble(c).reshape(3, 1, 1, 1)
+              for c in model.state_em_constants(manifold_bg))
+    b, d = (np.longdouble(f)
+            for f in model.solenoidal_pair(g, 5, amp, k0, width))
+
+    def lift(B, D):
+        V = np.cross(D, B, axis=0)
+        tau = 1 / np.sqrt(1 + np.sum(B * B + D * D + V * V, axis=0))
+        return np.concatenate([tau[None], tau * V, tau * B, tau * D])
+
+    want = lift(B0 + b, D0 + d) - lift(B0, D0)
+    assert np.max(np.abs(u.data - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_admissible_zero_amplitude(grid16, manifold_bg):

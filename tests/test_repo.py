@@ -119,12 +119,13 @@ with contextlib.redirect_stdout(sys.stderr):
         assert abiwave.cli.main([command, "--config", config]) == 0
 loaded = sorted(m for m in ("scipy.fft", "scipy.special",
                             "scipy._lib._array_api") if m in sys.modules)
-# the transforms registered the module they loaded, and a later import
-# of scipy.fft reuses it
+# a later import of scipy.fft loads the module the transforms loaded
+# in the normal way and reuses it
 import abiwave.grid
 module = abiwave.grid._fft()
-assert sys.modules["scipy.fft._pocketfft.pypocketfft"] is module
 import scipy.fft
+assert sys.modules["scipy.fft._pocketfft.pypocketfft"] is module
+assert scipy.fft._pocketfft.pypocketfft is module
 assert scipy.fft._pocketfft.basic.pfft is module
 print(loaded)
 """

@@ -102,7 +102,7 @@ def test_sample_transforms_no_field_forward(manifold_bg, monkeypatch):
     assert seen["forward"] == 0
     # 30 derivatives for the residuals and W1inf_U, ten fields for each
     # of the three Besov shells
-    assert len(g.shell_masks()) == 3
+    assert len(g.shell_masks) == 3
     assert seen["fields"] == ws.fields_transformed == 60
 
 
