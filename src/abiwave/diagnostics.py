@@ -33,7 +33,8 @@ SERIES_COLUMNS = (
 # ----------------------------------------------------------------------
 
 def constraint_residual(field: StateField, state: ConstantState,
-                        derivative=None, full: np.ndarray | None = None):
+                        derivative=None, full: np.ndarray | None = None,
+                        scratch: np.ndarray | None = None):
     """Sup and L2 norms of the three constraint residual fields.
 
     The constraint rows of :data:`abiwave.system.CONSTRAINT_TERMS`
@@ -45,6 +46,10 @@ def constraint_residual(field: StateField, state: ConstantState,
     perturbation; by default it synthesizes them from
     ``field.spectral()`` one component at a time.  ``full`` is
     ``field.data`` plus the background when the caller has it.
+    ``scratch``, eight real fields or more, receives the five rows in
+    its first five and then the temporaries of their norms in the next
+    three; ``derivative`` may use all but the first five.  They are new
+    arrays otherwise.
     """
     g = field.grid
     if derivative is None:
@@ -54,37 +59,59 @@ def constraint_residual(field: StateField, state: ConstantState,
             return g.gradient(fh[c])
     if full is None:
         full = field.data + state.as_vector().reshape(10, 1, 1, 1)
-    r = system.quadratic(system.CONSTRAINT_TERMS, full, derivative)
+    rows, t1, t3 = (None,) * 3 if scratch is None else \
+        (scratch[:5], scratch[5], scratch[5:8])
+    r = system.quadratic(system.CONSTRAINT_TERMS, full, derivative, rows)
 
-    def norms(r):
-        return {"sup": float(np.max(np.abs(r))), "l2": g.l2_norm(r)}
+    def norms(r, tmp):
+        return {"sup": _sup(r, tmp), "l2": g.l2_norm(r, tmp)}
 
-    return norms(r[0]), norms(r[1]), norms(r[2:5])
+    return norms(r[0], t1), norms(r[1], t1), norms(r[2:5], t3)
 
 
-def manifold_residual(field_abs: StateField):
-    """Sup norms of tau^2+v^2+b^2+d^2-1 and tau v - d ^ b (absolute fields)."""
+def manifold_residual(field_abs: StateField,
+                      scratch: np.ndarray | None = None):
+    """Sup norms of tau^2+v^2+b^2+d^2-1 and tau v - d ^ b (absolute fields).
+
+    ``scratch``, ten real fields, receives f * f and then the vector
+    residual and its products when given.  d ^ b is formed component by
+    component, as ``np.cross`` forms it (d_j b_k - d_k b_j), without the
+    copies of its operands that ``np.cross`` makes.
+    """
     f = field_abs.data
-    scalar = np.sum(f * f, axis=0) - 1.0
-    vec = f[0] * f[1:4] - np.cross(f[7:10], f[4:7], axis=0)
-    return float(np.max(np.abs(scalar))), float(np.max(np.abs(vec)))
+    scalar = np.sum(np.multiply(f, f, out=scratch), axis=0) - 1.0
+    vec, t0, t1 = (None,) * 3 if scratch is None else \
+        (scratch[:3], scratch[3], scratch[4])
+    vec = np.multiply(f[0], f[1:4], out=vec)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        cross = np.multiply(f[7 + j], f[4 + k], out=t0)
+        cross -= np.multiply(f[7 + k], f[4 + j], out=t1)
+        vec[i] -= cross
+    return _sup(scalar, scalar), _sup(vec, vec)
+
+
+def _sup(f: np.ndarray, tmp: np.ndarray | None = None) -> float:
+    """sup |f|, with |f| formed in ``tmp`` when given."""
+    return float(np.max(np.abs(f, out=tmp)))
 
 
 # ----------------------------------------------------------------------
 # norms
 # ----------------------------------------------------------------------
 
-def w1inf_norm(grid: Grid, data: np.ndarray,
-               grad_sup: float | None = None) -> float:
+def w1inf_norm(grid: Grid, data: np.ndarray, grad_sup: float | None = None,
+               scratch: np.ndarray | None = None) -> float:
     """sup |U| + sup |grad U| over components and points.
 
     ``grad_sup`` is the second term, synthesized one component at a
-    time when not given.
+    time when not given.  ``scratch``, shaped like ``data``, receives
+    |U| when given.
     """
     if grad_sup is None:
         fh = grid.rfwd(data)
-        grad_sup = max(float(np.max(np.abs(grid.gradient(c)))) for c in fh)
-    return float(np.max(np.abs(data))) + grad_sup
+        grad_sup = max(_sup(grid.gradient(c)) for c in fh)
+    return _sup(data, scratch) + grad_sup
 
 
 def besov_norms(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
@@ -167,30 +194,37 @@ def sample_diagnostics(field: StateField, Uh: np.ndarray,
     ``Uh`` is the half spectrum ``field`` was synthesized from; nothing
     is transformed forward.  ``ws`` is the run's
     :class:`abiwave.simulate.Workspace`, idle between steps: Ahat U and
-    Ahat^2 U go to its RK4 spectra and the full variables to ``ws.u``.
-    The gradient is synthesized one component at a time for the
-    constraint residuals, whose rows differentiate every component, so
-    they also give sup |grad U|.  For a real field ``||u+|| = ||u-||``;
-    on the half spectrum each is sqrt((||P+ U||^2 + ||P- U||^2) / 2), as
-    the mirror of P+ U at -k is P- U at k, and the parallelogram law
-    makes that hypot(||Ahat^2 U||, ||Ahat U||) / 2.
+    Ahat^2 U go to its RK4 spectra ``acc`` and ``stage``.  Once the
+    branch norms have consumed them, the full variables go to ``ws.u``
+    and every abs and square temporary to ``ws.scratch`` (the storage of
+    ``stage``), so a sample allocates no ten-field array; ``field`` may
+    be ``ws.prod``, which the sample does not write.  The gradient is
+    synthesized one component at a time for the constraint residuals,
+    whose rows differentiate every component, so they also give
+    sup |grad U|.  For a real field ``||u+|| = ||u-||``; on the half
+    spectrum each is sqrt((||P+ U||^2 + ||P- U||^2) / 2), as the mirror
+    of P+ U at -k is P- U at k, and the parallelogram law makes that
+    hypot(||Ahat^2 U||, ||Ahat U||) / 2.
     """
     g = field.grid
     AU, A2U = decompose_spectral(Uh, ws.geo, (ws.acc, ws.stage))
     h1_wave = np.hypot(g.sobolev_norm(A2U, 1), g.sobolev_norm(AU, 1)) / 2.0
     h1_zero = g.sobolev_norm(np.subtract(Uh, A2U, out=A2U), 1)
+    # Ahat U and Ahat^2 U are consumed: stage is scratch from here on
+    scratch = ws.scratch
     grad_sup = 0.0
 
     def derivative(c):
+        # clear of the five residual rows constraint_residual forms there
         nonlocal grad_sup
         d = ws.gradient(Uh[c])
-        grad_sup = max(grad_sup, float(np.max(np.abs(d))))
+        grad_sup = max(grad_sup, _sup(d, scratch[5:8]))
         return d
 
     full = np.add(field.data, state.as_vector().reshape(10, 1, 1, 1),
                   out=ws.u)
-    r1, r2, r3 = constraint_residual(field, state, derivative, full)
-    man_s, man_v = manifold_residual(StateField(g, full))
+    r1, r2, r3 = constraint_residual(field, state, derivative, full, scratch)
+    man_s, man_v = manifold_residual(StateField(g, full), scratch)
     b0n, b1n = besov_norms(g, field.data, Uh, ws)
     return dict(
         t=t,
@@ -200,7 +234,7 @@ def sample_diagnostics(field: StateField, Uh: np.ndarray,
         H1_up=h1_wave,
         H1_um=h1_wave,
         H1_u0=h1_zero,
-        W1inf_U=w1inf_norm(g, field.data, grad_sup),
+        W1inf_U=w1inf_norm(g, field.data, grad_sup, scratch),
         B0inf1=b0n,
         B1inf1=b1n,
         res_divb_sup=r1["sup"],
@@ -208,7 +242,7 @@ def sample_diagnostics(field: StateField, Uh: np.ndarray,
         res_rot_sup=r3["sup"],
         man_scalar_sup=man_s,
         man_vector_sup=man_v,
-        energy=g.l2_norm(field.data) ** 2,
+        energy=g.l2_norm(field.data, scratch) ** 2,
     )
 
 

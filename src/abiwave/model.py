@@ -88,27 +88,6 @@ def solenoidal_pair(grid: Grid, seed: int, amplitude: float,
     return out[0], out[1]
 
 
-def abi_from_bi(B: np.ndarray, D: np.ndarray, grid: Grid) -> StateField:
-    """Lift two (3,N,N,N) electromagnetic fields to absolute variables.
-
-    The output satisfies the manifold identities pointwise by
-    construction and tau > 0 everywhere (h >= 1).
-    """
-    Barr, Darr = np.asarray(B, float), np.asarray(D, float)
-    if not (np.all(np.isfinite(Barr)) and np.all(np.isfinite(Darr))):
-        raise ValueError("non-finite electromagnetic input")
-    V = np.cross(Darr, Barr, axis=0)
-    h = np.sqrt(1.0 + np.sum(Barr ** 2, axis=0) + np.sum(Darr ** 2, axis=0)
-                + np.sum(V ** 2, axis=0))
-    tau = 1.0 / h
-    data = np.empty((10,) + tau.shape)
-    data[0] = tau
-    data[1:4] = tau * V
-    data[4:7] = tau * Barr
-    data[7:10] = tau * Darr
-    return StateField(grid, data)
-
-
 def state_em_constants(state: ConstantState) -> tuple[np.ndarray, np.ndarray]:
     """(B0, D0) whose lift reproduces the state; error if there is none.
 

@@ -6,7 +6,9 @@ as the half spectrum of the real fields (:mod:`abiwave.grid`).  A run
 holds one :class:`Workspace`: each right-hand side synthesizes the
 fields into it, then takes one component at a time, synthesizing its
 three derivatives and adding the products that differentiate it, and
-analyses the products; an RK4 step keeps its stages in its spectra.
+analyses the products into the spectrum whose storage held the fields;
+an RK4 step keeps its stages in its spectra, and a sample synthesizes
+the state into the product buffer.
 """
 from __future__ import annotations
 
@@ -78,12 +80,29 @@ class Workspace:
 
     Built once per run from the grid and the background: the mode
     geometry, the dealias mask and the v0 transport multiplier
-    ``i k.v0`` (None at rest); three RK4 spectra (``acc``, ``stage``,
-    ``k``), (10, N, N, N//2+1) complex, and ``masked``, one masked
-    component (N, N, N//2+1); the real fields ``u`` and the products
-    ``prod``, (10, N, N, N).  Between steps the RK4 spectra are idle and
-    :func:`abiwave.diagnostics.sample_diagnostics` forms Ahat U and
-    Ahat^2 U in them.
+    ``i k.v0`` (None at rest).  Its N^3-sized storage is four ten-field
+    buffers and one component:
+
+    * ``acc``, ``stage`` and ``k``, half spectra (10, N, N, N//2+1)
+      complex.  In a step ``k`` holds each stage's right-hand side,
+      ``stage`` the next stage's argument and ``acc`` the RK4 sum.  In a
+      sample, between steps, ``acc`` and ``stage`` receive Ahat U and
+      Ahat^2 U.
+    * ``u``, the real fields (10, N, N, N): the first 10 N^3 doubles of
+      ``k``, a contiguous view.  A right-hand side synthesizes the
+      masked state into it and forms its result in ``k`` only once the
+      products are formed; a sample forms the full variables in it.
+    * ``scratch``, real fields (10, N, N, N): the first 10 N^3 doubles
+      of ``stage``.  A sample forms its abs and square temporaries in it
+      once Ahat^2 U is consumed.
+    * ``prod``, real fields (10, N, N, N): a right-hand side's products;
+      a sample's synthesized state, which stays there until the next
+      step.
+    * ``masked``, one half-spectrum component: each component masked
+      for synthesis, and a Besov shell.
+
+    The aliasing rule: a view is written only while the buffer it views
+    holds nothing that is read later.
 
     Every transform of the run goes through :meth:`rfwd`, :meth:`rinv`
     and :meth:`gradient`, which count the fields they transform in
@@ -105,10 +124,17 @@ class Workspace:
         self.acc, self.stage, self.k = (
             np.empty(half, dtype=complex) for _ in range(3))
         self.masked = np.empty(half[1:], dtype=complex)
-        self.u = np.empty((10, n, n, n))
+        self.u = self._real(self.k)
+        self.scratch = self._real(self.stage)
         self.prod = np.empty((10, n, n, n))
         self.rhs_calls = 0
         self.fields_transformed = 0
+
+    def _real(self, spectra: np.ndarray) -> np.ndarray:
+        """Ten real fields in the first 10 N^3 doubles of ten spectra."""
+        n = self.grid.N
+        return spectra.view(float).reshape(-1)[:10 * n ** 3].reshape(
+            10, n, n, n)
 
     def _fields(self, a: np.ndarray) -> int:
         """Fields in a stack of real fields or of half spectra."""
@@ -119,10 +145,11 @@ class Workspace:
         self.fields_transformed += self._fields(f)
         return self.grid.rfwd(f)
 
-    def rinv(self, fh: np.ndarray) -> np.ndarray:
+    def rinv(self, fh: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         """:meth:`Grid.rinv`, counted."""
         self.fields_transformed += self._fields(fh)
-        return self.grid.rinv(fh)
+        return self.grid.rinv(fh, out)
 
     def gradient(self, fh: np.ndarray) -> np.ndarray:
         """:meth:`Grid.gradient`, counted: three fields per component."""
@@ -135,19 +162,6 @@ class Workspace:
                 "fields_transformed": self.fields_transformed}
 
 
-def rhs(field: StateField, state: ConstantState, dealias: bool = True) -> StateField:
-    """Right-hand side in physical variables (perturbation form).
-
-    A non-finite ``field`` raises :class:`BlowUpError`: :func:`_rhs_hat`
-    checks nothing, and a run decides its blow-ups in :func:`simulate`.
-    """
-    if not np.all(np.isfinite(field.data)):
-        raise BlowUpError("non-finite field")
-    g = field.grid
-    out = _rhs_hat(field.spectral(), Workspace(g, state), dealias)
-    return StateField(g, g.rinv(out))
-
-
 def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
     """Spectral-side right-hand side: -i A0 U + advection + nonlinearity.
 
@@ -155,16 +169,13 @@ def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
     buffer but ``ws.stage``.  The result is ``ws.k``, overwritten by the
     next call.  A component is masked into ``ws.masked`` to be synthesized
     into ``ws.u`` and again to be differentiated; the products go to
-    ``ws.prod``, and one component's derivatives exist at a time.
-    Nothing is checked: a non-finite ``Uhat`` gives a non-finite result,
-    which the caller detects.
+    ``ws.prod``, and one component's derivatives exist at a time.  Only
+    then, with ``ws.u`` read for the last time, is the result formed in
+    ``ws.k``, whose storage ``ws.u`` shares.  Nothing is checked: a
+    non-finite ``Uhat`` gives a non-finite result, which the caller
+    detects.
     """
     ws.rhs_calls += 1
-    out = apply_A0(Uhat, ws.geo, ws.k)
-    out *= -1j
-    if ws.transport is not None:
-        for c in range(10):
-            out[c] += ws.transport * Uhat[c]
     mask = ws.mask if dealias else ws.grid.nyquist_mask
 
     def masked(c):
@@ -172,9 +183,14 @@ def _rhs_hat(Uhat: np.ndarray, ws: Workspace, dealias: bool) -> np.ndarray:
 
     u = ws.u
     for c in range(10):
-        u[c] = ws.rinv(masked(c))
+        ws.rinv(masked(c), out=u[c])
     prod = system.quadratic(system.EVOLUTION_TERMS, u,
                             lambda c: ws.gradient(masked(c)), ws.prod)
+    out = apply_A0(Uhat, ws.geo, ws.k)
+    out *= -1j
+    if ws.transport is not None:
+        for c in range(10):
+            out[c] += ws.transport * Uhat[c]
     for row in range(10):
         nlh = ws.rfwd(prod[row])
         if dealias:
@@ -222,7 +238,9 @@ class SimResult:
     ``snapshots`` holds one (sample time, StateField) pair per sample
     that answered a requested snapshot time; ``snapshot_times`` lists,
     for each of them, the requested times it answers (more than one
-    when requested times round to one sample).  ``stats`` counts the
+    when requested times round to one sample).  ``final`` is the last
+    snapshot when the last sample answered one, and otherwise the field
+    in the run's workspace buffer, not a copy.  ``stats`` counts the
     steps attempted, the samples, the right-hand sides and the fields
     transformed (:class:`Workspace`).
     """
@@ -243,7 +261,8 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     The partial series is returned with its flag set and the time and
     step recorded, and the CLI exits with its blow-up code.  Overflow
     and invalid arithmetic stay quiet throughout: the initial transform,
-    every step and every sample run under one ``np.errstate``.
+    every step and every sample run under one ``np.errstate``.  A run
+    copies only what it returns: each snapshot, when it is due.
     """
     g = config.grid
     state = config.state
@@ -258,37 +277,43 @@ def simulate(config: SimConfig, initial: StateField | None = None) -> SimResult:
     pending = sorted(config.snapshots)
 
     def emit(t, Uh):
-        """The sampled field of ``Uh``, or None if its row is not finite."""
-        f = StateField(g, ws.rinv(Uh))
+        """Sample ``Uh``: its field, and whether its row is finite.
+
+        The field is synthesized into ``ws.prod`` and stays there until
+        the next step; a snapshot that is due is a copy of it.
+        """
+        f = StateField(g, ws.rinv(Uh, out=ws.prod))
         row = sample_diagnostics(f, Uh, state, t, config.sobolev_n, ws)
         if not all(map(math.isfinite, row.values())):
-            return None
+            return f, False
         series.append(**row)
         # a requested time is due at the first sample within half a step
         due = 0
         while due < len(pending) and t >= pending[due] - 0.5 * dt:
             due += 1
         if due:
-            snaps.append((t, f.copy()))
+            f = f.copy()
+            snaps.append((t, f))
             answered.append(pending[:due])
             del pending[:due]
-        return f
+        return f, True
 
     with np.errstate(over="ignore", invalid="ignore"):
-        Uh = g.strip_nyquist(ws.rfwd(field.data))
+        Uh = ws.rfwd(field.data)
+        Uh *= g.nyquist_mask
         for n in range(nsteps + 1):
             if n:
                 _step_rk4_hat(Uh, ws, dt, config.dealias)
-            # the sampled field of Uh as it stands, if any
-            t, sampled = n * dt, None
+            # the field of Uh as it stands, once sampled
+            t, final = n * dt, None
             finite = np.all(np.isfinite(Uh.view(float)))
             if finite and (n % per_sample == 0 or n == nsteps):
-                sampled = emit(t, Uh)
-                finite = sampled is not None
+                final, finite = emit(t, Uh)
             if not finite:
                 series.mark_blowup(t, n)
                 break
-        final = sampled if sampled is not None else StateField(g, ws.rinv(Uh))
+        if final is None:
+            final = StateField(g, ws.rinv(Uh, out=ws.prod))
     stats = {"steps": n, "samples": len(series.rows), **ws.stats()}
     return SimResult(series=series, final=final,
                      snapshots=snaps, snapshot_times=answered, stats=stats)

@@ -40,10 +40,14 @@ class ConjugatingGrid(Grid):
         fh = scipy.fft.rfftn(f, axes=(-3, -2, -1), workers=fft_workers())
         return np.conj(fh, out=fh)
 
-    def rinv(self, fh):
+    def rinv(self, fh, out=None):
         n = self.N
-        return scipy.fft.irfftn(np.conj(fh), s=(n, n, n),
-                                axes=(-3, -2, -1), workers=fft_workers())
+        f = scipy.fft.irfftn(np.conj(fh), s=(n, n, n),
+                             axes=(-3, -2, -1), workers=fft_workers())
+        if out is None:
+            return f
+        out[...] = f
+        return out
 
     def gradient(self, fh):
         n = self.N

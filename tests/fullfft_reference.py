@@ -7,7 +7,8 @@ per-axis ``deriv`` and ``solenoidal_project`` and the lattice arrays
 array moved to the half spectrum, and what was computed with them: the right-hand side, the diagnostics row, the physical-space
 branch fields ``decompose`` and the random generators
 ``solenoidal_pair`` and ``admissible_perturbation`` (bi_lift and
-chaplygin data).  Every real field is transformed on the full N^3
+chaplygin data), the latter lifting whole fields with ``abi_from_bi``,
+the lift oracle.  Every real field is transformed on the full N^3
 lattice, one derivative per transform, and synthesized fields keep the
 real part.  The lattice holds F(q) at index q and keeps fftfreq's
 -pi N / L on the Nyquist planes; the package's half spectrum holds
@@ -142,13 +143,33 @@ def solenoidal_pair(grid, seed, amplitude, k0, width):
     return out[0], out[1]
 
 
+def abi_from_bi(B, D, grid):
+    """The lift of two (3,N,N,N) electromagnetic fields to absolute
+    variables, by the formulas of :mod:`abiwave.model`: h = sqrt(1 + B^2
+    + D^2 + |D ^ B|^2), tau = 1/h, v = tau (D ^ B), b = tau B, d = tau D.
+    """
+    B, D = np.asarray(B, float), np.asarray(D, float)
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(D))):
+        raise ValueError("non-finite electromagnetic input")
+    V = np.cross(D, B, axis=0)
+    h = np.sqrt(1.0 + np.sum(B ** 2, axis=0) + np.sum(D ** 2, axis=0)
+                + np.sum(V ** 2, axis=0))
+    tau = 1.0 / h
+    data = np.empty((10,) + tau.shape)
+    data[0] = tau
+    data[1:4] = tau * V
+    data[4:7] = tau * B
+    data[7:10] = tau * D
+    return StateField(grid, data)
+
+
 def admissible_perturbation(seed, amplitude, state, grid, k0, width, kind):
     """The (10,N,N,N) data of ``model.admissible_perturbation``."""
     if kind == "bi_lift":
         B0, D0 = model.state_em_constants(state)
         B, D = solenoidal_pair(grid, seed, amplitude, k0, width)
-        full = model.abi_from_bi(B + B0.reshape(3, 1, 1, 1),
-                                 D + D0.reshape(3, 1, 1, 1), grid)
+        full = abi_from_bi(B + B0.reshape(3, 1, 1, 1),
+                           D + D0.reshape(3, 1, 1, 1), grid)
         return full.data - bi_lift_constant(B0, D0).as_vector().reshape(
             10, 1, 1, 1)
     rng = model._philox(seed)

@@ -111,8 +111,13 @@ def test_transforms_match_the_public_scipy_api_bitwise(monkeypatch, threads,
     f = rng.normal(size=shape)
     fh = g.rfwd(f)
     assert np.array_equal(fh, scipy.fft.rfftn(f, axes=axes, workers=workers))
-    assert np.array_equal(g.rinv(fh), scipy.fft.irfftn(
-        fh, s=s, axes=axes, workers=workers))
+    want = scipy.fft.irfftn(fh, s=s, axes=axes, workers=workers)
+    assert np.array_equal(g.rinv(fh), want)
+    # into a given buffer, and into a strided view of one
+    out = np.empty(shape)
+    assert g.rinv(fh, out=out) is out and np.array_equal(out, want)
+    out = np.empty(shape[:-1] + (2 * n,))[..., ::2]
+    assert g.rinv(fh, out=out) is out and np.array_equal(out, want)
     # a strided half-spectrum view, as a full-lattice array cut to n_half
     full = (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     vh = full[..., :g.n_half]
@@ -164,6 +169,20 @@ def test_an_integer_field_transforms_as_scipy_does(grid16, rng):
         grid16.rfwd(fh)
     with pytest.raises(TypeError, match="half spectra, got dtype float64"):
         grid16.rinv(fh.real)
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((2, 16, 16, 15), float), ((2, 16, 16, 17), float), ((16, 16, 16), float),
+    ((2, 16, 16, 16), np.float32)], ids=["short", "long", "one", "float32"])
+def test_a_synthesis_buffer_of_another_shape_is_refused(grid16, rng, shape,
+                                                        dtype):
+    # pocketfft would take the transform length from the buffer
+    fh = grid16.rfwd(rng.normal(size=(2,) + (grid16.N,) * 3))
+    out = np.zeros(shape, dtype=dtype)
+    with pytest.raises(ValueError, match=r"float64 fields of shape "
+                       r"\(2, 16, 16, 16\)"):
+        grid16.rinv(fh, out=out)
+    assert not out.any()
 
 
 def test_sobolev_weight_is_cached_per_s_bitwise(grid16, rng):

@@ -11,15 +11,23 @@ from abiwave.state import ConstantState, norm0
 import fullfft_reference as R
 
 
+def rhs(field, state, dealias=True):
+    """The right-hand side in physical variables, through ``_rhs_hat``."""
+    g = field.grid
+    out = simulate._rhs_hat(field.spectral(), simulate.Workspace(g, state),
+                            dealias)
+    return StateField(g, g.rinv(out))
+
+
 def test_rhs_of_constant_state_is_zero(grid16, manifold_bg):
-    r = simulate.rhs(StateField.zeros(grid16), manifold_bg)
+    r = rhs(StateField.zeros(grid16), manifold_bg)
     assert np.max(np.abs(r.data)) == 0.0
 
 
 def test_rhs_preserves_chaplygin_channels(grid16):
     st = ConstantState(tau0=1.0)
     u = model.admissible_perturbation(3, 1e-2, st, grid16, kind="chaplygin")
-    r = simulate.rhs(u, st)
+    r = rhs(u, st)
     assert np.max(np.abs(r.data[4:])) == 0.0
 
 
@@ -36,7 +44,7 @@ def test_rhs_single_mode_is_mostly_linear(grid16, rng):
     Uh[:, i, j, l] = amp * X
     Uh[:, -i, -j, l] = amp * X
     U = StateField(g, R.inv_real(Uh))
-    r = simulate.rhs(U, st)
+    r = rhs(U, st)
     # index q stores the mode -q: F(xi) is the conjugate of the value there
     rh = np.conj(r.spectral()[:, i, j, l])
     lin = -1j * spectral.assemble_A0(xi, st) @ (amp * X)
@@ -120,8 +128,6 @@ def test_cfl_guard():
 def test_blowup_detection(grid16, manifold_bg):
     bad = StateField.zeros(grid16)
     bad.data[0, 0, 0, 0] = np.inf
-    with pytest.raises(simulate.BlowUpError):
-        simulate.rhs(bad, manifold_bg)
     cfg = simulate.SimConfig(grid=grid16, state=manifold_bg, t_end=0.5,
                              cfl=0.2, cadence=0.25, amplitude=0.0)
     res = simulate.simulate(cfg, initial=bad)

@@ -7,19 +7,28 @@ the H1 norms of the wave parts (``wave_parts_reference.py``).
 The right-hand side and the constraint residuals now add the products
 of a row grouped by the differentiated component, so they agree with the
 reference to round-off; everything else is formed in the same order.
+Whole runs are compared bit for bit with the run whose workspace held
+the synthesized fields in a buffer of their own
+(``workspace_reference.py``).
 """
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abiwave import diagnostics, grid as grid_module, model, simulate, system
+from abiwave import (cli, diagnostics, grid as grid_module, model, simulate,
+                     system)
 from abiwave.fields import StateField
 from abiwave.grid import Grid
 from abiwave.spectral import _geometry
 from abiwave.state import bi_lift_constant
 import solver_reference as R
 import wave_parts_reference as W
+import workspace_reference as X
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 RESIDUAL_COLUMNS = ("res_divb_sup", "res_divd_sup", "res_rot_sup")
 
@@ -30,6 +39,15 @@ def _rel(a, b):
 
 def _grid(n):
     return Grid(N=n, L=2 * np.pi * n / 4)
+
+
+def _spectrum_bytes(grid):
+    """S, the bytes of one ten-component half spectrum."""
+    return 10 * grid.N * grid.N * grid.n_half * 16
+
+
+def _bytes(a):
+    return np.ascontiguousarray(a).tobytes()
 
 
 def _admissible(grid, state, seed):
@@ -126,7 +144,7 @@ def test_step_and_sample_stay_within_four_spectra(manifold_bg):
     # S is one ten-component half spectrum; before the workspace a step
     # allocated 13.8 S above its entry and a sample 11.7 S
     g, st = _grid(32), manifold_bg
-    S = 10 * g.N * g.N * g.n_half * 16
+    S = _spectrum_bytes(g)
     ws = simulate.Workspace(g, st)
     u = _admissible(g, st, 5)
     Uh = u.spectral()
@@ -138,6 +156,63 @@ def test_step_and_sample_stay_within_four_spectra(manifold_bg):
         <= 4 * S
     assert _above_entry(
         lambda: diagnostics.sample_diagnostics(u, Uh, st, 0.0, 8, ws)) <= 4 * S
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("moving", [False, True])
+def test_runs_match_the_separate_buffer_run_bitwise(manifold_bg, n, dealias,
+                                                    moving):
+    g = _grid(n)
+    st = manifold_bg if moving else bi_lift_constant((0.3, 0.0, 0.05),
+                                                     (0.0, 0.0, 0.0))
+    assert np.any(st.v0) == moving
+    # dealiased runs end on a snapshot, the others on the sampled buffer
+    cfg = simulate.SimConfig(grid=g, state=st, t_end=1.0, cfl=0.4,
+                             cadence=0.5, dealias=dealias, seed=5,
+                             snapshots=(0.0, 1.0) if dealias else (0.5,))
+    ic = cfg.initial_field()
+    new = simulate.simulate(cfg, initial=ic)
+    old = X.simulate(cfg, ic)
+    assert not new.series.blowup and len(new.series.rows) == 3
+    assert new.series.rows == old.series.rows
+    assert _bytes(np.array([list(r.values()) for r in new.series.rows])) \
+        == _bytes(np.array([list(r.values()) for r in old.series.rows]))
+    assert new.snapshot_times == old.snapshot_times
+    for (t, f), (t_old, f_old) in zip(new.snapshots, old.snapshots,
+                                      strict=True):
+        assert t == t_old and _bytes(f.data) == _bytes(f_old.data)
+    assert _bytes(new.final.data) == _bytes(old.final.data)
+
+
+def test_workspace_holds_four_spectra_and_u_shares_k(manifold_bg):
+    # before, u had storage of its own: 3 + 2 * 32/34 = 4.88 S at 32^3
+    g = _grid(32)
+    S = _spectrum_bytes(g)
+    ws = simulate.Workspace(g, manifold_bg)
+    arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    ten = [a for a in arrays if a.shape[:1] == (10,)]
+    owned = [a for a in ten if a.base is None]
+    assert sum(a.nbytes for a in owned) <= 4 * S
+    assert all(any(np.shares_memory(a, b) for b in owned) for a in ten)
+    assert np.shares_memory(ws.u, ws.k)
+    assert np.shares_memory(ws.scratch, ws.stage)
+    for view in (ws.u, ws.scratch):
+        assert view.shape == (10,) + (g.N,) * 3
+        assert view.dtype == float and view.flags.c_contiguous
+    assert ws.masked.nbytes == S // 10
+
+
+def test_desk_run_stays_within_eight_spectra():
+    # S is one ten-component half spectrum (2.8 MB at 32^3); with a buffer
+    # for u, a fresh field per sample and per final, the run read 9.9 S
+    raw = json.loads(DESK.read_text())
+    cfg, _, _ = cli.parse_sim_config(raw)
+    ic = cfg.initial_field()
+    runs = []
+    peak = _above_entry(lambda: runs.append(simulate.simulate(cfg, ic)))
+    assert not runs[0].series.blowup
+    assert peak <= 8 * _spectrum_bytes(cfg.grid)
 
 
 def _count_transforms(monkeypatch):
@@ -173,9 +248,9 @@ def test_run_stats_count_what_the_run_does(manifold_bg, monkeypatch):
     assert stats["fields_transformed"] == \
         10 + 50 * stats["rhs_calls"] + 70 * stats["samples"]
     # one synthesis of the whole state per sample: the final field is
-    # the last sample's, not synthesized again
+    # the last sample's snapshot, not synthesized or copied again
     assert seen["states"] == stats["samples"]
-    assert np.array_equal(res.final.data, res.snapshots[-1][1].data)
+    assert res.final is res.snapshots[-1][1]
 
 
 def test_blown_up_run_synthesizes_its_final_field(manifold_bg, monkeypatch):
@@ -191,3 +266,19 @@ def test_blown_up_run_synthesizes_its_final_field(manifold_bg, monkeypatch):
     # the failed step was not sampled: its state is synthesized once more
     assert seen["states"] == 2
     assert res.stats["fields_transformed"] == seen["fields"]
+
+
+def test_failed_sample_keeps_its_field_as_the_final(manifold_bg, monkeypatch):
+    g = _grid(8)
+    cfg = simulate.SimConfig(grid=g, state=manifold_bg, t_end=1.0, cfl=0.4,
+                             cadence=1.0)
+    huge = StateField.zeros(g)
+    huge.data[0, 0, 0, 0] = 1e155  # finite, but its first row overflows
+    want = g.rinv(g.strip_nyquist(g.rfwd(huge.data)))
+    seen = _count_transforms(monkeypatch)
+    res = simulate.simulate(cfg, initial=huge)
+    assert res.series.blowup and res.stats["steps"] == 0
+    assert res.series.rows == []
+    # the sampled field is the final one: the state is synthesized once
+    assert seen["states"] == 1
+    assert _bytes(res.final.data) == _bytes(want)
