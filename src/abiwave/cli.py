@@ -29,7 +29,8 @@ from .errors import BlowUpError, ConfigError, VerificationError
 from .grid import Grid, fft_workers
 from .model import IC_KINDS, check_background
 from .resonance import InteractionSpec
-from .state import CERTIFICATION_BACKGROUND, ConstantState, bi_lift_constant
+from .state import (CERTIFICATION_BACKGROUND, ConstantState, bi_lift_constant,
+                    finite_number)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,24 +166,16 @@ def _boolean(x) -> bool:
     return x
 
 
-def _finite(x) -> float:
-    """A finite JSON number: an int or a float, not a bool."""
-    if (isinstance(x, bool) or not isinstance(x, (int, float))
-            or not math.isfinite(x)):
-        raise ValueError(f"must be a finite number, got {x!r}")
-    return float(x)
-
-
 def _positive(x) -> float:
     """A finite number > 0."""
-    if not _finite(x) > 0:
+    if not finite_number(x) > 0:
         raise ValueError(f"must be a finite number > 0, got {x!r}")
     return float(x)
 
 
 def _nonnegative(x) -> float:
     """A finite number >= 0."""
-    if not _finite(x) >= 0:
+    if not finite_number(x) >= 0:
         raise ValueError(f"must be a finite number >= 0, got {x!r}")
     return float(x)
 
@@ -208,7 +201,7 @@ def _one_of(options: tuple):
 def _three(x) -> list:
     if not isinstance(x, list) or len(x) != 3:
         raise ValueError(f"must be a list of three numbers, got {x!r}")
-    return [_finite(c) for c in x]
+    return [finite_number(c) for c in x]
 
 
 def _two_positive(x) -> tuple:
@@ -220,7 +213,7 @@ def _two_positive(x) -> tuple:
 def _times(x) -> tuple:
     if not isinstance(x, (list, tuple)):
         raise ValueError(f"must be a list of numbers, got {x!r}")
-    return tuple(_finite(t) for t in x)
+    return tuple(finite_number(t) for t in x)
 
 
 def parse_state(d: dict) -> ConstantState:
@@ -257,7 +250,7 @@ _SIM_FIELDS = {
     "sobolev_n": ("diagnostics", "sobolev_n", _integer(0)),
     "ic_kind": ("ic", "kind", _one_of(IC_KINDS)),
     "amplitude": ("ic", "amplitude", _nonnegative),
-    "k0": ("ic", "k0", _finite),
+    "k0": ("ic", "k0", finite_number),
     "width": ("ic", "width", _positive),
     "seed": ("ic", "seed", _integer(0, 2 ** 64)),  # a Philox seed
     "snapshots": ("output", "snapshots", _times),
@@ -272,7 +265,7 @@ _SIM_KEYS["config"] |= {"schema", "mode", "grid", "state", "u0_probe",
 _SIM_KEYS["output"].add("dir")  # read by _load_config
 
 # bump key: converter; an absent key takes the dispersion_probe default
-_BUMP_FIELDS = {"sigma": _positive, "amplitude": _finite,
+_BUMP_FIELDS = {"sigma": _positive, "amplitude": finite_number,
                 "component": _integer(0, 10)}
 
 
@@ -320,7 +313,8 @@ def parse_decay_config(d: dict):
     bump = {key: _read(bump, "bump", key, conv)
             for key, conv in _BUMP_FIELDS.items() if key in bump}
     times = _section(d, "times", {"t1", "t2", "n"}, required=True)
-    t1, t2 = (_read(times, "times", key, _finite) for key in ("t1", "t2"))
+    t1, t2 = (_read(times, "times", key, finite_number)
+              for key in ("t1", "t2"))
     # the fit's ci95 needs more than two points
     n = _read(times, "times", "n", _integer(3), 12)
     tw = wrap_time(grid, state)
@@ -394,26 +388,12 @@ def cmd_check_identities(ns):
                            seed=ns.seed)
     rng = np.random.default_rng(ns.seed)
     xi, eta = R.sample_off_axis(rng, ns.samples)
+    results = R.identity_suite(xi, eta, state)
+    worst_all = max([0.0] + [r for name, r in results.items()
+                             if not name.endswith(" skipped")])
     report = {"samples": ns.samples, "tolerance": ns.tolerance,
-              "state": state.to_dict(), "results": {}}
-    worst_all = 0.0
-    for spec in R.ALL_WAVE_TRIPLES:
-        r = R.check_gradient_identity(spec, xi, eta, state)
-        report["results"][f"gradient {spec.label()}"] = float(np.max(r))
-        worst_all = max(worst_all, float(np.max(r)))
-    for spec in R.ALL_WAVE_TRIPLES:
-        if (spec.eps1, spec.eps2, spec.eps3) in ((1, -1, -1), (-1, 1, 1)):
-            continue
-        r, skipped = R.check_phase_gradsq_identity(spec, xi, eta, state)
-        key = f"phase-gradsq {spec.label()}"
-        report["results"][key] = float(np.max(r))
-        report["results"][key + " skipped"] = int(np.sum(skipped))
-        worst_all = max(worst_all, float(np.max(r)))
-    for sign, name in ((1, "mixed +,+0"), (-1, "mixed -,-0")):
-        r = R.check_mixed_gradient_identity(sign, xi, eta, state)
-        report["results"][name] = float(np.max(r))
-        worst_all = max(worst_all, float(np.max(r)))
-    report["worst"] = worst_all
+              "state": state.to_dict(), "results": results,
+              "worst": worst_all}
     report["pass"] = bool(worst_all <= ns.tolerance)
     path = outdir / "identities.json"
     with open(path, "w") as f:

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -160,8 +161,8 @@ class Grid:
     def __post_init__(self):
         if self.N <= 0 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two, got {self.N}")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be a finite number > 0, got {self.L!r}")
 
     @property
     def dx(self) -> float:

@@ -10,6 +10,19 @@ the collinear sets eta = lambda xi (with the orientation fixed by
 e2 e3), which is what the exact certification in
 :mod:`abiwave.symbolic` exploits.
 
+A wave triple (no zero sign) belongs to the resonance class
+(e1 e2, e1 e3), which it shares with its negative; on eta = lambda xi
+the phase is e1 |xi|_0 (1 - e1 e2 |1 - lambda| - e1 e3 |lambda|), so
+each class has one time-resonant set:
+
+    (+, +)  (+,++), (-,--)   lambda in [0, 1]
+    (-, +)  (+,-+), (-,+-)   lambda >= 1
+    (+, -)  (+,+-), (-,-+)   lambda <= 0
+    (-, -)  (+,--), (-,++)   none: the phase vanishes only at xi = 0
+
+The classes decide the closed form of the phase-gradsq identity, the
+angular cutoff and the ranges of the resonant-set probe.
+
 All evaluators are vectorized over trailing sample axes and reject
 points too close to the coordinate axes {xi = 0}, {eta = 0},
 {xi = eta}, where the symbols are not smooth.
@@ -57,15 +70,20 @@ class InteractionSpec:
         return conv[self.eps1] + "," + conv[self.eps2] + conv[self.eps3]
 
     @property
-    def orientation(self) -> int:
-        """Resonant-set orientation sign s = eps2 * eps3 (pure-wave triples)."""
-        if self.eps2 == 0 or self.eps3 == 0:
-            raise ValueError("orientation defined for eps2, eps3 in {+,-}")
-        return self.eps2 * self.eps3
+    def resonance_class(self) -> tuple[int, int]:
+        """(eps1 eps2, eps1 eps3), shared by a triple and its negative."""
+        if 0 in (self.eps1, self.eps2, self.eps3):
+            raise ValueError(f"{self.label()} is not a pure wave triple")
+        return self.eps1 * self.eps2, self.eps1 * self.eps3
 
 
 ALL_WAVE_TRIPLES = tuple(InteractionSpec(a, b, c)
                          for a in SIGNS for b in SIGNS for c in SIGNS)
+
+# lambda drawn on each class's time-resonant set eta = lambda xi, inside
+# the class's range and away from its ends
+_LAMBDA_RANGES = {(1, 1): (0.05, 0.95), (-1, 1): (1.05, 4.0),
+                  (1, -1): (-4.0, -0.05)}
 
 
 def _as_points(x):
@@ -88,14 +106,8 @@ def phase(spec: InteractionSpec, xi, eta, state: ConstantState):
     """phi = e1 |xi|_0 - e2 |xi-eta|_0 - e3 |eta|_0 (vectorized)."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    out = 0.0
-    if spec.eps1:
-        out = out + spec.eps1 * norm0(xi, state)
-    if spec.eps2:
-        out = out - spec.eps2 * norm0(xi - eta, state)
-    if spec.eps3:
-        out = out - spec.eps3 * norm0(eta, state)
-    return out
+    return (spec.eps1 * norm0(xi, state) - spec.eps2 * norm0(xi - eta, state)
+            - spec.eps3 * norm0(eta, state))
 
 
 def _g0_dir(x, state):
@@ -108,24 +120,15 @@ def _g0_dir(x, state):
 def grad_xi_phase(spec, xi, eta, state):
     """d phi / d xi; rejects points on the axes touched by the formula."""
     _check_off_axis(xi, eta)
-    out = 0.0
-    if spec.eps1:
-        out = out + spec.eps1 * _g0_dir(xi, state)
-    if spec.eps2:
-        out = out - spec.eps2 * _g0_dir(np.asarray(xi, float) - eta, state)
-    return np.asarray(out, dtype=float)
+    return (spec.eps1 * _g0_dir(xi, state)
+            - spec.eps2 * _g0_dir(np.asarray(xi, float) - eta, state))
 
 
 def grad_eta_phase(spec, xi, eta, state):
     """d phi / d eta."""
     _check_off_axis(xi, eta)
-    out = 0.0
-    if spec.eps2:
-        out = out + spec.eps2 * _g0_dir(np.asarray(xi, float) - eta, state)
-    if spec.eps3:
-        out = out - spec.eps3 * _g0_dir(eta, state)
-    return np.asarray(out if np.ndim(out) else
-                      np.zeros(np.shape(np.asarray(xi, float))), dtype=float)
+    return (spec.eps2 * _g0_dir(np.asarray(xi, float) - eta, state)
+            - spec.eps3 * _g0_dir(eta, state))
 
 
 # ----------------------------------------------------------------------
@@ -176,14 +179,12 @@ def check_phase_gradsq_identity(spec: InteractionSpec, xi, eta, state,
 
     Returns (residual, skipped): residuals are relative; samples whose
     denominator is below denom_tol times its homogeneous scale are
-    flagged rather than evaluated.  Defined for the six sign triples
-    with e2 e3 interactions of mixed or equal signs except (+,--) and
-    (-,++), whose phase never vanishes.
+    flagged rather than evaluated.  Defined for the six wave triples
+    outside the class (-, -) of (+,--) and (-,++), whose phase never
+    vanishes.
     """
-    if 0 in (spec.eps1, spec.eps2, spec.eps3):
-        raise ValueError("identity defined for pure wave triples")
-    e1, e2, e3 = spec.eps1, spec.eps2, spec.eps3
-    if (e1, e2, e3) in ((1, -1, -1), (-1, 1, 1)):
+    cls = spec.resonance_class
+    if cls == (-1, -1):
         raise ValueError(f"no closed-form identity for {spec.label()}")
     _check_off_axis(xi, eta)
     xi = np.asarray(xi, dtype=float)
@@ -196,26 +197,18 @@ def check_phase_gradsq_identity(spec: InteractionSpec, xi, eta, state,
     grad2 = dual_sq_grad_eta(spec, xi, eta, state)
     ph = phase(spec, xi, eta, state)
 
-    if (e1, e2, e3) == (1, 1, 1):
+    if cls == (1, 1):
         lhs, denom, scale = ph, total, total
-        rhs = -(nw * ne / denom) * grad2
-    elif (e1, e2, e3) == (-1, -1, -1):
-        lhs, denom, scale = ph, total, total
-        rhs = (nw * ne / denom) * grad2
-    elif (e1, e2, e3) in ((1, 1, -1), (-1, -1, 1)):
-        denom = nx * nw + np.einsum("...i,ij,...j->...", xi, g, xi - eta)
-        scale = nx * nw
+        rhs = -spec.eps1 * (nw * ne / denom) * grad2
+    else:
+        if cls == (1, -1):
+            denom = nx * nw + np.einsum("...i,ij,...j->...", xi, g, xi - eta)
+            scale = nx * nw
+        else:  # (-1, 1)
+            denom = nx * ne + np.einsum("...i,ij,...j->...", xi, g, eta)
+            scale = nx * ne
         lhs = 2.0 * ph
-        rhs = (total * nw * ne / denom) * grad2
-        if e1 == -1:
-            rhs = -rhs
-    else:  # (1, -1, 1) and (-1, 1, -1)
-        denom = nx * ne + np.einsum("...i,ij,...j->...", xi, g, eta)
-        scale = nx * ne
-        lhs = 2.0 * ph
-        rhs = (total * nw * ne / denom) * grad2
-        if e1 == -1:
-            rhs = -rhs
+        rhs = spec.eps1 * (total * nw * ne / denom) * grad2
 
     skipped = np.abs(denom) < denom_tol * scale
     # both sides are homogeneous of degree one; normalize by the natural
@@ -248,6 +241,32 @@ def check_mixed_gradient_identity(sign: int, xi, eta, state) -> np.ndarray:
     return np.linalg.norm(lhs - rhs, axis=-1) / _scale(xi, eta, state)
 
 
+def identity_suite(xi, eta, state) -> dict:
+    """The 22 named results of the three suites at the samples (xi, eta).
+
+    In order: ``gradient <triple>`` for the eight wave triples; ``phase-
+    gradsq <triple>`` and ``phase-gradsq <triple> skipped`` for the six
+    outside the class (-, -); ``mixed +,+0`` and ``mixed -,-0``.  Each
+    is the worst relative residual over the samples, except the skipped
+    counts, which are sample counts.
+    """
+    results = {}
+    for spec in ALL_WAVE_TRIPLES:
+        results[f"gradient {spec.label()}"] = float(np.max(
+            check_gradient_identity(spec, xi, eta, state)))
+    for spec in ALL_WAVE_TRIPLES:
+        if spec.resonance_class == (-1, -1):
+            continue
+        r, skipped = check_phase_gradsq_identity(spec, xi, eta, state)
+        key = f"phase-gradsq {spec.label()}"
+        results[key] = float(np.max(r))
+        results[key + " skipped"] = int(np.sum(skipped))
+    for sign in SIGNS:
+        results[f"mixed {InteractionSpec(sign, sign, 0).label()}"] = float(
+            np.max(check_mixed_gradient_identity(sign, xi, eta, state)))
+    return results
+
+
 # ----------------------------------------------------------------------
 # angular cutoffs
 # ----------------------------------------------------------------------
@@ -271,26 +290,22 @@ def smooth_step(x):
 def cutoff_chi(spec: InteractionSpec, xi, eta, state):
     """Angular repartition chi in [0, 1] separating the resonant regions.
 
-    chi = 1 for (+,--)/(-,++), chi = 0 for (+,++)/(-,--), and a smooth
-    function of the g0-angle between xi and xi - eta otherwise.
+    chi = 1 on the class (-, -), chi = 0 on the class (+, +), and a
+    smooth function of the g0-angle between xi and xi - eta otherwise.
     """
-    if 0 in (spec.eps1, spec.eps2, spec.eps3):
-        raise ValueError("cutoff defined for pure wave triples")
+    cls = spec.resonance_class
     _check_off_axis(xi, eta)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    key = (spec.eps1, spec.eps2, spec.eps3)
     shape = np.shape(norm0(xi, state))
-    if key in ((1, -1, -1), (-1, 1, 1)):
+    if cls == (-1, -1):
         return np.ones(shape)
-    if key in ((1, 1, 1), (-1, -1, -1)):
+    if cls == (1, 1):
         return np.zeros(shape)
     g = metric_matrix(state).g
     arg = np.einsum("...i,ij,...j->...", xi, g, xi - eta) \
         / (norm0(xi, state) * norm0(xi - eta, state))
-    if key in ((1, -1, 1), (-1, 1, -1)):
-        return smooth_step(arg)
-    return smooth_step(-arg)  # (1, 1, -1), (-1, -1, 1)
+    return smooth_step(arg if cls == (-1, 1) else -arg)
 
 
 # ----------------------------------------------------------------------
@@ -341,17 +356,12 @@ def resonant_set_probe(spec: InteractionSpec, n_samples: int,
     homogeneous scale.
     """
     rng = np.random.default_rng(seed)
-    key = (spec.eps1, spec.eps2, spec.eps3)
+    cls = spec.resonance_class
     out = {"interaction": spec.label(), "n_samples": n_samples}
 
-    # time-resonant parametrization eta = lambda xi with the sign-specific range
-    ranges = {
-        (1, 1, 1): (0.05, 0.95), (-1, -1, -1): (0.05, 0.95),
-        (1, -1, 1): (1.05, 4.0), (-1, 1, -1): (1.05, 4.0),
-        (1, 1, -1): (-4.0, -0.05), (-1, -1, 1): (-4.0, -0.05),
-    }
-    if key in ranges:
-        lo, hi = ranges[key]
+    # time-resonant parametrization eta = lambda xi with the class's range
+    if cls in _LAMBDA_RANGES:
+        lo, hi = _LAMBDA_RANGES[cls]
         xi = rng.normal(size=(n_samples, 3))
         lam = rng.uniform(lo, hi, (n_samples, 1))
         eta = lam * xi
@@ -361,8 +371,8 @@ def resonant_set_probe(spec: InteractionSpec, n_samples: int,
     else:
         out["phi_on_T_max"] = 0.0  # time-resonant set is the origin only
 
-    # lower bound on supp chi_+ (middle four interactions)
-    if key in ((1, -1, 1), (-1, 1, -1), (1, 1, -1), (-1, -1, 1)):
+    # lower bound on supp chi_+ (the mixed classes)
+    if cls in ((-1, 1), (1, -1)):
         xi, eta = sample_off_axis(rng, 4 * n_samples)
         chi = cutoff_chi(spec, xi, eta, state)
         on = chi > 0
@@ -370,17 +380,14 @@ def resonant_set_probe(spec: InteractionSpec, n_samples: int,
         nx = norm0(xi, state)
         nw = norm0(xi - eta, state)
         dot = np.einsum("...i,ij,...j->...", xi, g, xi - eta)
-        if key in ((1, -1, 1), (-1, 1, -1)):
-            q = (nx * nw + dot) / (nx * nw)
-        else:
-            q = (nx * nw - dot) / (nx * nw)
+        q = (nx * nw - cls[0] * dot) / (nx * nw)
         out["support_bound_min"] = float(np.min(q[on])) if on.any() else None
         out["support_bound_target"] = 0.75
         # sanity: away from the support the phase may vanish
         out["n_on_support"] = int(np.count_nonzero(on))
 
     # euclidean collinearity consequence on the space-resonant set
-    s = spec.orientation
+    s = cls[0] * cls[1]  # the orientation eps2 eps3
     xi, eta = resonant_samples(s, rng, n_samples)
     w = xi - eta
     uw = w / np.linalg.norm(w, axis=1, keepdims=True)

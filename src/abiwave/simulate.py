@@ -26,7 +26,7 @@ from .fields import StateField
 from .grid import Grid
 from .model import admissible_perturbation
 from .spectral import _geometry, apply_A0
-from .state import ConstantState, metric_matrix
+from .state import ConstantState, finite_number, metric_matrix
 
 
 @dataclass
@@ -389,7 +389,12 @@ def read_snapshot(path) -> tuple[StateField, ConstantState, float]:
             raise ValueError(f"snapshot sidecar {sidecar}: field {key!r} is "
                              f"missing or malformed ({exc!r})") from None
 
-    N, L = entry("N", int), entry("L", float)
+    def integer(x) -> int:
+        if type(x) is not int:
+            raise ValueError(f"must be an integer, got {x!r}")
+        return x
+
+    N, L = entry("N", integer), entry("L", finite_number)
     try:
         g = Grid(N=N, L=L)
     except ValueError as exc:
@@ -401,4 +406,4 @@ def read_snapshot(path) -> tuple[StateField, ConstantState, float]:
                          f"needs 10 * N^3 * 8 = {want}")
     data = np.fromfile(path, dtype="<f8").reshape(10, g.N, g.N, g.N)
     return (StateField(g, data), entry("state", ConstantState.from_dict),
-            entry("t", float))
+            entry("t", finite_number))

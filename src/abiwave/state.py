@@ -10,6 +10,7 @@ through the frequency norm ``|xi|_0 = sqrt(xi . g0 xi)``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,14 @@ import numpy as np
 
 class AdmissibilityError(ValueError):
     """Raised for backgrounds or data violating tau > 0."""
+
+
+def finite_number(x) -> float:
+    """A finite JSON number: an int or a float, not a bool."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or not math.isfinite(x)):
+        raise ValueError(f"must be a finite number, got {x!r}")
+    return float(x)
 
 
 def _vec3(x) -> np.ndarray:

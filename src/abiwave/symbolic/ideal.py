@@ -24,6 +24,14 @@ way.  Because it is Z-linear, :func:`reduce_terms` rewrites each
 distinct monomial of a :class:`~abiwave.symbolic._kernel_py.TermTable`
 once and then sums coefficients with NumPy, instead of rewriting every
 term of every entry.
+
+:func:`extract_cofactors` takes the same rewrites one at a time on a
+term dict, and keeps what each one removes.  Every rewrite is one
+elimination step, :func:`_eliminate`: it replaces x = X_var^step by y,
+for x = X_src, y = s X_dst in stage one and x = X_v^2,
+y = 1 - X_a^2 - X_b^2 in stage two, and collects the quotient q with
+p = (rewritten p) + (x - y) q.  Since x - y is a generator up to the
+sign -s in stage one, q is that generator's cofactor up to the sign.
 """
 from __future__ import annotations
 
@@ -49,8 +57,9 @@ _SIGNED = [src for src, _, signed in _STAGE1 if signed]
 _STAGE2 = ((2, 0, 1), (5, 3, 4), (11, 9, 10), (14, 12, 13))
 
 
-def _var_power(var: int, e: int) -> dict:
-    return {e << (_kernel_py.BITS * var): 1}
+def _var_power(var: int, e: int, c: int = 1) -> dict:
+    """The term c X_var^e as a term dict."""
+    return {e << (_kernel_py.BITS * var): c}
 
 
 def build_ideal_generators(eps2: int, eps3: int) -> list[dict]:
@@ -196,92 +205,59 @@ def reduce_poly(p: dict, s: int) -> dict:
 # cofactor extraction (slow path, exactness checked by re-expansion)
 # ----------------------------------------------------------------------
 
-def _split_variable(terms: dict, var: int):
-    """Represent p as {exponent e of X_var: polynomial in the rest}."""
-    out: dict[int, dict] = {}
-    bits = _kernel_py.BITS
-    mask = _kernel_py.MASK
-    for key, v in terms.items():
-        e = (key >> (bits * var)) & mask
-        rest = key - (e << (bits * var))
-        out.setdefault(e, {})[rest] = v
-    return out
+def _eliminate(p: dict, var: int, step: int, x: dict, y: dict):
+    """Rewrite X_var^step to y in p: (p with X_var reduced, q).
+
+    p splits by the exponent e = n step + r (0 <= r < step) of X_var
+    into terms p_e X_var^e, each of which becomes y^n X_var^r p_e.  The
+    difference goes into q through x^n - y^n = (x - y) t_n, where x is
+    X_var^step and t_(n+1) = x t_n + y^n, t_0 = 0, is built as n grows;
+    so p = (rewritten p) + (x - y) q.
+    """
+    shift = _kernel_py.BITS * var
+    parts: dict[int, dict] = {}  # n: the terms X_var^r p_e
+    for key, c in p.items():
+        n = ((key >> shift) & _kernel_py.MASK) // step
+        parts.setdefault(n, {})[key - (n * step << shift)] = c
+    out: dict = {}
+    q: dict = {}
+    y_n, t_n = {0: 1}, {}
+    for n in range(max(parts, default=0) + 1):
+        if n:
+            t_n = _kernel_py.mul(x, t_n)
+            _kernel_py.add_into(t_n, y_n, 1)
+            y_n = _kernel_py.mul(y_n, y)
+        if n in parts:
+            _kernel_py.add_into(out, _kernel_py.mul(y_n, parts[n]), 1)
+            _kernel_py.add_into(q, _kernel_py.mul(t_n, parts[n]), 1)
+    return out, q
 
 
 def extract_cofactors(p: dict, eps2: int, eps3: int):
     """Cofactors Q1..Q12 with p = reduce(p) + sum Q_i P_i, exactly.
 
     Takes a term dict and returns the twelve cofactors and the residue
-    as term dicts.  The identity is re-verified by exact expansion
-    before returning.
+    as term dicts.  Each rewrite of the two stages is one
+    :func:`_eliminate`: the n-th ``_STAGE1`` row puts y = s X_dst for
+    x = X_src (s = 1 for P10), and x - y = -s P_(7+n) gives the
+    cofactor -s q; a ``_STAGE2`` row puts y = 1 - X_a^2 - X_b^2 for
+    x = X_v^2, and x - y is the unit-sum generator of the triple holding
+    X_v, whose cofactor is q.  The identity is re-verified by exact
+    expansion before returning.
     """
     s = eps2 * eps3
     gens = build_ideal_generators(eps2, eps3)
     cof = [{} for _ in range(12)]
-    cur = dict(p)
-
-    # stage 1: for each substituted variable, p = sum_e X^e p_e and
-    # X^e - (s X')^e = (X - s X') * sum_{m<e} X^m (s X')^{e-1-m};
-    # the n-th substitution is generator P_{7+n}
+    cur = p
     for gi, (src, dst, signed) in enumerate(_STAGE1, start=6):
-        split = _split_variable(cur, src)
-        new: dict = {}
-        q_terms: dict = {}
-        for e, pe in split.items():
-            ssub = s if signed else 1
-            # substituted part: (s X_dst)^e * p_e
-            sub = _kernel_py.mul(_var_power(dst, e), pe)
-            if ssub < 0 and (e & 1):
-                sub = {k: -v for k, v in sub.items()}
-            _kernel_py.add_into(new, sub, 1)
-            if e:
-                # telescoping cofactor of (X_src - ssub X_dst); generator is
-                # P = X_dst - ssub X_src, and X_src - ssub X_dst = -ssub P
-                tele: dict = {}
-                for m in range(e):
-                    part = _kernel_py.mul(_var_power(src, m),
-                                          _var_power(dst, e - 1 - m))
-                    coeff = ssub ** (e - 1 - m)
-                    _kernel_py.add_into(tele, part, coeff)
-                q = _kernel_py.mul(tele, pe)
-                _kernel_py.add_into(q_terms, q, -ssub)
-        cof[gi] = q_terms
-        cur = new
-
-    # stage 2: X_v^{2m+r} = (1 - A^2 - B^2)^m X_v^r + P * telescope,
-    # where P is the unit-sum generator of the triple holding X_v
+        sign = s if signed else 1
+        cur, q = _eliminate(cur, src, 1, _var_power(src, 1),
+                            _var_power(dst, 1, sign))
+        cof[gi] = {k: -sign * v for k, v in q.items()}
     for var, pa, pb in _STAGE2:
-        gi = var // 3
-        split = _split_variable(cur, var)
-        new: dict = {}
-        q_terms: dict = {}
-        one_minus: dict = {0: 1}
-        _kernel_py.add_into(one_minus, _var_power(pa, 2), -1)
-        _kernel_py.add_into(one_minus, _var_power(pb, 2), -1)
-        for e, pe in split.items():
-            m, r = divmod(e, 2)
-            # (1 - A^2 - B^2)^m
-            acc = {0: 1}
-            for _ in range(m):
-                acc = _kernel_py.mul(acc, one_minus)
-            repl = _kernel_py.mul(acc, _var_power(var, r))
-            _kernel_py.add_into(new, _kernel_py.mul(repl, pe), 1)
-            if m:
-                # X^2m - (1-A^2-B^2)^m = P1 * sum_j X^{2j} (1-A^2-B^2)^{m-1-j}
-                tele: dict = {}
-                pw = {0: 1}
-                pows = [dict(pw)]
-                for _ in range(m - 1):
-                    pw = _kernel_py.mul(pw, one_minus)
-                    pows.append(dict(pw))
-                for j in range(m):
-                    part = _kernel_py.mul(_var_power(var, 2 * j),
-                                          pows[m - 1 - j])
-                    _kernel_py.add_into(tele, part, 1)
-                q = _kernel_py.mul(_kernel_py.mul(tele, pe), _var_power(var, r))
-                _kernel_py.add_into(q_terms, q, 1)
-        cof[gi] = q_terms
-        cur = new
+        one_minus = {0: 1, **_var_power(pa, 2, -1), **_var_power(pb, 2, -1)}
+        cur, cof[var // 3] = _eliminate(cur, var, 2, _var_power(var, 2),
+                                        one_minus)
 
     # exact re-expansion check: p == residue + sum Q_i P_i
     recon = dict(cur)

@@ -118,26 +118,28 @@ def test_criterion_2_constraint_operator(draws):
 # 3. identity suite
 # ----------------------------------------------------------------------
 
+# the suite's 22 results, in the order identities.json lists them
+IDENTITY_SUITE_KEYS = (
+    [f"gradient {t}" for t in ("+,++", "+,+-", "+,-+", "+,--",
+                               "-,++", "-,+-", "-,-+", "-,--")]
+    + [f"phase-gradsq {t}{skipped}" for t in ("+,++", "+,+-", "+,-+",
+                                               "-,+-", "-,-+", "-,--")
+       for skipped in ("", " skipped")]
+    + ["mixed +,+0", "mixed -,-0"])
+
+
 def test_criterion_3_identity_suite():
     t0 = time.time()
     rng = np.random.default_rng(33)
     st = ConstantState(tau0=1.3, b0=(0.7, -0.3, 0.2), d0=(0.1, 0.5, -0.6))
     xi, eta = R.sample_off_axis(rng, 10000)
-    worst = 0.0
-    for spec in R.ALL_WAVE_TRIPLES:
-        worst = max(worst, float(np.max(
-            R.check_gradient_identity(spec, xi, eta, st))))
-    n_gradsq = 0
-    for spec in R.ALL_WAVE_TRIPLES:
-        if (spec.eps1, spec.eps2, spec.eps3) in ((1, -1, -1), (-1, 1, 1)):
-            continue
-        r, _ = R.check_phase_gradsq_identity(spec, xi, eta, st)
-        worst = max(worst, float(np.max(r)))
-        n_gradsq += 1
-    for sign in (1, -1):
-        worst = max(worst, float(np.max(
-            R.check_mixed_gradient_identity(sign, xi, eta, st))))
+    results = R.identity_suite(xi, eta, st)
+    residuals = {name: r for name, r in results.items()
+                 if not name.endswith(" skipped")}
+    worst = max(residuals.values())
+    n_gradsq = sum(name.startswith("phase-gradsq") for name in residuals)
     dt = time.time() - t0
+    assert list(results) == IDENTITY_SUITE_KEYS
     ok = worst <= 1e-10 and dt < 30.0 and n_gradsq == 6
     _report(3, ok, f"identity suite (8 gradient + {n_gradsq} phase-gradsq + 2 mixed) at "
                    f"10^4 off-axis points: worst residual {worst:.2e} "

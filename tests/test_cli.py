@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abiwave import cli
+from abiwave import cli, resonance
+from abiwave.state import ConstantState
 
 # a NumPy warning would print its own stderr lines next to a command's one
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -108,6 +109,15 @@ def test_check_identities_pass_and_fail(tmp_path, capsys):
     assert run_cli("check-identities", "--samples", "500",
                    "--tolerance", "1e-30", "--out", str(out)) == 2
     assert "exceeds the tolerance" in _one_stderr_line(capsys)
+
+
+def test_check_identities_writes_the_identity_suite(tmp_path):
+    assert run_cli("check-identities", "--samples", "300", "--seed", "5",
+                   "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "identities.json").read_text())
+    xi, eta = resonance.sample_off_axis(np.random.default_rng(5), 300)
+    state = ConstantState.from_dict(report["state"])
+    assert report["results"] == resonance.identity_suite(xi, eta, state)
 
 
 def test_check_identities_isotropic_state(tmp_path):

@@ -77,6 +77,18 @@ def test_gradient_identity_collinear_resonant_point():
     assert R.check_gradient_identity(spec, xi, eta, STATE) <= 1e-13
 
 
+def test_resonance_class_of_every_wave_triple():
+    want = {"+,++": (1, 1), "-,--": (1, 1),
+            "+,-+": (-1, 1), "-,+-": (-1, 1),
+            "+,+-": (1, -1), "-,-+": (1, -1),
+            "+,--": (-1, -1), "-,++": (-1, -1)}
+    assert {spec.label(): spec.resonance_class
+            for spec in R.ALL_WAVE_TRIPLES} == want
+    for label in ("0,++", "+,0-", "-,+0", "0,00"):
+        with pytest.raises(ValueError, match="not a pure wave triple"):
+            R.InteractionSpec.parse(label).resonance_class
+
+
 def test_phase_gradsq_random_and_sign_symmetry(rng):
     xi, eta = R.sample_off_axis(rng, 2000)
     for spec in R.ALL_WAVE_TRIPLES:

@@ -232,7 +232,15 @@ def test_truncated_snapshot_is_rejected(tmp_path, grid16, manifold_bg):
     (lambda meta: meta["state"].pop("tau0"), "'state'.*'tau0'"),
     (lambda meta: meta.update(N=None), "'N'"),
     (lambda meta: meta["state"].update(tau0=float("nan")), "'state'.*finite"),
-], ids=["missing-N", "missing-tau0", "null-N", "nan-tau0"])
+    (lambda meta: meta.update(N=16.0), "'N'.*integer"),
+    (lambda meta: meta.update(N=4.9), "'N'.*integer"),
+    (lambda meta: meta.update(N=True), "'N'.*integer"),
+    (lambda meta: meta.update(L=float("inf")), "'L'.*finite"),
+    (lambda meta: meta.update(L="2.5"), "'L'.*finite"),
+    (lambda meta: meta.update(t=float("nan")), "'t'.*finite"),
+    (lambda meta: meta.update(t="0"), "'t'.*finite"),
+], ids=["missing-N", "missing-tau0", "null-N", "nan-tau0", "float-N",
+        "fractional-N", "bool-N", "inf-L", "string-L", "nan-t", "string-t"])
 def test_malformed_snapshot_sidecar_is_rejected(tmp_path, grid16, manifold_bg,
                                                 edit, field):
     path = tmp_path / "snap.raw"
@@ -243,6 +251,12 @@ def test_malformed_snapshot_sidecar_is_rejected(tmp_path, grid16, manifold_bg,
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=rf"snap\.raw\.json: field {field}"):
         simulate.read_snapshot(path)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, float("nan"), float("inf")])
+def test_grid_rejects_a_length_that_is_not_finite_and_positive(L):
+    with pytest.raises(ValueError, match="L must be a finite number > 0"):
+        Grid(N=8, L=L)
 
 
 _SIDECAR_VALUES = [None, "abc", "", [], [1.0], {}, {"x": 1}, True, -1, 0, 3,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +11,8 @@ from abiwave.symbolic._kernel_py import (TermTable, add_into, mul, pack,
                                          to_text, unpack, variable)
 from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic import certify as C
+
+import ideal_reference
 
 
 STATE = ConstantState(tau0=0.8, b0=(0.6, 0.2, -0.1), d0=(-0.3, 0.5, 0.2))
@@ -153,6 +157,37 @@ def test_cofactors_zero_poly_and_degree_bound(rng):
         for q in cof:
             if q:
                 assert _kernel_py.degree(q) <= _kernel_py.degree(p)
+
+
+_cofactor_monomial = st.lists(st.integers(0, 3), min_size=18,
+                              max_size=18).map(pack)
+
+
+@settings(deadline=None, max_examples=60)
+@given(p=st.dictionaries(_cofactor_monomial,
+                         st.integers(-5, 5).filter(bool), max_size=6),
+       eps=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+@example(p={}, eps=(1, 1))
+@example(p={}, eps=(1, -1))
+def test_drawn_cofactors_match_the_hand_written_oracle(p, eps):
+    # differential test against the two telescoping loops that one
+    # elimination step replaced: twelve cofactors and the residue
+    assert ideal.extract_cofactors(p, *eps) == \
+        ideal_reference.extract_cofactors(p, *eps)
+
+
+@pytest.mark.parametrize("eps,which", [((1, -1, 1), "evolution"),
+                                       ((0, 1, -1), "constraint")],
+                         ids=["+,-+", "',+-"])
+def test_tensor_entry_cofactors_match_the_hand_written_oracle(eps, which):
+    T = tensors.build_interaction_tensor(eps, which)
+    entries = list(itertools.islice((t for _, t in T.iter_entries() if t), 3))
+    assert len(entries) == 3
+    for terms in entries:
+        cof, residue = ideal.extract_cofactors(terms, eps[1], eps[2])
+        assert (cof, residue) == \
+            ideal_reference.extract_cofactors(terms, eps[1], eps[2])
+        assert residue == {} and any(cof)
 
 
 # ----------------------------------------------------------------------
