@@ -56,6 +56,9 @@ _SIGNED = [src for src, _, signed in _STAGE1 if signed]
 # X3^2 -> 1 - X1^2 - X2^2 etc.  Entries: (var, partner_a, partner_b)
 _STAGE2 = ((2, 0, 1), (5, 3, 4), (11, 9, 10), (14, 12, 13))
 
+# terms per block of whole rows in the term-level steps of reduce_terms
+_BLOCK = 2 ** 14
+
 
 def _var_power(var: int, e: int, c: int = 1) -> dict:
     """The term c X_var^e as a term dict."""
@@ -131,22 +134,6 @@ def _stage2(monos: np.ndarray, dtype):
     return owner, monos, coefs
 
 
-def _stage1(table: TermTable, s: int):
-    """Stage one, merged: (stage-one monomials, rows, monomial, coefs)."""
-    exps = table.exps
-    moved = exps.copy()
-    moved[:, _TARGETS] += exps[:, _SOURCES]
-    moved[:, _SOURCES] = 0
-    monos, mono_of_key = _kernel_py.distinct(moved)
-    coefs = table.coefs
-    if s < 0:
-        flip = (exps[:, _SIGNED].sum(axis=1) & 1).astype(bool)[table.cols]
-        coefs = coefs.copy()
-        coefs[flip] = -coefs[flip]
-    return (monos,) + _kernel_py.merge(table.rows, mono_of_key[table.cols],
-                                       coefs, len(monos))
-
-
 def reduce_terms(table: TermTable, s: int) -> dict:
     """Normal forms of a term table's rows modulo the orientation-s ideal.
 
@@ -162,12 +149,15 @@ def reduce_terms(table: TermTable, s: int) -> dict:
        past it the table moves to Python ints once, here
        (:meth:`~abiwave.symbolic._kernel_py.TermTable.widened`), and the
        same steps run on them;
-    2. stage one moves exponent columns of the distinct monomials, and
-       the terms of monomials with an odd power of s change sign;
-    3. terms are merged by (row, stage-one monomial);
-    4. stage two expands each distinct stage-one monomial once;
-    5. each merged term is multiplied out against its monomial's
-       expansion, and the products are merged by (row, reduced monomial).
+    2. once per table, on its distinct monomials: stage one moves
+       exponent columns, the monomials with an odd power of s are marked
+       for a sign change, and stage two expands each distinct stage-one
+       monomial;
+    3. then over blocks of whole rows of about ``_BLOCK`` terms, so no
+       array of products spans the whole table: the terms are merged by
+       (row, stage-one monomial), each merged term is multiplied out
+       against its monomial's expansion, and the products are merged by
+       (row, reduced monomial).
     """
     degree = table.degree()
     if degree > _kernel_py.MAX_EXP:
@@ -175,22 +165,39 @@ def reduce_terms(table: TermTable, s: int) -> dict:
     if not len(table):
         return {}
     table = table.widened(3 ** (degree // 2))
-    monos, rows, mono, coefs = _stage1(table, s)
-
-    owner, reduced, red_coefs = _stage2(monos, coefs.dtype)
+    exps = table.exps
+    moved = exps.copy()
+    moved[:, _TARGETS] += exps[:, _SOURCES]
+    moved[:, _SOURCES] = 0
+    monos, mono_of_key = _kernel_py.distinct(moved)
+    flip = (exps[:, _SIGNED].sum(axis=1) & 1).astype(bool) if s < 0 else None
+    owner, reduced, red_coefs = _stage2(monos, table.coefs.dtype)
     reduced, red_id = _kernel_py.distinct(reduced)
     count = np.bincount(owner, minlength=len(monos))
-    size = count[mono]
-    at = _kernel_py.ranges((np.cumsum(count) - count)[mono], size)
-    rep = np.repeat(np.arange(len(mono)), size)
-    rows, mono, coefs = _kernel_py.merge(rows[rep], red_id[at],
-                                         coefs[rep] * red_coefs[at],
-                                         len(reduced))
+    first = np.cumsum(count) - count
 
     residues: dict = {}
-    keys = _kernel_py.join_halves(_kernel_py.pack_halves(reduced[mono]))
-    for row, key, c in zip(rows.tolist(), keys, coefs.tolist()):
-        residues.setdefault(row, {})[key] = c
+    ends = np.cumsum(table.sizes)
+    lo = 0
+    while lo < len(table):
+        # the block ends at the first row end at least _BLOCK terms on
+        hi = (int(ends[np.searchsorted(ends, lo + _BLOCK)])
+              if lo + _BLOCK < len(table) else len(table))
+        cols, coefs = table.cols[lo:hi], table.coefs[lo:hi]
+        if flip is not None:
+            coefs = np.where(flip[cols], -coefs, coefs)
+        rows, mono, coefs = _kernel_py.merge(
+            table.rows[lo:hi], mono_of_key[cols], coefs, len(monos))
+        size = count[mono]
+        at = _kernel_py.ranges(first[mono], size)
+        rep = np.repeat(np.arange(len(mono)), size)
+        rows, mono, coefs = _kernel_py.merge(rows[rep], red_id[at],
+                                             coefs[rep] * red_coefs[at],
+                                             len(reduced))
+        keys = _kernel_py.join_halves(_kernel_py.pack_halves(reduced[mono]))
+        for row, key, c in zip(rows.tolist(), keys, coefs.tolist()):
+            residues.setdefault(row, {})[key] = c
+        lo = hi
     return residues
 
 

@@ -256,15 +256,18 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     constraint interactions have no outer projector: their entries are
     the inner stage.
 
-    Each stage forms all its term products at once with NumPy.  A
-    monomial is the int64 code ``sum_v e_v * place_v`` of a mixed radix
-    whose digit for variable v is one more than the sum of the largest
-    exponents of v in P1, P2 * X_dir and P3.  No digit of a product can
-    reach its radix, so multiplying monomials adds codes.  A stage
-    merges its products by (entry, code) with
-    :func:`abiwave.symbolic._kernel_py.merge`, and only the distinct
-    monomials of the result are decoded.  Three bounds are checked once
-    per tensor, each raising OverflowError past it:
+    The inner stage forms all its term products at once with NumPy, the
+    outer stage those of one P1 line at a time.  A monomial is the int64
+    code ``sum_v e_v * place_v`` of a mixed radix whose digit for
+    variable v is one more than the sum of the largest exponents of v in
+    P1, P2 * X_dir and P3.  No digit of a product can reach its radix,
+    so multiplying monomials adds codes.  The inner products, and the
+    outer products of each line, are merged by (entry, code) with
+    :func:`abiwave.symbolic._kernel_py.merge`; no two lines share an
+    entry, so the merged lines, in order, are the table's terms.  The
+    distinct codes of the result are numbered in ascending order, and
+    only they are decoded.  Three bounds are checked once per tensor,
+    each raising OverflowError past it:
 
     * the total degree of every product fits a packed key (``MAX_EXP``);
     * entries times the number of codes is at most 2**63, so every
@@ -332,28 +335,33 @@ def build_interaction_tensor(eps: tuple[int, int, int],
     code = codes(P2)[n2] + place[dvar][t] + codes(P3)[n3]
     coef = (sign_t[t] * P2.coefs.astype(np.int64)[n2]
             * P3.coefs.astype(np.int64)[n3])
+    entry, code, coef = _kernel_py.merge(entry, code, coef, ncodes)
     if P1 is not None:
-        entry, code, coef = _kernel_py.merge(entry, code, coef, ncodes)
         size = np.bincount(entry // 100, minlength=nrows)
         start = np.cumsum(size) - size
-        # P1 term n meets the inner terms of its column's row
-        line1, col1 = np.divmod(P1.rows, 10)
-        count = size[col1]
-        n = _kernel_py.ranges(start[col1], count)
-        entry = np.repeat(line1 * 100, count) + (entry % 100)[n]
-        code = np.repeat(codes(P1), count) + code[n]
-        coef = np.repeat(P1.coefs.astype(np.int64), count) * coef[n]
-    # merged monomial first, so equal codes are adjacent, then put back
-    # in entry order by a stable (radix) sort of the small entry numbers
-    code, entry, coef = _kernel_py.merge(code, entry, coef, nentries)
-    new = np.diff(code, prepend=-1) != 0
-    cols = np.cumsum(new) - 1
-    rest = code[new]
+        # P1 term n meets the inner terms of its column's row; the
+        # products of one P1 line land in that line's entries alone, so
+        # each line is merged by itself, and the lines follow in order
+        jk = entry % 100
+        col1 = P1.rows % 10
+        code1, coef1 = codes(P1), P1.coefs.astype(np.int64)
+        ends = np.cumsum(P1.sizes.reshape(10, 10).sum(axis=1)).tolist()
+        lines = []
+        for line, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+            count = size[col1[lo:hi]]
+            n = _kernel_py.ranges(start[col1[lo:hi]], count)
+            lines.append(_kernel_py.merge(
+                line * 100 + jk[n], np.repeat(code1[lo:hi], count) + code[n],
+                np.repeat(coef1[lo:hi], count) * coef[n], ncodes))
+        entry, code, coef = (np.concatenate(a) for a in zip(*lines))
+        del lines  # before the numbering below allocates its own arrays
+    # terms are in entry order, with codes ascending in each entry; the
+    # columns number the distinct codes in ascending order
+    rest, cols = np.unique(code, return_inverse=True)
     exps = np.empty((len(rest), _kernel_py.NVARS), dtype=np.int8)
     for v, r in enumerate(radix.tolist()):  # digits low to high
         rest, exps[:, v] = np.divmod(rest, r)
-    order = np.argsort(entry.astype(np.int16), kind="stable")
-    table = _kernel_py.TermTable.from_arrays(
-        exps, entry[order], cols[order], coef[order], nentries)
+    table = _kernel_py.TermTable.from_arrays(exps, entry, cols, coef,
+                                             nentries)
     return InteractionTensor(eps=(e1, e2, e3), which=which, table=table,
                              scale_log2=scale)

@@ -9,15 +9,23 @@ differential oracle of the two-stage build: entries must be equal as
 term dicts.  :func:`chaplygin_block` is the (tau, v) subsystem as the
 certifier formed it from term dicts, one entry at a time, before
 :meth:`abiwave.symbolic.tensors.InteractionTensor.chaplygin_block`
-read it off the term table.
+read it off the term table.  :func:`build_table` is the NumPy build as
+it formed the outer P1 stage, every product at once, and numbered the
+monomials of the whole tensor by one final merge by (code, entry) and a
+stable sort of the entries, before the outer stage was merged one P1
+line at a time; it is the oracle of the table's arrays, bit for bit.
 """
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from abiwave import system
 from abiwave.symbolic import _kernel_py
 from abiwave.symbolic._kernel_py import variable
 from abiwave.symbolic.tensors import (SLOT_ETA, SLOT_W, SLOT_XI,
-                                      projector_terms)
+                                      _projector_table, projector_terms)
 
 
 def _mul3_add_into(acc: dict, c: int, p: dict, q: dict, r: dict) -> None:
@@ -102,3 +110,69 @@ def chaplygin_block(entries, which: str):
              for (i, j, k), terms in entries
              if (which != "evolution" or i < 4) and j < 4 and k < 4]
     return [idx for idx, _ in block], [terms for _, terms in block]
+
+
+def build_table(eps: tuple[int, int, int], which: str = "evolution"):
+    """The tensor's TermTable, from whole-array outer products.
+
+    The inner stage, the radix and the codes are those of
+    ``build_interaction_tensor``; its overflow checks are left out.
+    """
+    e1, e2, e3 = eps
+    P2 = _projector_table(e2, SLOT_W)
+    P3 = _projector_table(e3, SLOT_ETA)
+    if which == "evolution":
+        P1 = _projector_table(e1, SLOT_XI)
+        terms_table, nrows = system.EVOLUTION_TERMS, 10
+    else:
+        P1 = None
+        terms_table, nrows = system.CONSTRAINT_TERMS, 5
+    projectors = [P for P in (P1, P2, P3) if P is not None]
+    row_t, a_t, c_t, dir_t, sign_t = np.array(terms_table, dtype=np.int64).T
+    dvar = SLOT_W[0] + dir_t
+    top = sum(P.exps.max(axis=0, initial=0).astype(np.int64)
+              for P in projectors)
+    top[np.unique(dvar)] += 1
+    radix = top + 1
+    ncodes = math.prod(radix.tolist())
+    nentries = nrows * 100
+    place = np.cumprod(np.concatenate(([1], radix[:-1])))
+
+    def codes(P):
+        return (P.exps.astype(np.int64) @ place)[P.cols]
+
+    size2, size3 = (P.sizes.reshape(10, 10).sum(axis=1) for P in (P2, P3))
+    start2, start3 = np.cumsum(size2) - size2, np.cumsum(size3) - size3
+    col2, col3 = P2.rows % 10, P3.rows % 10
+    count = size2[c_t] * size3[a_t]
+    t = np.repeat(np.arange(len(count)), count)
+    local = _kernel_py.ranges(np.zeros_like(count), count)
+    width = size3[a_t][t]
+    n2 = start2[c_t][t] + local // width
+    n3 = start3[a_t][t] + local % width
+    entry = (row_t[t] * 10 + col2[n2]) * 10 + col3[n3]
+    code = codes(P2)[n2] + place[dvar][t] + codes(P3)[n3]
+    coef = (sign_t[t] * P2.coefs.astype(np.int64)[n2]
+            * P3.coefs.astype(np.int64)[n3])
+    if P1 is not None:
+        entry, code, coef = _kernel_py.merge(entry, code, coef, ncodes)
+        size = np.bincount(entry // 100, minlength=nrows)
+        start = np.cumsum(size) - size
+        line1, col1 = np.divmod(P1.rows, 10)
+        count = size[col1]
+        n = _kernel_py.ranges(start[col1], count)
+        entry = np.repeat(line1 * 100, count) + (entry % 100)[n]
+        code = np.repeat(codes(P1), count) + code[n]
+        coef = np.repeat(P1.coefs.astype(np.int64), count) * coef[n]
+    # merged monomial first, so equal codes are adjacent, then put back
+    # in entry order by a stable (radix) sort of the small entry numbers
+    code, entry, coef = _kernel_py.merge(code, entry, coef, nentries)
+    new = np.diff(code, prepend=-1) != 0
+    cols = np.cumsum(new) - 1
+    rest = code[new]
+    exps = np.empty((len(rest), _kernel_py.NVARS), dtype=np.int8)
+    for v, r in enumerate(radix.tolist()):  # digits low to high
+        rest, exps[:, v] = np.divmod(rest, r)
+    order = np.argsort(entry.astype(np.int16), kind="stable")
+    return _kernel_py.TermTable.from_arrays(
+        exps, entry[order], cols[order], coef[order], nentries)

@@ -583,3 +583,21 @@ def test_certificate_times_its_stages(preflight):
     out = cert.to_dict()
     assert [out[k] for k in ("build_ms", "preflight_ms", "reduce_ms")] \
         == list(stages)
+
+
+def test_certificate_peak_memory_stays_under_10_mb():
+    # Python and NumPy allocations traced from the call's entry, after
+    # one untraced call has paid the imports and caches; the build forms
+    # the outer products one P1 line at a time and the reduction works
+    # in row blocks, so no array of products spans the (+,++) tensor
+    import tracemalloc
+
+    C.certify((1, 1, 1), "evolution")
+    tracemalloc.start()
+    try:
+        cert = C.certify((1, 1, 1), "evolution")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verified
+    assert peak <= 10e6

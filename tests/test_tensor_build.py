@@ -6,7 +6,7 @@ from abiwave.resonance import InteractionSpec
 from abiwave.symbolic import ideal, tensors
 from abiwave.symbolic._kernel_py import TermTable, pack
 
-from tensors_reference import build_entries, chaplygin_block
+from tensors_reference import build_entries, build_table, chaplygin_block
 
 INTERACTIONS = ([((e1, e2, e3), "evolution") for e1 in (1, -1)
                  for e2 in (1, -1) for e3 in (1, -1)]
@@ -36,6 +36,20 @@ def test_every_tensor_entry_matches_triple_product_oracle(eps, which):
     assert np.all(np.diff(table.rows) >= 0)
     assert len(set(table.keys)) == len(table.keys)
     _assert_int64_coefficients(table)
+
+
+@pytest.mark.parametrize("eps,which", INTERACTIONS,
+                         ids=[InteractionSpec(*e).label().replace("0", "'")
+                              for e, _ in INTERACTIONS])
+def test_line_by_line_build_matches_whole_array_build_bitwise(eps, which):
+    # the outer stage merged one P1 line at a time and the codes numbered
+    # by one unique give the arrays of the one-pass merge and entry sort
+    got = tensors.build_interaction_tensor(eps, which).table
+    want = build_table(eps, which)
+    for name in ("exps", "rows", "cols", "coefs", "sizes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
 
 
 def _assert_int64_coefficients(table):

@@ -163,6 +163,49 @@ def test_drawn_int64_tables_match_dict_oracle(rows, s):
     assert all(type(c) is int for r in got.values() for c in r.values())
 
 
+def _ordered(residues):
+    """The residues with the order of their rows and of their terms."""
+    return [(row, list(terms.items())) for row, terms in residues.items()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.lists(st.one_of(_row, _row64), max_size=8),
+       wide=st.booleans(), s=st.sampled_from([1, -1]))
+# empty rows around a row of six terms, longer than blocks of 1 and 3
+@example(rows=[{}, {_mono(X3=2, X7=1): 3, _mono(X9=1): -1, _mono(X1=1): 2,
+                    _mono(X6=3): 1, _mono(X4=1, X8=1): -5, 0: 7}, {}, {}],
+         wide=False, s=-1)
+@example(rows=[{_mono(X7=1): 1, _mono(X4=1): -1}, {}, {_mono(X3=2): _BIG}],
+         wide=True, s=1)
+def test_row_blocks_of_any_size_reduce_as_the_default(rows, wide, s):
+    # int64 coefficients where they fit and ``wide`` is off, else objects
+    table = TermTable(rows)
+    if not wide and all(-2 ** 63 <= c < 2 ** 63 for c in table.coefs):
+        table = _with_coefs(table, np.int64)
+    want = ideal.reduce_terms(table, s)
+    for block in (1, 3, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideal, "_BLOCK", block)
+            assert _ordered(ideal.reduce_terms(table, s)) == _ordered(want)
+
+
+@pytest.mark.parametrize("eps", [(1, 1, 1), (-1, 1, -1)],
+                         ids=["+,++", "-,+-"])
+def test_tensor_row_blocks_of_any_size_reduce_as_the_default(eps,
+                                                             monkeypatch):
+    # three mutated entries, one in the last row, so residues fall in
+    # several blocks
+    table = tensors.build_interaction_tensor(eps).table
+    for row, c in ((0, 1), (123, -2), (999, 3)):
+        table = table.plus_constant(row, c)
+    s = eps[1] * eps[2]
+    want = ideal.reduce_terms(table, s)
+    assert list(want) == [0, 123, 999]
+    for block in (1, 3, 64):
+        monkeypatch.setattr(ideal, "_BLOCK", block)
+        assert _ordered(ideal.reduce_terms(table, s)) == _ordered(want)
+
+
 _MAX64 = 2 ** 63 - 1
 
 
