@@ -212,8 +212,8 @@ def _two_positive(x) -> tuple:
 
 def _times(x) -> tuple:
     if not isinstance(x, (list, tuple)):
-        raise ValueError(f"must be a list of numbers, got {x!r}")
-    return tuple(finite_number(t) for t in x)
+        raise ValueError(f"must be a list of numbers >= 0, got {x!r}")
+    return tuple(_nonnegative(t) for t in x)
 
 
 def parse_state(d: dict) -> ConstantState:

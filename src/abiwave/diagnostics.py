@@ -34,7 +34,7 @@ SERIES_COLUMNS = (
 
 def constraint_residual(field: StateField, state: ConstantState,
                         derivative=None, full: np.ndarray | None = None,
-                        scratch: np.ndarray | None = None):
+                        out: np.ndarray | None = None):
     """Sup and L2 norms of the three constraint residual fields.
 
     The constraint rows of :data:`abiwave.system.CONSTRAINT_TERMS`
@@ -45,11 +45,10 @@ def constraint_residual(field: StateField, state: ConstantState,
     :func:`abiwave.system.quadratic` takes them, is that of the
     perturbation; by default it synthesizes them from
     ``field.spectral()`` one component at a time.  ``full`` is
-    ``field.data`` plus the background when the caller has it.
-    ``scratch``, eight real fields or more, receives the five rows in
-    its first five and then the temporaries of their norms in the next
-    three; ``derivative`` may use all but the first five.  They are new
-    arrays otherwise.
+    ``field.data`` plus the background when the caller has it.  The
+    five rows go to ``out``, five real fields, when given, and are a
+    new array otherwise; each row's sup is taken before its L2 norm
+    squares it in place.
     """
     g = field.grid
     if derivative is None:
@@ -59,59 +58,55 @@ def constraint_residual(field: StateField, state: ConstantState,
             return g.gradient(fh[c])
     if full is None:
         full = field.data + state.as_vector().reshape(10, 1, 1, 1)
-    rows, t1, t3 = (None,) * 3 if scratch is None else \
-        (scratch[:5], scratch[5], scratch[5:8])
-    r = system.quadratic(system.CONSTRAINT_TERMS, full, derivative, rows)
+    r = system.quadratic(system.CONSTRAINT_TERMS, full, derivative, out)
 
-    def norms(r, tmp):
-        return {"sup": _sup(r, tmp), "l2": g.l2_norm(r, tmp)}
+    def norms(r):
+        return {"sup": _sup(r), "l2": g.l2_norm(r, r)}
 
-    return norms(r[0], t1), norms(r[1], t1), norms(r[2:5], t3)
+    return norms(r[0]), norms(r[1]), norms(r[2:5])
 
 
-def manifold_residual(field_abs: StateField,
-                      scratch: np.ndarray | None = None):
+def manifold_residual(field_abs: StateField):
     """Sup norms of tau^2+v^2+b^2+d^2-1 and tau v - d ^ b (absolute fields).
 
-    ``scratch``, ten real fields, receives f * f and then the vector
-    residual and its products when given.  d ^ b is formed component by
-    component, as ``np.cross`` forms it (d_j b_k - d_k b_j), without the
-    copies of its operands that ``np.cross`` makes.
+    The squares are added one component at a time, in the order of
+    NumPy's sum over the components.  d ^ b is formed one row at a time,
+    as ``np.cross`` forms it (d_j b_k - d_k b_j), without the copies of
+    its operands that ``np.cross`` makes.
     """
     f = field_abs.data
-    scalar = np.sum(np.multiply(f, f, out=scratch), axis=0) - 1.0
-    vec, t0, t1 = (None,) * 3 if scratch is None else \
-        (scratch[:3], scratch[3], scratch[4])
-    vec = np.multiply(f[0], f[1:4], out=vec)
+    scalar = sum(c * c for c in f) - 1.0
+    sups = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        cross = np.multiply(f[7 + j], f[4 + k], out=t0)
-        cross -= np.multiply(f[7 + k], f[4 + j], out=t1)
-        vec[i] -= cross
-    return _sup(scalar, scalar), _sup(vec, vec)
+        cross = f[7 + j] * f[4 + k]
+        cross -= f[7 + k] * f[4 + j]
+        sups.append(_sup(np.subtract(f[0] * f[1 + i], cross, out=cross)))
+    return _sup(scalar), float(np.max(sups))
 
 
-def _sup(f: np.ndarray, tmp: np.ndarray | None = None) -> float:
-    """sup |f|, with |f| formed in ``tmp`` when given."""
-    return float(np.max(np.abs(f, out=tmp)))
+def _sup(f: np.ndarray) -> float:
+    """sup |f| without forming |f|, bitwise ``np.max(np.abs(f))``: the
+    ``abs`` makes the -0.0 of a field of zeros 0.0.  Sups of pieces are
+    combined by ``np.max``, which keeps a NaN that ``max`` may drop."""
+    return float(abs(max(f.max(), -f.min())))
 
 
 # ----------------------------------------------------------------------
 # norms
 # ----------------------------------------------------------------------
 
-def w1inf_norm(grid: Grid, data: np.ndarray, grad_sup: float | None = None,
-               scratch: np.ndarray | None = None) -> float:
+def w1inf_norm(grid: Grid, data: np.ndarray,
+               grad_sup: float | None = None) -> float:
     """sup |U| + sup |grad U| over components and points.
 
     ``grad_sup`` is the second term, synthesized one component at a
-    time when not given.  ``scratch``, shaped like ``data``, receives
-    |U| when given.
+    time when not given.
     """
     if grad_sup is None:
         fh = grid.rfwd(data)
-        grad_sup = max(_sup(grid.gradient(c)) for c in fh)
-    return _sup(data, scratch) + grad_sup
+        grad_sup = float(np.max([_sup(grid.gradient(c)) for c in fh]))
+    return _sup(data) + grad_sup
 
 
 def besov_norms(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
@@ -130,8 +125,8 @@ def besov_norms(grid: Grid, data: np.ndarray, fh: np.ndarray | None = None,
     b0 = 0.0
     b1 = 0.0
     for j, mask in grid.shell_masks:
-        sup = max(float(np.max(np.abs(rinv(np.multiply(c, mask, out=buf)))))
-                  for c in fh)
+        sup = float(np.max([_sup(rinv(np.multiply(c, mask, out=buf)))
+                            for c in fh]))
         b0 += sup
         b1 += 2.0 ** j * sup
     return b0, b1
@@ -195,15 +190,17 @@ def sample_diagnostics(field: StateField, Uh: np.ndarray,
     is transformed forward.  ``ws`` is the run's
     :class:`abiwave.simulate.Workspace`, idle between steps: Ahat U and
     Ahat^2 U go to its RK4 spectra ``acc`` and ``stage``.  Once the
-    branch norms have consumed them, the full variables go to ``ws.u``
-    and every abs and square temporary to ``ws.scratch`` (the storage of
-    ``stage``), so a sample allocates no ten-field array; ``field`` may
-    be ``ws.prod``, which the sample does not write.  The gradient is
-    synthesized one component at a time for the constraint residuals,
-    whose rows differentiate every component, so they also give
-    sup |grad U|.  For a real field ``||u+|| = ||u-||``; on the half
-    spectrum each is sqrt((||P+ U||^2 + ||P- U||^2) / 2), as the mirror
-    of P+ U at -k is P- U at k, and the parallelogram law makes that
+    branch norms have consumed them, the full variables go to ``ws.u``,
+    and ``ws.scratch`` (the storage of ``stage``) takes the five
+    constraint rows and then the squares of the energy; every sup is an
+    exact reduction with no temporary, so a sample allocates no
+    ten-field array.  ``field`` may be ``ws.prod``, which the sample
+    does not write.  The gradient is synthesized one component at a time
+    for the constraint residuals, whose rows differentiate every
+    component, so they also give sup |grad U|.  For a real field
+    ``||u+|| = ||u-||``; on the half spectrum each is
+    sqrt((||P+ U||^2 + ||P- U||^2) / 2), as the mirror of P+ U at -k is
+    P- U at k, and the parallelogram law makes that
     hypot(||Ahat^2 U||, ||Ahat U||) / 2.
     """
     g = field.grid
@@ -211,20 +208,19 @@ def sample_diagnostics(field: StateField, Uh: np.ndarray,
     h1_wave = np.hypot(g.sobolev_norm(A2U, 1), g.sobolev_norm(AU, 1)) / 2.0
     h1_zero = g.sobolev_norm(np.subtract(Uh, A2U, out=A2U), 1)
     # Ahat U and Ahat^2 U are consumed: stage is scratch from here on
-    scratch = ws.scratch
     grad_sup = 0.0
 
     def derivative(c):
-        # clear of the five residual rows constraint_residual forms there
         nonlocal grad_sup
         d = ws.gradient(Uh[c])
-        grad_sup = max(grad_sup, _sup(d, scratch[5:8]))
+        grad_sup = float(np.maximum(grad_sup, _sup(d)))
         return d
 
     full = np.add(field.data, state.as_vector().reshape(10, 1, 1, 1),
                   out=ws.u)
-    r1, r2, r3 = constraint_residual(field, state, derivative, full, scratch)
-    man_s, man_v = manifold_residual(StateField(g, full), scratch)
+    r1, r2, r3 = constraint_residual(field, state, derivative, full,
+                                     ws.scratch[:5])
+    man_s, man_v = manifold_residual(StateField(g, full))
     b0n, b1n = besov_norms(g, field.data, Uh, ws)
     return dict(
         t=t,
@@ -234,7 +230,7 @@ def sample_diagnostics(field: StateField, Uh: np.ndarray,
         H1_up=h1_wave,
         H1_um=h1_wave,
         H1_u0=h1_zero,
-        W1inf_U=w1inf_norm(g, field.data, grad_sup, scratch),
+        W1inf_U=w1inf_norm(g, field.data, grad_sup),
         B0inf1=b0n,
         B1inf1=b1n,
         res_divb_sup=r1["sup"],
@@ -242,7 +238,7 @@ def sample_diagnostics(field: StateField, Uh: np.ndarray,
         res_rot_sup=r3["sup"],
         man_scalar_sup=man_s,
         man_vector_sup=man_v,
-        energy=g.l2_norm(field.data, scratch) ** 2,
+        energy=g.l2_norm(field.data, ws.scratch) ** 2,
     )
 
 
@@ -321,7 +317,7 @@ def dispersion_probe(state: ConstantState, grid: Grid, times,
             np.multiply(msin, s1[r], out=buf.imag)
             buf *= bump
             evolved = grid.rinv(buf).ravel()
-            sup = max(sup, float(evolved.max()), -float(evolved.min()))
+            sup = float(np.maximum(sup, _sup(evolved)))
             l2sq += float(np.dot(evolved, evolved)) * grid.dx ** 3
             del evolved  # before the next synthesis allocates its own
         samples.append({"t": t, "sup": sup, "l2": float(np.sqrt(l2sq))})

@@ -264,7 +264,7 @@ class Grid:
         """Discrete L^2 norm of a (possibly multi-component) field.
 
         ``scratch``, a float64 array of ``f``'s shape, receives |f|^2
-        when given.
+        when given; it may be ``f`` itself, which is then overwritten.
         """
         sq = np.abs(f, out=scratch)
         np.square(sq, out=sq)

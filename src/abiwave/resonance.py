@@ -173,12 +173,11 @@ def dual_sq_grad_eta(spec, xi, eta, state):
     return 2.0 * (1.0 - spec.eps2 * spec.eps3 * cross)
 
 
-def check_phase_gradsq_identity(spec: InteractionSpec, xi, eta, state,
-                        denom_tol: float = 1e-3):
+def check_phase_gradsq_identity(spec: InteractionSpec, xi, eta, state):
     """Residual of the closed-form relation phi ~ |grad_eta phi|_{0'}^2.
 
     Returns (residual, skipped): residuals are relative; samples whose
-    denominator is below denom_tol times its homogeneous scale are
+    denominator is below 1e-3 times its homogeneous scale are
     flagged rather than evaluated.  Defined for the six wave triples
     outside the class (-, -) of (+,--) and (-,++), whose phase never
     vanishes.
@@ -210,7 +209,7 @@ def check_phase_gradsq_identity(spec: InteractionSpec, xi, eta, state,
         lhs = 2.0 * ph
         rhs = spec.eps1 * (total * nw * ne / denom) * grad2
 
-    skipped = np.abs(denom) < denom_tol * scale
+    skipped = np.abs(denom) < 1e-3 * scale
     # both sides are homogeneous of degree one; normalize by the natural
     # scale so cancellation at the resonant set is not penalized
     rel = np.abs(lhs - rhs) / total
@@ -312,13 +311,13 @@ def cutoff_chi(spec: InteractionSpec, xi, eta, state):
 # sampling and probes
 # ----------------------------------------------------------------------
 
-def sample_off_axis(rng: np.random.Generator, n: int, scale: float = 1.0):
+def sample_off_axis(rng: np.random.Generator, n: int):
     """Random (xi, eta) pairs staying away from the coordinate axes."""
     xi = np.empty((0, 3))
     eta = np.empty((0, 3))
     while len(xi) < n:
-        x = rng.normal(size=(2 * n, 3)) * scale * rng.uniform(0.2, 5.0, (2 * n, 1))
-        e = rng.normal(size=(2 * n, 3)) * scale * rng.uniform(0.2, 5.0, (2 * n, 1))
+        x = rng.normal(size=(2 * n, 3)) * rng.uniform(0.2, 5.0, (2 * n, 1))
+        e = rng.normal(size=(2 * n, 3)) * rng.uniform(0.2, 5.0, (2 * n, 1))
         nx = np.linalg.norm(x, axis=1)
         ne = np.linalg.norm(e, axis=1)
         nw = np.linalg.norm(x - e, axis=1)

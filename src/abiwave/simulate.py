@@ -93,8 +93,8 @@ class Workspace:
       masked state into it and forms its result in ``k`` only once the
       products are formed; a sample forms the full variables in it.
     * ``scratch``, real fields (10, N, N, N): the first 10 N^3 doubles
-      of ``stage``.  A sample forms its abs and square temporaries in it
-      once Ahat^2 U is consumed.
+      of ``stage``.  Once Ahat^2 U is consumed, a sample forms the five
+      constraint rows and then the squares of the energy in it.
     * ``prod``, real fields (10, N, N, N): a right-hand side's products;
       a sample's synthesized state, which stays there until the next
       step.

@@ -102,11 +102,11 @@ def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
 
 
 def preflight_float_crosscheck(tensor: InteractionTensor, state,
-                               n: int = 30, seed: int = 1) -> float:
-    """Exact tensor vs floating composition at random off-axis points."""
+                               n: int = 30) -> float:
+    """Exact tensor vs floating composition at off-axis points (seed 1)."""
     from ..spectral import compose_interaction
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     xi, eta = sample_off_axis(rng, n)
     X = numeric_embedding(xi, eta, state)
     ours = tensor.evaluator()(X).reshape(n, -1)
@@ -198,10 +198,9 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
     return cert
 
 
-def _sample_cofactors(tensor: InteractionTensor, eps, max_entries: int = 3):
-    """Cofactor decompositions for a few nonzero entries (text format)."""
+def _sample_cofactors(tensor: InteractionTensor, eps):
+    """Cofactor decompositions of the first three nonzero entries (text)."""
     out = {}
-    count = 0
     for (i, j, k), terms in tensor.iter_entries():
         if not terms:
             continue
@@ -209,8 +208,7 @@ def _sample_cofactors(tensor: InteractionTensor, eps, max_entries: int = 3):
         assert not residue
         out[f"{i},{j},{k}"] = {f"Q{n+1}": _kernel_py.to_text(q)
                                for n, q in enumerate(cof) if q}
-        count += 1
-        if count >= max_entries:
+        if len(out) == 3:
             break
     return out
 

@@ -56,9 +56,9 @@ def projector_terms(branch: int, slot: tuple[int, int]):
     u = [_kernel_py.variable(ub + i) for i in range(3)]
     al, be, de = (_kernel_py.variable(cb + i) for i in range(3))
 
-    def m(*factors, c=1):
-        """c times a product of monomials; {} if a factor is zero."""
-        key = 0
+    def m(*factors):
+        """A product of monomials; {} if a factor is zero."""
+        key, c = 0, 1
         for f in factors:
             if not f:
                 return {}

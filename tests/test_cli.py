@@ -450,6 +450,7 @@ def _probe_amplitudes(value):
     ("simulate", _set("time", "t_end", None)),
     ("simulate", _set("output", "snapshots", 5)),
     ("simulate", _set("output", "snapshots", "abc")),
+    ("simulate", _set("output", "snapshots", [-1.0, 0.5])),
     ("decay-report", _set("times", "t1", None)),
     ("simulate", _set("state", "tau0", 1.0)),
     ("simulate", _out_under_file),
@@ -476,7 +477,7 @@ def _probe_amplitudes(value):
     ("simulate", _set("ic", "seed", 8.9)),
     ("decay-report", _set("times", "n", 8.9)),
 ], ids=["sim-list", "decay-list", "ic-int", "decay-grid-int", "t_end-null",
-        "snapshots-int", "snapshots-str", "t1-null", "manifold_from-and-tau0",
+        "snapshots-int", "snapshots-str", "snapshots-negative", "t1-null", "manifold_from-and-tau0",
         "sim-out-under-file", "decay-out-under-file", "dealias-str",
         "amplitudes-int", "amplitudes-three", "t_end-negative", "t_end-nan",
         "seed-negative", "seed-2**70", "kind-int", "n-0", "n-1",
