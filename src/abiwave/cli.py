@@ -18,6 +18,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BlowUpError, ConfigError, VerificationError
-from .grid import Grid, fft_workers
+from .grid import Grid, fft_workers, scipy_paths
 from .model import IC_KINDS, check_background
 from .resonance import InteractionSpec
 from .state import (CERTIFICATION_BACKGROUND, ConstantState, bi_lift_constant,
@@ -62,18 +63,25 @@ def _code_version() -> str:
 def _library_versions() -> dict:
     """Python, NumPy and SciPy versions, read once per process.
 
-    Read from the installed package metadata, so recording them imports
-    neither library; a package that is not installed records None.
+    NumPy's is ``numpy.__version__``.  SciPy's is read from the
+    ``version`` line of its ``version.py``, found as the transforms find
+    pocketfft (:func:`abiwave.grid.scipy_paths`), so recording it
+    imports no SciPy module; it is None when SciPy or that file is
+    absent.
     """
-    from importlib import metadata
-
-    out = {"python": platform.python_version()}
-    for name in ("numpy", "scipy"):
+    scipy = None
+    for path in scipy_paths("version.py"):
         try:
-            out[name] = metadata.version(name)
-        except metadata.PackageNotFoundError:
-            out[name] = None
-    return out
+            with open(path) as f:
+                found = re.search(r"^version\s*=\s*['\"]([^'\"]+)['\"]",
+                                  f.read(), re.MULTILINE)
+        except OSError:
+            continue
+        if found:
+            scipy = found.group(1)
+            break
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy}
 
 
 class RunManifest:

@@ -71,6 +71,15 @@ import numpy as np
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
 
+def scipy_paths(*parts: str) -> list:
+    """The paths ``parts`` under each directory of the installed SciPy
+    package, found without running SciPy's package code; [] without
+    SciPy."""
+    scipy = importlib.util.find_spec("scipy")
+    return [os.path.join(d, *parts)
+            for d in (scipy and scipy.submodule_search_locations or ())]
+
+
 @lru_cache(maxsize=None)
 def _fft():
     """SciPy's compiled pocketfft module, loaded by the first transform.
@@ -83,10 +92,8 @@ def _fft():
     """
     module = sys.modules.get(_POCKETFFT)
     if module is None:
-        scipy = importlib.util.find_spec("scipy")
-        spec = scipy and importlib.machinery.PathFinder.find_spec(
-            _POCKETFFT, [os.path.join(d, "fft", "_pocketfft")
-                         for d in scipy.submodule_search_locations])
+        spec = importlib.machinery.PathFinder.find_spec(
+            _POCKETFFT, scipy_paths("fft", "_pocketfft"))
         if spec is None:
             raise ModuleNotFoundError(
                 f"the transforms need SciPy: no module named {_POCKETFFT!r}",

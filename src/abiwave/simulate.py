@@ -57,10 +57,15 @@ class SimConfig:
             + float(np.linalg.norm(self.state.v0))
 
     def resolved_dt(self) -> float:
-        """The time step; rejects a bad t_end and a dt past the CFL bound."""
+        """The time step; rejects a bad t_end or snapshot time and a dt
+        past the CFL bound."""
         if not 0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be a finite number > 0, "
                               f"got {self.t_end}")
+        for t in self.snapshots:
+            if not 0 <= t < math.inf:
+                raise ConfigError(f"output.snapshots: must be a finite "
+                                  f"number >= 0, got {t!r}")
         limit = 0.5 * self.grid.dx / self.max_speed()
         dt = self.dt if self.dt is not None else \
             self.cfl * self.grid.dx / self.max_speed()

@@ -17,8 +17,8 @@ the inner loops:
   module of the package calls it (the tensor build multiplies array
   codes, see :mod:`abiwave.symbolic.tensors`), and it is kept because
   the benchmark tracer counts its calls by name;
-* :func:`abiwave.symbolic.tensors.build_interaction_tensor` checks
-  deg P1 + deg P2 + 1 + deg P3 once per tensor;
+* the tensor contraction (:func:`abiwave.symbolic.tensors._contract`)
+  checks deg P1 + deg P2 + 1 + deg P3 once per call;
 * :func:`abiwave.symbolic.ideal.reduce_terms` checks it once per
   :class:`TermTable`, on the table's exponent array (stage one of the
   reduction keeps the total degree, stage two never raises it).

@@ -1,8 +1,11 @@
 """Certification driver: numeric pre-flight gates, reduction, certificates.
 
 A certificate records, for one interaction, the residue status of every
-tensor entry after exact reduction.  Before any symbolic run two
-floating-point gates must pass:
+tensor entry after exact reduction.  :func:`certify` builds and reduces
+one tensor; :func:`certify_all` certifies each kind of interaction in
+one batch, through the parity pieces of its tensors and their Hadamard
+groups (:class:`~abiwave.symbolic.tensors.ParityPieces`).  Before any
+symbolic run two floating-point gates must pass:
 
 * the twelve ideal generators annihilate the numeric embedding on
   sampled resonant configurations of the matching orientation, and
@@ -28,7 +31,8 @@ from .ideal import (build_ideal_generators, extract_cofactors,
                     numeric_embedding, reduce_terms)
 from .poly import kernel_backend
 from .tensors import (CHAPLYGIN_SHAPES, InteractionTensor,
-                      build_interaction_tensor)
+                      build_interaction_tensor, build_parity_pieces,
+                      chaplygin_block)
 
 GATE_ANNIHILATION_TOL = 1e-10
 GATE_FLOAT_TOL = 1e-8
@@ -52,12 +56,16 @@ class Certificate:
 
     ``millis`` is the wall time of the whole certificate.  Inside it,
     ``build_ms`` times the tensor build (its term table included),
-    ``preflight_ms`` the float gates it ran (0 when they are skipped;
-    :func:`certify_all` runs the annihilation gate in the first
-    certificate of each orientation eps2 eps3 only) and ``reduce_ms``
-    the exact reduction of the table; all four are read from
-    ``time.perf_counter``.  The rest of ``millis`` is a mutation, the
-    chaplygin block's table and the statistics.
+    ``preflight_ms`` the float gates it ran (0 when they are skipped)
+    and ``reduce_ms`` the exact reduction of the table; all four are
+    read from ``time.perf_counter``.  The rest of ``millis`` is a
+    mutation, the chaplygin block's table and the statistics.  A
+    certificate of :func:`certify_all` comes from a batch of its kind:
+    its three stage times are those of the shared stages it used (the
+    build of the parity pieces, the batch's gates and the reductions of
+    its orientation's groups), and its ``millis`` runs from the start
+    of the batch to the certificate, so the stages still sum to at most
+    ``millis``.
     """
 
     interaction: str
@@ -101,40 +109,71 @@ def preflight_annihilation(eps2: int, eps3: int, state, n: int = 1000,
     return worst
 
 
-def preflight_float_crosscheck(tensor: InteractionTensor, state,
-                               n: int = 30) -> float:
-    """Exact tensor vs floating composition at off-axis points (seed 1)."""
+def _gate_points(state, n: int):
+    """The float gate's off-axis points (seed 1) and their layout values."""
+    xi, eta = sample_off_axis(np.random.default_rng(1), n)
+    return xi, eta, numeric_embedding(xi, eta, state)
+
+
+def _float_gate(ours: np.ndarray, xi, eta, state, eps, which: str) -> float:
+    """Worst relative error of exact tensor values at the points (xi, eta)
+    against the floating composition; raises past ``GATE_FLOAT_TOL``."""
     from ..spectral import compose_interaction
 
-    rng = np.random.default_rng(1)
-    xi, eta = sample_off_axis(rng, n)
-    X = numeric_embedding(xi, eta, state)
-    ours = tensor.evaluator()(X).reshape(n, -1)
-    ref = compose_interaction(xi, eta, state, tensor.eps,
-                              tensor.which).reshape(n, -1)
+    n = len(xi)
+    ref = compose_interaction(xi, eta, state, eps, which).reshape(n, -1)
     scale = np.maximum(np.max(np.abs(ref), axis=1), 1e-30)
-    worst = float(np.max(np.max(np.abs(ours - ref), axis=1) / scale))
+    err = np.max(np.abs(ours.reshape(n, -1) - ref), axis=1)
+    worst = float(np.max(err / scale))
     if worst > GATE_FLOAT_TOL:
         raise PreflightError(
             f"float cross-check gate failed: {worst} > {GATE_FLOAT_TOL}")
     return worst
 
 
+def preflight_float_crosscheck(tensor: InteractionTensor, state,
+                               n: int = 30) -> float:
+    """Exact tensor vs floating composition at off-axis points (seed 1)."""
+    xi, eta, X = _gate_points(state, n)
+    return _float_gate(tensor.evaluator()(X), xi, eta, state, tensor.eps,
+                       tensor.which)
+
+
+def _label(eps, which: str) -> str:
+    label = InteractionSpec(*eps).label()
+    # a constraint tensor's label has ' for its leading sign
+    return label if which == "evolution" else "'" + label[1:]
+
+
+def _witnesses(residues: dict, index: list) -> list:
+    """The first sixteen nonzero entries with their leading monomials."""
+    witnesses = []
+    for row in sorted(residues)[:16]:
+        residue = residues[row]
+        lead = max(residue)  # the largest packed key
+        witnesses.append({
+            "entry": list(index[row]),
+            "residue_terms": len(residue),
+            "witness_monomial": {"exponents": list(_kernel_py.unpack(lead)),
+                                 "coefficient": str(residue[lead])},
+        })
+    return witnesses
+
+
 def certify(eps: tuple[int, int, int], which: str = "evolution",
             state=None, preflight: bool = True, subsystem: str = "full",
-            with_cofactors: bool = False, mutate_entry=None,
-            annihilation_gate: bool = True) -> Certificate:
+            with_cofactors: bool = False, mutate_entry=None) -> Certificate:
     """Reduce every entry of one interaction tensor; report residues.
 
     ``subsystem='chaplygin'`` restricts to the four-component block
     (alpha = 1, beta = delta = 0 and tau/v rows and slots only; see
-    :meth:`InteractionTensor.chaplygin_block`).
+    :func:`~abiwave.symbolic.tensors.chaplygin_block`).
     ``mutate_entry=(i, j, k)`` adds one to that entry first, which must
     then be flagged - a self-test of the reduction's soundness; it must
     lie in the tensor, and in the block for the chaplygin subsystem.
-    ``preflight`` runs both float gates; ``annihilation_gate=False``
-    leaves out the first, which depends on s = eps2 eps3 only, for a
-    caller that has run it for this orientation.
+    ``preflight`` runs both float gates.  :func:`certify_all` reaches the
+    same certificates in batches; this is the direct path it is tested
+    against.
     """
     state = state or CERTIFICATION_BACKGROUND
     if mutate_entry is not None:
@@ -150,8 +189,7 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
     t_build = time.perf_counter()
     s = eps[1] * eps[2]
     if preflight:
-        if annihilation_gate:
-            preflight_annihilation(eps[1], eps[2], state)
+        preflight_annihilation(eps[1], eps[2], state)
         preflight_float_crosscheck(tensor, state)
     t_preflight = time.perf_counter()
     if mutate_entry is not None:
@@ -166,24 +204,12 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
     t_reduce = time.perf_counter()
     residues = reduce_terms(table, s)
     reduce_ms = (time.perf_counter() - t_reduce) * 1e3
-    witnesses = []
-    for row in sorted(residues)[:16]:
-        residue = residues[row]
-        lead = max(residue)  # the largest packed key
-        witnesses.append({
-            "entry": list(index[row]),
-            "residue_terms": len(residue),
-            "witness_monomial": {"exponents": list(_kernel_py.unpack(lead)),
-                                 "coefficient": str(residue[lead])},
-        })
-    label = InteractionSpec(*eps).label()
     cert = Certificate(
-        # a constraint tensor's label has ' for its leading sign
-        interaction=label if which == "evolution" else "'" + label[1:],
-        which="N" if which == "evolution" else "Nprime",
+        interaction=_label(eps, which),
+        which=_WHICH[which],
         entries_total=int(np.count_nonzero(table.sizes)),
         entries_nonzero=len(residues),
-        witnesses=witnesses,
+        witnesses=_witnesses(residues, index),
         max_degree=tensor.max_degree(),
         terms_max=tensor.term_counts()[0],
         millis=(time.perf_counter() - t0) * 1e3,
@@ -194,14 +220,20 @@ def certify(eps: tuple[int, int, int], which: str = "evolution",
         subsystem=subsystem,
     )
     if with_cofactors and not residues:
-        cert.cofactors = _sample_cofactors(tensor, eps)
+        cert.cofactors = _sample_cofactors(tensor.iter_entries(), eps)
     return cert
 
 
-def _sample_cofactors(tensor: InteractionTensor, eps):
-    """Cofactor decompositions of the first three nonzero entries (text)."""
+_WHICH = {"evolution": "N", "constraint": "Nprime"}
+
+
+def _sample_cofactors(entries, eps):
+    """Cofactor decompositions of the first three nonzero entries (text).
+
+    ``entries`` yields ((i, j, k), term dict) in entry order.
+    """
     out = {}
-    for (i, j, k), terms in tensor.iter_entries():
+    for (i, j, k), terms in entries:
         if not terms:
             continue
         cof, residue = extract_cofactors(terms, eps[1], eps[2])
@@ -213,30 +245,110 @@ def _sample_cofactors(tensor: InteractionTensor, eps):
     return out
 
 
+def _signed_sum(residues: list, signs) -> dict:
+    """sum_g signs[g] * residues[g], entry by entry; zero sums are dropped."""
+    out: dict = {}
+    for sign, res in zip(signs.tolist(), residues):
+        for row, terms in res.items():
+            _kernel_py.add_into(out.setdefault(row, {}), terms, sign)
+    return {row: terms for row, terms in out.items() if terms}
+
+
+def _certify_kind(which: str, state, preflight: bool, subsystem: str,
+                  with_cofactors: bool, gated: set) -> list[Certificate]:
+    """The certificates of every interaction of one kind, in one batch.
+
+    One contraction builds the parity pieces of the kind
+    (:func:`~abiwave.symbolic.tensors.build_parity_pieces`).  The float
+    gate evaluates them once at its points and checks each tensor's
+    values, the signed sums of the pieces', against the floating
+    composition.  Each orientation s reduces its Hadamard group tables
+    (:meth:`~abiwave.symbolic.tensors.ParityPieces.groups`, cut to the
+    chaplygin block for that subsystem, which is linear), and each
+    tensor's residues are the signed sums of the groups' residues,
+    exactly.  The supports of the pieces are disjoint, so a tensor's
+    entries, their term counts and their degrees are read off the
+    pieces.  Each certificate's ``build_ms``, ``preflight_ms`` and
+    ``reduce_ms`` time the shared stages it used: the build, the gates
+    of the batch and its orientation's reductions; its ``millis`` runs
+    from the start of the batch to the certificate.
+    """
+    t0 = time.perf_counter()
+    pieces = build_parity_pieces(which)
+    t_build = time.perf_counter()
+    jobs = [(e1, e2, e3) for e1 in ((1, -1) if which == "evolution" else (0,))
+            for e2 in (1, -1) for e3 in (1, -1)]
+    if preflight:
+        for s in (1, -1):
+            if s not in gated:
+                preflight_annihilation(1, s, state)
+                gated.add(s)
+        xi, eta, X = _gate_points(state, 30)
+        vals = _kernel_py.evaluator(pieces.table)(X)
+        vals /= 2.0 ** pieces.scale_log2
+        for eps in jobs:
+            _float_gate(pieces.values(eps, vals), xi, eta, state, eps, which)
+        del vals
+    t_preflight = time.perf_counter()
+    sizes = pieces.entry_sizes()
+    shape = (len(sizes) // 100, 10, 10)
+    found = {}  # s: (index, entries, reduce_ms, residues of each group)
+    for s in (1, -1):
+        index, entries, reduce_s, residues = list(np.ndindex(shape)), 0, 0.0, []
+        for G in pieces.groups(s):
+            if subsystem == "chaplygin":
+                index, G = chaplygin_block(G, which)
+            t_reduce = time.perf_counter()
+            residues.append(reduce_terms(G, s))
+            reduce_s += time.perf_counter() - t_reduce
+            entries = entries + G.sizes
+        found[s] = (index, int(np.count_nonzero(entries)), reduce_s * 1e3,
+                    residues)
+    certs = []
+    for eps in jobs:
+        index, entries, reduce_ms, residues = found[eps[1] * eps[2]]
+        residues = _signed_sum(residues, pieces.group_signs(eps))
+        cert = Certificate(
+            interaction=_label(eps, which),
+            which=_WHICH[which],
+            entries_total=entries,
+            entries_nonzero=len(residues),
+            witnesses=_witnesses(residues, index),
+            max_degree=pieces.table.degree(),
+            terms_max=int(sizes.max(initial=0)),
+            millis=(time.perf_counter() - t0) * 1e3,
+            build_ms=(t_build - t0) * 1e3,
+            preflight_ms=(t_preflight - t_build) * 1e3 if preflight else 0.0,
+            reduce_ms=reduce_ms,
+            backend=kernel_backend(),
+            subsystem=subsystem,
+        )
+        if with_cofactors and not residues:
+            cert.cofactors = _sample_cofactors(
+                ((idx, pieces.entry(eps, row))
+                 for row, idx in enumerate(np.ndindex(shape)) if sizes[row]),
+                eps)
+        certs.append(cert)
+    return certs
+
+
 def certify_all(which_list=("evolution", "constraint"), state=None,
                 preflight: bool = True, subsystem: str = "full",
                 with_cofactors: bool = False) -> list[Certificate]:
     """All 8 evolution and 4 constraint interactions (the full claim).
 
-    With ``preflight`` the annihilation gate runs once per orientation
-    s = eps2 eps3, in the first certificate of that orientation: its
-    generators and resonant samples depend on s alone.
+    Each kind is certified in one batch (:func:`_certify_kind`); the
+    certificates equal those of :func:`certify` for each interaction,
+    apart from their times.  With ``preflight`` the annihilation gate
+    runs once per orientation s = eps2 eps3, in the first batch that
+    meets it: its generators and resonant samples depend on s alone.
     """
-    jobs = []
-    if "evolution" in which_list:
-        jobs += [((e1, e2, e3), "evolution") for e1 in (1, -1)
-                 for e2 in (1, -1) for e3 in (1, -1)]
-    if "constraint" in which_list:
-        jobs += [((0, e2, e3), "constraint") for e2 in (1, -1)
-                 for e3 in (1, -1)]
-    certs = []
-    gated = set()
-    for eps, which in jobs:
-        s = eps[1] * eps[2]
-        certs.append(certify(eps, which, state, preflight, subsystem,
-                             with_cofactors, annihilation_gate=s not in gated))
-        gated.add(s)
-    return certs
+    state = state or CERTIFICATION_BACKGROUND
+    gated: set = set()
+    return [cert for which in ("evolution", "constraint")
+            if which in which_list
+            for cert in _certify_kind(which, state, preflight, subsystem,
+                                      with_cofactors, gated)]
 
 
 def write_certificates(certs: list[Certificate], path) -> None:

@@ -79,6 +79,19 @@ def test_manifest_records_library_versions(tmp_path):
                                     "scipy": scipy.__version__}
 
 
+def test_library_versions_match_the_package_metadata(monkeypatch, tmp_path):
+    # read without importlib.metadata, which loads the email package
+    from importlib import metadata
+
+    versions = cli._library_versions.__wrapped__()
+    assert versions["numpy"] == metadata.version("numpy")
+    assert versions["scipy"] == metadata.version("scipy")
+    # no SciPy, or a SciPy directory without version.py: None
+    for paths in ([], [str(tmp_path / "version.py")]):
+        monkeypatch.setattr(cli, "scipy_paths", lambda *parts: paths)
+        assert cli._library_versions.__wrapped__()["scipy"] is None
+
+
 def test_projectors_out_dot_writes_what_stdout_shows(tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.chdir(tmp_path)

@@ -165,6 +165,27 @@ def test_certifier_loads_no_scipy(tmp_path, script, configs):
     assert run.stdout.strip() == "[]"
 
 
+_CERTIFY_WITHOUT_NUMPY_MA = """
+import sys
+from abiwave.symbolic.certify import certify, certify_all
+assert all(c.verified for c in certify_all())
+cert = certify((1, 1, 1), preflight=False, mutate_entry=(1, 2, 3))
+assert cert.entries_nonzero == 1
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_certifier_loads_no_numpy_ma():
+    # np.unique without return_inverse takes NumPy's hash path, whose
+    # first use imports numpy.ma (about 13 ms and 1.25 MB)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _CERTIFY_WITHOUT_NUMPY_MA],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 def test_src_never_uses_the_dict_contraction():
     # the tensor build multiplies array codes; _kernel_py.mul_add_into
     # stays for the tracer's counter only, not as a second build path

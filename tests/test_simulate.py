@@ -125,6 +125,17 @@ def test_cfl_guard():
         cfg.resolved_dt()
 
 
+@pytest.mark.parametrize("t", [-1.0, -1e-300, np.nan, np.inf])
+def test_simulate_rejects_a_negative_or_non_finite_snapshot_time(t):
+    # the library itself, not only the config reader: t = -1 would be
+    # answered by the t = 0 sample
+    g = Grid(N=8, L=2 * np.pi)
+    cfg = simulate.SimConfig(grid=g, state=ConstantState(tau0=1.0),
+                             t_end=1.0, snapshots=(0.5, t))
+    with pytest.raises(simulate.ConfigError, match="output.snapshots"):
+        simulate.simulate(cfg, initial=StateField.zeros(g))
+
+
 def test_blowup_detection(grid16, manifold_bg):
     bad = StateField.zeros(grid16)
     bad.data[0, 0, 0, 0] = np.inf

@@ -601,3 +601,19 @@ def test_certificate_peak_memory_stays_under_10_mb():
         tracemalloc.stop()
     assert cert.verified
     assert peak <= 10e6
+
+
+def test_certify_all_peak_memory_stays_under_10_mb():
+    # the same trace over the batch: one contraction of the parity
+    # pieces, one gate evaluation and one Hadamard group table at a time
+    import tracemalloc
+
+    C.certify_all()
+    tracemalloc.start()
+    try:
+        certs = C.certify_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 12 and all(c.verified for c in certs)
+    assert peak <= 10e6
